@@ -62,22 +62,19 @@ pub fn coalesce_warp(lane_addrs: &[Option<u64>], width: u64) -> Vec<Transaction>
 pub fn coalesce_warp_into(lane_addrs: &[Option<u64>], width: u64, txs: &mut Vec<Transaction>) {
     txs.clear();
     for addr in lane_addrs.iter().flatten() {
-        let first = Transaction::covering(*addr);
-        let last = Transaction::covering(addr + width.saturating_sub(1));
-        let mut t = first;
-        loop {
-            if !txs.contains(&t) {
+        let first = Transaction::covering(*addr).base;
+        let last = Transaction::covering(addr + width.saturating_sub(1)).base;
+        for base in (first..=last).step_by(TRANSACTION_BYTES as usize) {
+            // Neighbouring lanes mostly share a line: skipping a repeat of
+            // the previous push keeps the sort short on coalesced warps.
+            let t = Transaction { base };
+            if txs.last() != Some(&t) {
                 txs.push(t);
             }
-            if t == last {
-                break;
-            }
-            t = Transaction {
-                base: t.base + TRANSACTION_BYTES,
-            };
         }
     }
     txs.sort_unstable();
+    txs.dedup();
 }
 
 /// The per-warp (min, max-inclusive-end) address range the BCU's address
@@ -128,6 +125,62 @@ mod tests {
     fn range_is_min_to_max_end() {
         let addrs = vec![Some(100u64), None, Some(10), Some(60)];
         assert_eq!(warp_address_range(&addrs, 4), Some((10, 104)));
+    }
+
+    /// The quadratic scan-for-duplicates coalescer that
+    /// `coalesce_warp_into` replaced, kept as the reference.
+    fn coalesce_by_scan(lane_addrs: &[Option<u64>], width: u64) -> Vec<Transaction> {
+        let mut txs = Vec::new();
+        for addr in lane_addrs.iter().flatten() {
+            let last = Transaction::covering(addr + width.saturating_sub(1));
+            let mut t = Transaction::covering(*addr);
+            loop {
+                if !txs.contains(&t) {
+                    txs.push(t);
+                }
+                if t == last {
+                    break;
+                }
+                t.base += TRANSACTION_BYTES;
+            }
+        }
+        txs.sort_unstable();
+        txs
+    }
+
+    #[test]
+    fn sort_dedup_matches_scan_on_random_lane_sets() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut txs = Vec::new();
+        for case in 0..2000 {
+            let lanes = 1 + (next() % 64) as usize;
+            // Widths up to and past a whole transaction, so some accesses
+            // straddle one or two line boundaries.
+            let width = [1, 4, 8, 16, 100, 128, 200][case % 7];
+            // A small window makes lanes collide on lines; a wide one
+            // scatters them.
+            let window = [256, 4096, 1 << 20][case % 3];
+            let addrs: Vec<Option<u64>> = (0..lanes)
+                .map(|_| {
+                    let a = 0x1_0000 + next() % window;
+                    // About a quarter of the lanes are masked off.
+                    (next() % 4 != 0).then_some(a)
+                })
+                .collect();
+            coalesce_warp_into(&addrs, width, &mut txs);
+            assert_eq!(
+                txs,
+                coalesce_by_scan(&addrs, width),
+                "{addrs:?} width {width}"
+            );
+        }
     }
 
     #[test]

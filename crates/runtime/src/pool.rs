@@ -19,7 +19,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A job that panicked; carries the stringified panic payload.
@@ -48,11 +48,16 @@ pub struct JobResult<T> {
     pub result: Result<T, JobPanic>,
 }
 
-/// Number of hardware threads, with a serial fallback.
+/// Number of hardware threads, with a serial fallback. Read once per
+/// process: the std query re-reads cgroup files on every call, and the
+/// simulator consults it on every launch.
 pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 fn panic_message(payload: &(dyn Any + Send)) -> String {

@@ -8,8 +8,8 @@ use crate::guard::{GuardVerdict, MemAccess, MemGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
 use crate::stats::{self, AbortReason, LaunchReport, RunReport, SimProfile};
 use crate::trace::{Trace, TraceEvent, TraceKind};
-use crate::warp::{ExecCtx, SimpleOutcome, Warp};
-use gpushield_isa::{AddrExpr, Instr, MemSpace, ReconvergenceTable, TaggedPtr};
+use crate::warp::{ExecCtx, Row, SimpleOutcome, Warp, MAX_LANES};
+use gpushield_isa::{AddrExpr, Instr, MemSpace, Operand, ReconvergenceTable, TaggedPtr};
 use gpushield_mem::coalesce::warp_address_range;
 use gpushield_mem::{
     coalesce_warp_into, Cache, MemFault, Replacement, SharedMemorySystem, Tlb, Transaction,
@@ -29,6 +29,43 @@ use std::fmt;
 mod par;
 
 const VA_MASK: u64 = (1 << 48) - 1;
+
+/// The AGU: writes each active lane's effective address of `addr` into
+/// `lane_vas` (`None` for a masked-off lane) and returns the first active
+/// lane's tagged base pointer, the one the bounds check decodes. Shared
+/// memory is addressed by plain offsets; global addresses drop the tag.
+fn gather_lane_vas(
+    warp: &Warp,
+    addr: AddrExpr,
+    space: MemSpace,
+    ctx: &ExecCtx<'_>,
+    lane_vas: &mut Vec<Option<u64>>,
+) -> TaggedPtr {
+    let (mut base, mut off): (Row, Row) = ([0; MAX_LANES], [0; MAX_LANES]);
+    match addr {
+        AddrExpr::Flat { addr } => warp.load_row(addr, ctx, &mut base),
+        AddrExpr::BaseOffset { base: b, offset } => {
+            warp.load_row(b, ctx, &mut base);
+            warp.load_row(offset, ctx, &mut off);
+        }
+        AddrExpr::BindingTable { bti, offset } => {
+            warp.load_row(Operand::Param(bti), ctx, &mut base);
+            warp.load_row(offset, ctx, &mut off);
+        }
+    }
+    let first = base.get(warp.active_mask().trailing_zeros() as usize);
+    let ptr = TaggedPtr::from_raw(first.copied().unwrap_or(0));
+    for (b, o) in base[..warp.width].iter_mut().zip(&off) {
+        *b = if space == MemSpace::Shared {
+            b.wrapping_add(*o)
+        } else {
+            TaggedPtr::from_raw(*b).va().wrapping_add(*o) & VA_MASK
+        };
+    }
+    lane_vas.clear();
+    lane_vas.extend(warp.active_lanes(&base));
+    ptr
+}
 
 /// How concurrent kernels share the GPU (§6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,6 +115,12 @@ pub enum RunError {
         /// Cycle at which the deadlock was detected.
         cycle: u64,
     },
+    /// `GpuConfig::warp_width` is 0 or exceeds the 64 lanes a `u64`
+    /// active mask can address.
+    UnsupportedWarpWidth {
+        /// The configured width.
+        width: usize,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -97,6 +140,12 @@ impl fmt::Display for RunError {
             }
             RunError::HeapDeadlock { cycle } => {
                 write!(f, "heap-allocation deadlock detected at cycle {cycle}")
+            }
+            RunError::UnsupportedWarpWidth { width } => {
+                write!(
+                    f,
+                    "warp width {width} is outside the supported 1..={MAX_LANES} lanes"
+                )
             }
         }
     }
@@ -118,8 +167,6 @@ struct ResidentWg {
 struct WarpScratch {
     /// Per-lane effective addresses (`None` = masked-off lane).
     lane_vas: Vec<Option<u64>>,
-    /// Per-lane store/addend values (empty for loads).
-    store_vals: Vec<u64>,
     /// Per-lane `malloc` request sizes.
     lane_sizes: Vec<Option<u64>>,
     /// Per-lane `malloc` result pointers.
@@ -493,6 +540,11 @@ fn build_launch_states(
     launches: &[KernelLaunch],
 ) -> Result<Vec<LaunchState>, RunError> {
     assert!(!launches.is_empty(), "no launches given");
+    if !(1..=MAX_LANES).contains(&cfg.warp_width) {
+        return Err(RunError::UnsupportedWarpWidth {
+            width: cfg.warp_width,
+        });
+    }
     let mut ls = Vec::with_capacity(launches.len());
     for l in launches {
         l.assert_bound();
@@ -1030,11 +1082,10 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                 grid_dim: u64::from(lstate.launch.launch.grid),
             };
             let warp = &self.cores[core_idx].warps[warp_idx];
+            let mut sizes: Row = [0; MAX_LANES];
+            warp.load_row(size, &ctx, &mut sizes);
             scratch.lane_sizes.clear();
-            scratch.lane_sizes.extend(
-                (0..warp.width)
-                    .map(|lane| warp.lane_active(lane).then(|| warp.eval(size, lane, &ctx))),
-            );
+            scratch.lane_sizes.extend(warp.active_lanes(&sizes));
         }
         let entry = self.heaps.entry(heap.tagged_base.va()).or_default();
         let mut done_at = self.cycle;
@@ -1178,6 +1229,7 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         let mut scratch = std::mem::take(&mut self.cores[core_idx].scratch);
 
         // ---- Phase 1: AGU — per-lane addresses and store values ----------
+        let mut store_vals: Row = [0; MAX_LANES];
         let ptr = {
             let lstate = &self.launches[li];
             let ctx = ExecCtx {
@@ -1187,45 +1239,11 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                 grid_dim: u64::from(lstate.launch.launch.grid),
             };
             let warp = &self.cores[core_idx].warps[warp_idx];
-            scratch.lane_vas.clear();
-            scratch.lane_vas.resize(warp.width, None);
-            let mut ptr = TaggedPtr::from_raw(0);
-            let mut ptr_set = false;
-            #[allow(clippy::needless_range_loop)] // lane drives eval() too
-            for lane in 0..warp.width {
-                if !warp.lane_active(lane) {
-                    continue;
-                }
-                let (base_raw, off) = match addr {
-                    AddrExpr::Flat { addr } => (warp.eval(addr, lane, &ctx), 0u64),
-                    AddrExpr::BaseOffset { base, offset } => {
-                        (warp.eval(base, lane, &ctx), warp.eval(offset, lane, &ctx))
-                    }
-                    AddrExpr::BindingTable { bti, offset } => {
-                        (ctx.args[usize::from(bti)], warp.eval(offset, lane, &ctx))
-                    }
-                };
-                if !ptr_set {
-                    ptr = TaggedPtr::from_raw(base_raw);
-                    ptr_set = true;
-                }
-                let va = if space == MemSpace::Shared {
-                    // Shared memory is addressed by plain offsets.
-                    base_raw.wrapping_add(off)
-                } else {
-                    TaggedPtr::from_raw(base_raw).va().wrapping_add(off) & VA_MASK
-                };
-                scratch.lane_vas[lane] = Some(va);
-            }
-            scratch.store_vals.clear();
             if let Some(s) = src {
-                scratch
-                    .store_vals
-                    .extend((0..warp.width).map(|lane| warp.eval(s, lane, &ctx)));
+                warp.load_row(s, &ctx, &mut store_vals);
             }
-            ptr
+            gather_lane_vas(warp, addr, space, &ctx, &mut scratch.lane_vas)
         };
-        let has_store_vals = src.is_some();
 
         // ---- Shared memory: on-chip, no VM, no bounds checking -----------
         if space == MemSpace::Shared {
@@ -1236,7 +1254,7 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                 &scratch.lane_vas,
                 width_b,
                 dst,
-                has_store_vals.then_some(&scratch.store_vals[..]),
+                src.map(|_| &store_vals[..]),
                 is_atomic,
             );
             self.cores[core_idx].scratch = scratch;
@@ -1362,11 +1380,7 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                 if let Some(d) = dst {
                     // Squashed loads return zero (§5.5.2).
                     let warp = &mut self.cores[core_idx].warps[warp_idx];
-                    for lane in 0..warp.width {
-                        if warp.lane_active(lane) {
-                            warp.set_reg(d, lane, 0);
-                        }
-                    }
+                    warp.store_row(d, warp.active_mask(), &[0; MAX_LANES]);
                 }
             }
             GuardVerdict::Allow => {
@@ -1388,14 +1402,14 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                             .vm
                             .read_uint(va, width_b)
                             .expect("translation already verified");
-                        let add = scratch.store_vals[lane];
+                        let add = store_vals[lane];
                         self.vm
                             .write_uint(va, width_b, old.wrapping_add(add))
                             .expect("translation already verified");
                         let warp = &mut self.cores[core_idx].warps[warp_idx];
                         warp.set_reg(dst.expect("atomic has dst"), lane, old);
                     } else if is_store {
-                        let v = scratch.store_vals[lane];
+                        let v = store_vals[lane];
                         self.vm
                             .write_uint(va, width_b, v)
                             .expect("translation already verified");
@@ -1840,6 +1854,67 @@ mod tests {
             gpu.run(&mut vm, &[launch], None),
             Err(RunError::WorkgroupTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn unsupported_warp_widths_are_typed_errors_in_both_engines() -> Result<(), Box<dyn Error>> {
+        for width in [0, MAX_LANES + 1] {
+            let mut cfg = GpuConfig::test_tiny();
+            cfg.warp_width = width;
+            let mut vm = VirtualMemorySpace::new();
+            let buf = vm.alloc(64 * 4, AllocPolicy::Device512)?;
+            let mut gpu = Gpu::new(cfg);
+            let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(1, 8))
+                .arg(TaggedPtr::unprotected(buf.va).raw());
+            let launches = [launch];
+            let want = RunError::UnsupportedWarpWidth { width };
+            assert_eq!(gpu.run(&mut vm, &launches, None).unwrap_err(), want);
+            assert_eq!(
+                gpu.run_recorded(&mut vm, &launches, None).unwrap_err(),
+                want
+            );
+            assert_eq!(
+                want.to_string(),
+                format!("warp width {width} is outside the supported 1..=64 lanes")
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn widest_supported_warp_runs_every_lane() -> Result<(), Box<dyn Error>> {
+        // One 64-lane warp: lane 63 sits on the active mask's top bit.
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.warp_width = MAX_LANES;
+        let mut vm = VirtualMemorySpace::new();
+        let buf = vm.alloc(128 * 4, AllocPolicy::Device512)?;
+        let mut gpu = Gpu::new(cfg);
+        let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(2, 64))
+            .arg(TaggedPtr::unprotected(buf.va).raw());
+        assert!(gpu.run(&mut vm, &[launch], None)?.completed());
+        for i in 0..128u64 {
+            assert_eq!(vm.read_uint(buf.va + i * 4, 4)?, i, "element {i}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn oversubscribed_crew_reproduces_the_single_worker_report() -> Result<(), Box<dyn Error>> {
+        let run = |sim_threads: usize| -> Result<String, Box<dyn Error>> {
+            let mut cfg = GpuConfig::test_tiny();
+            cfg.num_cores = 8;
+            cfg.sim_threads = sim_threads;
+            let mut vm = VirtualMemorySpace::new();
+            let buf = vm.alloc(512 * 4, AllocPolicy::Device512)?;
+            let mut gpu = Gpu::new(cfg);
+            let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(32, 16))
+                .arg(TaggedPtr::unprotected(buf.va).raw());
+            let report = gpu.run(&mut vm, &[launch], None)?;
+            assert!(report.completed());
+            Ok(format!("{report:?}"))
+        };
+        assert_eq!(run(64)?, run(1)?);
+        Ok(())
     }
 
     #[test]

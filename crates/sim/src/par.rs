@@ -37,15 +37,15 @@
 //! races in the programming model and take no defined interleaving.
 
 use super::{
-    build_launch_states, Core, GpuConfig, HeapRun, LaunchState, MultiKernelMode, ResidentWg,
-    RunError, TeleCtx, VA_MASK,
+    build_launch_states, gather_lane_vas, Core, GpuConfig, HeapRun, LaunchState, MultiKernelMode,
+    ResidentWg, RunError, TeleCtx,
 };
 use crate::guard::{CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
 use crate::stats::{AbortReason, LaunchReport, RunReport, SimProfile, StallAttribution};
 use crate::trace::{Trace, TraceEvent, TraceKind};
-use crate::warp::{ExecCtx, SimpleOutcome, Warp};
-use gpushield_isa::{AddrExpr, BlockId, Instr, MemSpace, Operand, TaggedPtr, VReg};
+use crate::warp::{ExecCtx, Row, SimpleOutcome, Warp, MAX_LANES};
+use gpushield_isa::{BlockId, Instr, MemSpace, Operand, VReg};
 use gpushield_mem::coalesce::warp_address_range;
 use gpushield_mem::{
     coalesce_warp_into, DramView, MemFault, SharedMemorySystem, VirtualMemorySpace,
@@ -685,47 +685,15 @@ fn exec_mem_phase(
     let mut scratch = std::mem::take(&mut core.scratch);
 
     // ---- AGU: per-lane addresses and store values (sequential logic) ----
+    let mut store_vals: Row = [0; MAX_LANES];
     let ptr = {
         let ctx = exec_ctx(&launches[li]);
         let warp = &core.warps[wi];
-        scratch.lane_vas.clear();
-        scratch.lane_vas.resize(warp.width, None);
-        let mut ptr = TaggedPtr::from_raw(0);
-        let mut ptr_set = false;
-        #[allow(clippy::needless_range_loop)] // lane drives eval() too
-        for lane in 0..warp.width {
-            if !warp.lane_active(lane) {
-                continue;
-            }
-            let (base_raw, off) = match addr {
-                AddrExpr::Flat { addr } => (warp.eval(addr, lane, &ctx), 0u64),
-                AddrExpr::BaseOffset { base, offset } => {
-                    (warp.eval(base, lane, &ctx), warp.eval(offset, lane, &ctx))
-                }
-                AddrExpr::BindingTable { bti, offset } => {
-                    (ctx.args[usize::from(bti)], warp.eval(offset, lane, &ctx))
-                }
-            };
-            if !ptr_set {
-                ptr = TaggedPtr::from_raw(base_raw);
-                ptr_set = true;
-            }
-            let va = if space == MemSpace::Shared {
-                base_raw.wrapping_add(off)
-            } else {
-                TaggedPtr::from_raw(base_raw).va().wrapping_add(off) & VA_MASK
-            };
-            scratch.lane_vas[lane] = Some(va);
-        }
-        scratch.store_vals.clear();
         if let Some(s) = src {
-            scratch
-                .store_vals
-                .extend((0..warp.width).map(|lane| warp.eval(s, lane, &ctx)));
+            warp.load_row(s, &ctx, &mut store_vals);
         }
-        ptr
+        gather_lane_vas(warp, addr, space, &ctx, &mut scratch.lane_vas)
     };
-    let has_store_vals = src.is_some();
 
     if space == MemSpace::Shared {
         exec_shared_phase(
@@ -740,7 +708,7 @@ fn exec_mem_phase(
             &scratch.lane_vas,
             width_b,
             dst,
-            has_store_vals.then_some(&scratch.store_vals[..]),
+            src.map(|_| &store_vals[..]),
             is_atomic,
         );
         core.scratch = scratch;
@@ -844,11 +812,7 @@ fn exec_mem_phase(
             out.accs[li].violations_squashed += 1;
             if let Some(d) = dst {
                 let warp = &mut core.warps[wi];
-                for lane in 0..warp.width {
-                    if warp.lane_active(lane) {
-                        warp.set_reg(d, lane, 0);
-                    }
-                }
+                warp.store_row(d, warp.active_mask(), &[0; MAX_LANES]);
             }
         }
         GuardVerdict::Allow => {
@@ -865,7 +829,7 @@ fn exec_mem_phase(
                 // metadata corruption) — degrade into the same typed abort
                 // a translation fault takes, never a panic.
                 if is_store {
-                    let v = scratch.store_vals[lane];
+                    let v = store_vals[lane];
                     if let Err(f) = vm.write_uint(va, width_b, v) {
                         core.scratch = scratch;
                         freeze_abort(out, t, core, wi, li, AbortReason::MemFault(f));
@@ -1060,10 +1024,14 @@ pub(super) fn run_engine(
         Some(g) => (None, Some(Mutex::new(g))),
         None => (None, None),
     };
+    // More workers than host threads only adds spin-barrier contention;
+    // the report is the same at any worker count.
     let workers = if whole.is_some() {
         1
     } else {
-        cfg.sim_threads.clamp(1, n)
+        cfg.sim_threads
+            .min(gpushield_runtime::available_parallelism())
+            .clamp(1, n)
     };
 
     let mut shards: Vec<Option<Box<dyn CoreGuard + Send + '_>>> = forked.map_or_else(
@@ -1724,10 +1692,10 @@ fn drain_malloc(
     {
         let ctx = exec_ctx(&lw[li]);
         let warp = &core.warps[wi];
+        let mut sizes: Row = [0; MAX_LANES];
+        warp.load_row(size, &ctx, &mut sizes);
         scratch.lane_sizes.clear();
-        scratch.lane_sizes.extend(
-            (0..warp.width).map(|lane| warp.lane_active(lane).then(|| warp.eval(size, lane, &ctx))),
-        );
+        scratch.lane_sizes.extend(warp.active_lanes(&sizes));
     }
     let entry = heaps.entry(heap.tagged_base.va()).or_default();
     let mut done_at = t;
@@ -1831,39 +1799,12 @@ fn drain_atom<'w, 'g>(
 
     // ---- AGU (global-space path; shared atomics never park) -------------
     let mut scratch = std::mem::take(&mut core.scratch);
+    let mut addends: Row = [0; MAX_LANES];
     let ptr = {
         let ctx = exec_ctx(&lw[li]);
         let warp = &core.warps[wi];
-        scratch.lane_vas.clear();
-        scratch.lane_vas.resize(warp.width, None);
-        let mut ptr = TaggedPtr::from_raw(0);
-        let mut ptr_set = false;
-        #[allow(clippy::needless_range_loop)] // lane drives eval() too
-        for lane in 0..warp.width {
-            if !warp.lane_active(lane) {
-                continue;
-            }
-            let (base_raw, off) = match addr {
-                AddrExpr::Flat { addr } => (warp.eval(addr, lane, &ctx), 0u64),
-                AddrExpr::BaseOffset { base, offset } => {
-                    (warp.eval(base, lane, &ctx), warp.eval(offset, lane, &ctx))
-                }
-                AddrExpr::BindingTable { bti, offset } => {
-                    (ctx.args[usize::from(bti)], warp.eval(offset, lane, &ctx))
-                }
-            };
-            if !ptr_set {
-                ptr = TaggedPtr::from_raw(base_raw);
-                ptr_set = true;
-            }
-            scratch.lane_vas[lane] =
-                Some(TaggedPtr::from_raw(base_raw).va().wrapping_add(off) & VA_MASK);
-        }
-        scratch.store_vals.clear();
-        scratch
-            .store_vals
-            .extend((0..warp.width).map(|lane| warp.eval(src, lane, &ctx)));
-        ptr
+        warp.load_row(src, &ctx, &mut addends);
+        gather_lane_vas(warp, addr, space, &ctx, &mut scratch.lane_vas)
     };
 
     // ---- Translate + real shared-system timing --------------------------
@@ -1959,11 +1900,7 @@ fn drain_atom<'w, 'g>(
         GuardVerdict::Squash => {
             lw[li].report.violations_squashed += 1;
             let warp = &mut core.warps[wi];
-            for lane in 0..warp.width {
-                if warp.lane_active(lane) {
-                    warp.set_reg(dst, lane, 0);
-                }
-            }
+            warp.store_row(dst, warp.active_mask(), &[0; MAX_LANES]);
         }
         GuardVerdict::Allow => {
             if let Some(f) = translation_fault {
@@ -1985,7 +1922,7 @@ fn drain_atom<'w, 'g>(
                         return abort(AbortReason::MemFault(f));
                     }
                 };
-                let add = scratch.store_vals[lane];
+                let add = addends[lane];
                 if let Err(f) = vm.write_uint(va, width_b, old.wrapping_add(add)) {
                     core.scratch = scratch;
                     return abort(AbortReason::MemFault(f));

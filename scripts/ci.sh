@@ -41,7 +41,7 @@ echo "== cargo build --release --offline"
 cargo build --release --offline
 
 echo "== cargo test (workspace, default features) --offline"
-cargo test -q --workspace --offline
+cargo test -q --workspace --offline --no-fail-fast
 
 if [[ "${CI_FULL:-0}" == "1" ]]; then
     echo "== cargo test --features proptest-tests --offline"

@@ -6,12 +6,18 @@
 //! pipeline, address translation) is designed to be allocation-free:
 //! decoded kernels are interned behind `Arc` and issued as `Copy`
 //! instructions, the page table is a flat radix tree, and per-access lane
-//! buffers live in per-core reusable scratch. What still allocates is
-//! per-workgroup state (register files, shared memory) at dispatch — a
-//! bounded, per-kilocycle-small amount this test pins.
+//! buffers live in per-core reusable scratch, and operand rows are
+//! `[u64; 64]` stack arrays. What still allocates is per-workgroup state
+//! (register files, shared memory) at dispatch — a bounded,
+//! per-kilocycle-small amount this test pins.
+//!
+//! The counter is process-wide, so the tests take [`MEASURE`] for their
+//! whole body: with the default parallel test threads, one test would
+//! otherwise count another's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -40,10 +46,20 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Held by every test in this file, so only one counts at a time.
+static MEASURE: Mutex<()> = Mutex::new(());
+
+fn measure_alone() -> MutexGuard<'static, ()> {
+    // A panicking test poisons the lock; the counter it guards is still
+    // valid, so the next test proceeds.
+    MEASURE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn hot_path_allocations_per_kilocycle_stay_bounded() {
     use gpushield_bench::runner::{run_workload, Protection, Target};
     use gpushield_workloads::by_name;
+    let _alone = measure_alone();
 
     // The longest-running registry workload (~300k cycles), so per-run
     // setup (host, caches, buffers) amortises away and the measurement
@@ -85,6 +101,7 @@ fn disabled_telemetry_keeps_the_hot_path_allocation_free() {
     use gpushield_bench::adapter::SystemHost;
     use gpushield_bench::runner::{config, Protection, Target};
     use gpushield_workloads::by_name;
+    let _alone = measure_alone();
 
     let w = by_name("streamcluster").expect("streamcluster registered");
     let run = || {
@@ -123,6 +140,7 @@ fn disabled_telemetry_keeps_the_hot_path_allocation_free() {
 fn disabled_registry_publish_builds_no_label_strings() {
     use gpushield::Registry;
     use gpushield_driver::{Driver, DriverConfig, TenantId, TenantTable};
+    let _alone = measure_alone();
 
     let driver = Driver::new(DriverConfig::default(), 7);
     let mut table = TenantTable::new(2);
