@@ -138,8 +138,8 @@ pub struct VirtualMemorySpace {
     page_root: Vec<Option<Box<[u64; LEAF_ENTRIES]>>>,
     /// PA frame number → data, lazily populated (untouched pages read as
     /// zero without materializing a frame). Frames are atomic bytes behind
-    /// a `OnceLock` so the *run-time* data path (`read`, `write`,
-    /// `read_uint`, `write_uint`, the bypass pair) works through `&self`:
+    /// a `OnceLock` so the *run-time* data path (`read`, `write`, the
+    /// `_uint` and `_lanes` pairs, the bypass pair) works through `&self`:
     /// simulated cores on different worker threads share one address space
     /// with no lock. Relaxed per-byte atomics deliberately model GPU global
     /// memory: racing same-byte plain accesses from different cores within
@@ -460,6 +460,116 @@ impl VirtualMemorySpace {
         self.write(va, &bytes[..width as usize])
     }
 
+    /// The fault of the first active lane (in lane order) whose address
+    /// does not translate, or `None` when every lane of `vas` does —
+    /// exactly what calling [`VirtualMemorySpace::translate`] on each lane
+    /// reports. Translation depends only on the page, so each run of
+    /// consecutive same-page lanes is translated once.
+    pub fn first_lane_fault(&self, vas: &[Option<u64>]) -> Option<MemFault> {
+        let mut page = u64::MAX;
+        for &va in vas.iter().flatten() {
+            if va / PAGE_SIZE != page {
+                if let Err(f) = self.translate(va) {
+                    return Some(f);
+                }
+                page = va / PAGE_SIZE;
+            }
+        }
+        None
+    }
+
+    /// Resolves the frame behind `va`'s page, reusing `run` while lanes
+    /// stay on the page it caches: `(page number, frame bytes)`, where a
+    /// never-touched frame is `None` unless `materialize` creates it.
+    #[inline]
+    fn lane_frame<'s>(
+        &'s self,
+        run: &mut Option<(u64, Option<&'s [AtomicU8]>)>,
+        va: u64,
+        materialize: bool,
+    ) -> Result<Option<&'s [AtomicU8]>, MemFault> {
+        let pn = va / PAGE_SIZE;
+        if let Some((p, f)) = *run {
+            if p == pn {
+                return Ok(f);
+            }
+        }
+        let frame = self.translate(va)? / PAGE_SIZE;
+        let f = if materialize {
+            Some(self.frame_init(frame))
+        } else {
+            self.frame(frame)
+        };
+        *run = Some((pn, f));
+        Ok(f)
+    }
+
+    /// Reads a `width`-byte little-endian integer for every active lane of
+    /// `vas` into the same lane of `out` (masked-off lanes are left alone):
+    /// [`VirtualMemorySpace::read_uint`] per lane, translating each run of
+    /// same-page lanes once. Lanes that straddle a page, and widths outside
+    /// 1..=8, take `read_uint` itself.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first faulting lane in lane order with that lane's
+    /// `read_uint` fault.
+    pub fn read_lanes(
+        &self,
+        vas: &[Option<u64>],
+        width: u64,
+        out: &mut [u64],
+    ) -> Result<(), MemFault> {
+        let w = width as usize;
+        let mut run = None;
+        for (&va, o) in vas.iter().zip(out.iter_mut()) {
+            let Some(va) = va else { continue };
+            let off = (va % PAGE_SIZE) as usize;
+            if !(1..=8).contains(&w) || off + w > PAGE_SIZE as usize {
+                *o = self.read_uint(va, width)?;
+                continue;
+            }
+            let mut bytes = [0u8; 8];
+            if let Some(f) = self.lane_frame(&mut run, va, false)? {
+                copy_out(&f[off..off + w], &mut bytes[..w]);
+            }
+            *o = u64::from_le_bytes(bytes);
+        }
+        Ok(())
+    }
+
+    /// Writes the low `width` bytes of each active lane's value in `vals`
+    /// at that lane's address in `vas`, in lane order (so a later lane wins
+    /// a same-address race): [`VirtualMemorySpace::write_uint`] per lane,
+    /// translating each run of same-page lanes once. Lanes that straddle a
+    /// page, and widths outside 1..=8, take `write_uint` itself.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first faulting lane in lane order with that lane's
+    /// `write_uint` fault; every earlier lane has been written.
+    pub fn write_lanes(
+        &self,
+        vas: &[Option<u64>],
+        width: u64,
+        vals: &[u64],
+    ) -> Result<(), MemFault> {
+        let w = width as usize;
+        let mut run = None;
+        for (&va, &v) in vas.iter().zip(vals) {
+            let Some(va) = va else { continue };
+            let off = (va % PAGE_SIZE) as usize;
+            if !(1..=8).contains(&w) || off + w > PAGE_SIZE as usize {
+                self.write_uint(va, width, v)?;
+                continue;
+            }
+            if let Some(f) = self.lane_frame(&mut run, va, true)? {
+                copy_in(&v.to_le_bytes()[..w], &f[off..off + w]);
+            }
+        }
+        Ok(())
+    }
+
     /// Bypass-translation write used by the driver/hardware for RBT pages.
     ///
     /// # Errors
@@ -612,5 +722,214 @@ mod tests {
         let vm = VirtualMemorySpace::new();
         assert!(vm.translate(0).is_err());
         assert!(vm.translate(100).is_err());
+    }
+
+    /// Deterministic splitmix64 stream for the lane reference tests.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A six-page buffer at the start of its 2 MB region (pages 0-1
+    /// filled, the rest never touched), followed by a protected isolated
+    /// region. Returns the space, the buffer base and the protected base.
+    fn lane_space() -> Result<(VirtualMemorySpace, u64, u64), MemFault> {
+        let mut vm = VirtualMemorySpace::new();
+        let a = vm.alloc(6 * PAGE_SIZE, AllocPolicy::Device512)?;
+        for i in 0..2 * PAGE_SIZE / 8 {
+            vm.write_uint(a.va + i * 8, 8, i.wrapping_mul(0x0123_4567_89AB_CDEF))?;
+        }
+        let p = vm.alloc(PAGE_SIZE, AllocPolicy::Isolated)?;
+        vm.protect(p.va, p.size);
+        assert_eq!(p.va, a.va + REGION_SIZE);
+        Ok((vm, a.va, p.va))
+    }
+
+    /// Every byte the lane tests can reach: the buffer pages plus the
+    /// page on either side of the region boundary.
+    fn image(vm: &VirtualMemorySpace, base: u64) -> Result<Vec<u8>, MemFault> {
+        let mut bytes = vec![0u8; 9 * PAGE_SIZE as usize];
+        let (low, high) = bytes.split_at_mut(7 * PAGE_SIZE as usize);
+        vm.read_bypass(base, low)?;
+        vm.read_bypass(base + REGION_SIZE - PAGE_SIZE, high)?;
+        Ok(bytes)
+    }
+
+    fn ref_first_fault(vm: &VirtualMemorySpace, vas: &[Option<u64>]) -> Option<MemFault> {
+        vas.iter().flatten().find_map(|&va| vm.translate(va).err())
+    }
+
+    fn ref_read(
+        vm: &VirtualMemorySpace,
+        vas: &[Option<u64>],
+        width: u64,
+        out: &mut [u64],
+    ) -> Result<(), MemFault> {
+        for (lane, va) in vas.iter().enumerate() {
+            if let Some(va) = *va {
+                out[lane] = vm.read_uint(va, width)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn ref_write(
+        vm: &VirtualMemorySpace,
+        vas: &[Option<u64>],
+        width: u64,
+        vals: &[u64],
+    ) -> Result<(), MemFault> {
+        for (lane, va) in vas.iter().enumerate() {
+            if let Some(va) = *va {
+                vm.write_uint(va, width, vals[lane])?;
+            }
+        }
+        Ok(())
+    }
+
+    /// One random warp: masked-off lanes, in-page and page-straddling
+    /// lanes over every buffer page in no particular order, duplicates of
+    /// earlier lanes and, when `faults`, rare unmapped, protected and
+    /// region-end-straddling lanes.
+    fn random_lanes(rng: &mut Mix, base: u64, prot: u64, faults: bool) -> Vec<Option<u64>> {
+        let n = 1 + rng.below(64) as usize;
+        let mut vas: Vec<Option<u64>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let page = base + rng.below(6) * PAGE_SIZE;
+            let va = match rng.below(40) {
+                0..=9 => None,
+                10..=15 => Some(page + 4089 + rng.below(7)),
+                16..=19 => vas.iter().flatten().last().copied().or(Some(page)),
+                20 if faults => Some(0x1000 + rng.below(PAGE_SIZE)),
+                21 if faults => Some(prot + rng.below(PAGE_SIZE)),
+                22 if faults => Some(prot - 1 - rng.below(7)),
+                _ => Some(page + rng.below(PAGE_SIZE - 8)),
+            };
+            vas.push(va);
+        }
+        vas
+    }
+
+    #[test]
+    fn lane_functions_match_per_lane_reference() -> Result<(), MemFault> {
+        const WIDTHS: [u64; 10] = [1, 2, 4, 8, 1, 2, 4, 8, 0, 9];
+        let mut rng = Mix(0x1A9E);
+        let (mut faulted, mut straddled) = (0, 0);
+        for case in 0..400 {
+            let (vm, base, prot) = lane_space()?;
+            let (ref_vm, _, _) = lane_space()?;
+            let vas = random_lanes(&mut rng, base, prot, case % 2 == 1);
+            let width = WIDTHS[rng.below(10) as usize];
+            let vals: Vec<u64> = (0..vas.len()).map(|_| rng.next()).collect();
+            let ctx = format!("case {case}: width {width}, lanes {vas:x?}");
+
+            let fault = ref_first_fault(&ref_vm, &vas);
+            assert_eq!(vm.first_lane_fault(&vas), fault, "{ctx}");
+            faulted += usize::from(fault.is_some());
+            straddled += usize::from(
+                vas.iter()
+                    .flatten()
+                    .any(|va| va % PAGE_SIZE + width.clamp(1, 8) > PAGE_SIZE),
+            );
+
+            // Loads from the initial image (filled and never-touched pages).
+            let (mut got, mut want) = (vec![!0u64; vas.len()], vec![!0u64; vas.len()]);
+            assert_eq!(
+                vm.read_lanes(&vas, width, &mut got),
+                ref_read(&ref_vm, &vas, width, &mut want),
+                "{ctx}"
+            );
+            assert_eq!(got, want, "{ctx}");
+
+            // Stores: same result, same bytes everywhere.
+            assert_eq!(
+                vm.write_lanes(&vas, width, &vals),
+                ref_write(&ref_vm, &vas, width, &vals),
+                "{ctx}"
+            );
+            assert_eq!(image(&vm, base)?, image(&ref_vm, base)?, "{ctx}");
+
+            // Loads again, now that stores materialized frames.
+            let (mut got, mut want) = (vec![0u64; vas.len()], vec![0u64; vas.len()]);
+            assert_eq!(
+                vm.read_lanes(&vas, width, &mut got),
+                ref_read(&ref_vm, &vas, width, &mut want),
+                "{ctx}"
+            );
+            assert_eq!(got, want, "{ctx}");
+        }
+        assert!(faulted > 40, "only {faulted} warps exercised a fault");
+        assert!(straddled > 100, "only {straddled} warps straddled a page");
+        Ok(())
+    }
+
+    #[test]
+    fn lane_faults_mid_warp_stop_at_the_first_faulting_lane() -> Result<(), MemFault> {
+        let (vm, base, prot) = lane_space()?;
+        let unmapped = 0x1000;
+        let mut vas: Vec<Option<u64>> = (0..32)
+            .map(|l| Some(base + 3 * PAGE_SIZE + l * 4))
+            .collect();
+        vas[10] = Some(unmapped);
+        vas[20] = Some(prot + 64);
+        let vals: Vec<u64> = (0..32).map(|l| 0x100 + l).collect();
+        let unmapped_fault = MemFault::Unmapped { va: unmapped };
+        assert_eq!(vm.first_lane_fault(&vas), Some(unmapped_fault));
+        assert_eq!(vm.write_lanes(&vas, 4, &vals), Err(unmapped_fault));
+        for lane in 0..32u64 {
+            let got = vm.read_uint(base + 3 * PAGE_SIZE + lane * 4, 4)?;
+            let want = if lane < 10 { 0x100 + lane } else { 0 };
+            assert_eq!(got, want, "lane {lane}");
+        }
+        let mut out = vec![!0u64; 32];
+        assert_eq!(vm.read_lanes(&vas, 4, &mut out), Err(unmapped_fault));
+        assert!(out[..10].iter().zip(&vals).all(|(o, v)| o == v));
+        assert!(out[10..].iter().all(|&o| o == !0));
+
+        // Masking the unmapped lane off moves the fault to the protected
+        // lane; lanes 11..20 are written now, 21.. still are not.
+        vas[10] = None;
+        let prot_fault = MemFault::Protected { va: prot + 64 };
+        assert_eq!(vm.first_lane_fault(&vas), Some(prot_fault));
+        assert_eq!(vm.write_lanes(&vas, 4, &vals), Err(prot_fault));
+        for lane in 0..32u64 {
+            let got = vm.read_uint(base + 3 * PAGE_SIZE + lane * 4, 4)?;
+            let want = if lane < 20 && lane != 10 {
+                0x100 + lane
+            } else {
+                0
+            };
+            assert_eq!(got, want, "lane {lane}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn lane_bad_widths_fault_at_the_first_active_lane() -> Result<(), MemFault> {
+        let (vm, base, _) = lane_space()?;
+        let vas = [None, Some(base), Some(0x1000)];
+        for width in [0, 9] {
+            assert_eq!(
+                vm.write_lanes(&vas, width, &[1, 2, 3]),
+                Err(MemFault::BadWidth { width })
+            );
+            assert_eq!(
+                vm.read_lanes(&vas, width, &mut [0; 3]),
+                Err(MemFault::BadWidth { width })
+            );
+        }
+        assert_eq!(vm.first_lane_fault(&[None, None]), None);
+        Ok(())
     }
 }

@@ -9,7 +9,7 @@ use crate::launch::{KernelLaunch, SiteCheck};
 use crate::stats::{self, AbortReason, LaunchReport, RunReport, SimProfile};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::warp::{ExecCtx, Row, SimpleOutcome, Warp, MAX_LANES};
-use gpushield_isa::{AddrExpr, Instr, MemSpace, Operand, ReconvergenceTable, TaggedPtr};
+use gpushield_isa::{AddrExpr, Instr, MemSpace, Operand, ReconvergenceTable, TaggedPtr, VReg};
 use gpushield_mem::coalesce::warp_address_range;
 use gpushield_mem::{
     coalesce_warp_into, Cache, MemFault, Replacement, SharedMemorySystem, Tlb, Transaction,
@@ -65,6 +65,45 @@ fn gather_lane_vas(
     lane_vas.clear();
     lane_vas.extend(warp.active_lanes(&base));
     ptr
+}
+
+/// The LSU's functional data path for one global memory instruction whose
+/// lanes all translate. A load (`dst` without `atomic`) reads the whole
+/// row with one translation per same-page run and commits it to `dst`
+/// only when every lane succeeded; a store (`dst == None`) writes `vals`
+/// in lane order. A global atomic (`atomic`) serialises its lanes'
+/// read-modify-writes in lane order — real hardware serialises
+/// same-address atomics, and a fixed order keeps the simulation
+/// deterministic — and returns each lane's old value in `dst`.
+///
+/// A fault here means a lane straddled into an untranslatable page (the
+/// pre-check translates each lane's first byte only); the caller aborts
+/// the launch with it, which strips the launch, so an uncommitted row is
+/// never observed.
+fn lane_data_path(
+    vm: &VirtualMemorySpace,
+    warp: &mut Warp,
+    lane_vas: &[Option<u64>],
+    width: u64,
+    dst: Option<VReg>,
+    vals: &Row,
+    atomic: bool,
+) -> Result<(), MemFault> {
+    let Some(dst) = dst else {
+        return vm.write_lanes(lane_vas, width, vals);
+    };
+    let mut row: Row = [0; MAX_LANES];
+    if atomic {
+        for (lane, va) in lane_vas.iter().enumerate() {
+            let Some(va) = *va else { continue };
+            row[lane] = vm.read_uint(va, width)?;
+            vm.write_uint(va, width, row[lane].wrapping_add(vals[lane]))?;
+        }
+    } else {
+        vm.read_lanes(lane_vas, width, &mut row)?;
+    }
+    warp.store_row(dst, warp.active_mask(), &row);
+    Ok(())
 }
 
 /// How concurrent kernels share the GPU (§6.2).
@@ -225,6 +264,25 @@ impl Core {
 
     fn shared_in_use(&self) -> u64 {
         self.wgs.iter().map(|w| w.shared.len() as u64).sum()
+    }
+
+    /// Greedy-then-oldest warp pick at cycle `t`: the last-issued warp
+    /// while it stays ready, else the oldest ready warp. Warps are pushed
+    /// in dispatch (`age`) order and only ever removed by `retain`, so
+    /// `warps` is sorted by age and the oldest ready warp is the first.
+    fn pick_warp(&self, t: u64) -> Option<usize> {
+        let ready = |w: &Warp| !w.done && !w.at_barrier && !w.blocked && w.ready_at <= t;
+        if let Some(i) = self.last_issued {
+            if self.warps.get(i).is_some_and(ready) {
+                return Some(i);
+            }
+        }
+        self.warps.iter().position(ready)
+    }
+
+    /// Debug check of the invariant [`Core::pick_warp`] relies on.
+    fn warps_age_ordered(&self) -> bool {
+        self.warps.windows(2).all(|p| p[0].age < p[1].age)
     }
 }
 
@@ -784,31 +842,18 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
             self.age_seq += 1;
             core.warps.push(warp);
         }
+        debug_assert!(core.warps_age_ordered());
         true
     }
 
     fn pick_warp(&self, core_idx: usize) -> Option<usize> {
-        // No aborted-launch check anywhere here: `abort_launch` removes the
-        // launch's warps from every core immediately, so none survive to be
-        // picked.
+        // No aborted-launch check in the pick itself: `abort_launch`
+        // removes the launch's warps from every core immediately, so none
+        // survive to be picked.
         let core = &self.cores[core_idx];
-        let ready = |w: &Warp| !w.done && !w.at_barrier && !w.blocked && w.ready_at <= self.cycle;
-        // Greedy: stick with the last-issued warp while it stays ready.
-        if let Some(i) = core.last_issued {
-            if let Some(w) = core.warps.get(i) {
-                debug_assert!(!self.launches[w.launch_idx].aborted);
-                if ready(w) {
-                    return Some(i);
-                }
-            }
-        }
-        // Then oldest.
-        core.warps
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| ready(w))
-            .min_by_key(|(_, w)| w.age)
-            .map(|(i, _)| i)
+        let pick = core.pick_warp(self.cycle);
+        debug_assert!(pick.is_none_or(|i| !self.launches[core.warps[i].launch_idx].aborted));
+        pick
     }
 
     fn run(&mut self) -> Result<(), RunError> {
@@ -1275,12 +1320,7 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
         }
 
         // ---- Phase 2: translate + cache/TLB timing probe -----------------
-        let mut translation_fault: Option<MemFault> = None;
-        for va in scratch.lane_vas.iter().flatten() {
-            if let Err(f) = self.vm.translate(*va) {
-                translation_fault.get_or_insert(f);
-            }
-        }
+        let translation_fault = self.vm.first_lane_fault(&scratch.lane_vas);
         coalesce_warp_into(&scratch.lane_vas, width_b, &mut scratch.txs);
         let start = self.cycle.max(self.cores[core_idx].lsu_busy_until);
         let mut done_at = start + self.cfg.timings.l1_hit;
@@ -1384,43 +1424,24 @@ impl<'c, 'v, 'g, 't> RunState<'c, 'v, 'g, 't> {
                 }
             }
             GuardVerdict::Allow => {
-                if let Some(f) = translation_fault {
+                let warp = &mut self.cores[core_idx].warps[warp_idx];
+                let done = match translation_fault {
+                    Some(f) => Err(f),
+                    None => lane_data_path(
+                        self.vm,
+                        warp,
+                        &scratch.lane_vas,
+                        width_b,
+                        dst,
+                        &store_vals,
+                        is_atomic,
+                    ),
+                };
+                if let Err(f) = done {
                     self.note_flight_abort(core_idx, warp_idx, li, AbortReason::MemFault(f));
                     self.cores[core_idx].scratch = scratch;
                     self.abort_launch(li, AbortReason::MemFault(f));
                     return;
-                }
-                // Functional access.
-                let warp_width = self.cores[core_idx].warps[warp_idx].width;
-                for (lane, lane_va) in scratch.lane_vas.iter().enumerate().take(warp_width) {
-                    let Some(va) = *lane_va else { continue };
-                    if is_atomic {
-                        // Lanes are serialized in lane order (real hardware
-                        // serializes same-address atomics; a fixed order
-                        // keeps the simulation deterministic).
-                        let old = self
-                            .vm
-                            .read_uint(va, width_b)
-                            .expect("translation already verified");
-                        let add = store_vals[lane];
-                        self.vm
-                            .write_uint(va, width_b, old.wrapping_add(add))
-                            .expect("translation already verified");
-                        let warp = &mut self.cores[core_idx].warps[warp_idx];
-                        warp.set_reg(dst.expect("atomic has dst"), lane, old);
-                    } else if is_store {
-                        let v = store_vals[lane];
-                        self.vm
-                            .write_uint(va, width_b, v)
-                            .expect("translation already verified");
-                    } else {
-                        let v = self
-                            .vm
-                            .read_uint(va, width_b)
-                            .expect("translation already verified");
-                        let warp = &mut self.cores[core_idx].warps[warp_idx];
-                        warp.set_reg(dst.expect("load has dst"), lane, v);
-                    }
                 }
             }
         }
@@ -1669,7 +1690,63 @@ mod tests {
     use crate::launch::{KernelLaunch, LaunchConfig};
     use gpushield_isa::{KernelBuilder, MemWidth, Operand};
     use gpushield_mem::AllocPolicy;
+    use gpushield_runtime::rng::StdRng;
     use std::sync::Arc;
+
+    /// The scheduler's pick as a full scan: greedy, else the ready warp
+    /// with the smallest age wherever it sits.
+    fn min_age_pick(core: &Core, t: u64) -> Option<usize> {
+        let ready = |w: &Warp| !w.done && !w.at_barrier && !w.blocked && w.ready_at <= t;
+        if let Some(i) = core.last_issued {
+            if core.warps.get(i).is_some_and(ready) {
+                return Some(i);
+            }
+        }
+        core.warps
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| ready(w))
+            .min_by_key(|(_, w)| w.age)
+            .map(|(i, _)| i)
+    }
+
+    #[test]
+    fn age_ordered_pick_matches_the_min_age_scan() {
+        let mut rng = StdRng::seed_from_u64(0xA6E);
+        let mut core = Core::new(&GpuConfig::test_tiny());
+        let mut picked = 0;
+        for case in 0..2000 {
+            // Dispatch in age order with gaps, then retire a random
+            // subset with `retain`, as workgroup retirement does.
+            core.warps.clear();
+            let mut age = rng.gen_range(0u64..50);
+            for w in 0..rng.gen_range(0usize..24) {
+                let mut warp = Warp::new(0, w as u64 / 4, w % 4, 32, 32, 1, age);
+                warp.done = rng.gen_bool(0.2);
+                warp.at_barrier = rng.gen_bool(0.2);
+                warp.blocked = rng.gen_bool(0.1);
+                warp.ready_at = rng.gen_range(0u64..20);
+                core.warps.push(warp);
+                age += rng.gen_range(1u64..5);
+            }
+            let gone = rng.gen_range(0u64..8);
+            core.warps.retain(|w| w.wg != gone);
+            assert!(core.warps_age_ordered(), "case {case}");
+            core.last_issued = match rng.gen_range(0u32..3) {
+                0 => None,
+                1 => Some(rng.gen_range(0usize..core.warps.len().max(1))),
+                _ => Some(core.warps.len() + rng.gen_range(0usize..3)),
+            };
+            let t = rng.gen_range(0u64..20);
+            let want = min_age_pick(&core, t);
+            assert_eq!(core.pick_warp(t), want, "case {case}");
+            picked += usize::from(want.is_some() && want != core.last_issued);
+        }
+        assert!(
+            picked > 500,
+            "oldest-ready branch taken only {picked} times"
+        );
+    }
 
     fn write_iota_kernel() -> Arc<gpushield_isa::Kernel> {
         let mut b = KernelBuilder::new("iota");

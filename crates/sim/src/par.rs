@@ -37,8 +37,8 @@
 //! races in the programming model and take no defined interleaving.
 
 use super::{
-    build_launch_states, gather_lane_vas, Core, GpuConfig, HeapRun, LaunchState, MultiKernelMode,
-    ResidentWg, RunError, TeleCtx,
+    build_launch_states, gather_lane_vas, lane_data_path, Core, GpuConfig, HeapRun, LaunchState,
+    MultiKernelMode, ResidentWg, RunError, TeleCtx,
 };
 use crate::guard::{CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
@@ -47,9 +47,7 @@ use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::warp::{ExecCtx, Row, SimpleOutcome, Warp, MAX_LANES};
 use gpushield_isa::{BlockId, Instr, MemSpace, Operand, VReg};
 use gpushield_mem::coalesce::warp_address_range;
-use gpushield_mem::{
-    coalesce_warp_into, DramView, MemFault, SharedMemorySystem, VirtualMemorySpace,
-};
+use gpushield_mem::{coalesce_warp_into, DramView, SharedMemorySystem, VirtualMemorySpace};
 use gpushield_runtime::with_crew;
 use gpushield_telemetry::flight::{FlightEvent, FlightRecorder};
 use gpushield_telemetry::{MetricId, Registry};
@@ -284,25 +282,6 @@ fn push_trace(
     }
 }
 
-/// Greedy-then-oldest warp pick at cycle `t` — the sequential scheduler's
-/// policy verbatim, evaluated against core-local state only.
-fn pick_warp_at(core: &Core, t: u64) -> Option<usize> {
-    let ready = |w: &Warp| !w.done && !w.at_barrier && !w.blocked && w.ready_at <= t;
-    if let Some(i) = core.last_issued {
-        if let Some(w) = core.warps.get(i) {
-            if ready(w) {
-                return Some(i);
-            }
-        }
-    }
-    core.warps
-        .iter()
-        .enumerate()
-        .filter(|(_, w)| ready(w))
-        .min_by_key(|(_, w)| w.age)
-        .map(|(i, _)| i)
-}
-
 fn recompute_next_ready(core: &Core) -> u64 {
     core.warps
         .iter()
@@ -370,7 +349,7 @@ fn advance_core(
         }
         let mut issued = false;
         for _ in 0..cfg.issue_width {
-            match pick_warp_at(core, t) {
+            match core.pick_warp(t) {
                 Some(wi) => {
                     core.last_issued = Some(wi);
                     exec_warp_phase(
@@ -716,12 +695,7 @@ fn exec_mem_phase(
     }
 
     // ---- Translate + timing against the quantum-start snapshot ----------
-    let mut translation_fault: Option<MemFault> = None;
-    for va in scratch.lane_vas.iter().flatten() {
-        if let Err(f) = vm.translate(*va) {
-            translation_fault.get_or_insert(f);
-        }
-    }
+    let translation_fault = vm.first_lane_fault(&scratch.lane_vas);
     coalesce_warp_into(&scratch.lane_vas, width_b, &mut scratch.txs);
     let start = t.max(core.lsu_busy_until);
     let mut done_at = start + cfg.timings.l1_hit;
@@ -816,41 +790,23 @@ fn exec_mem_phase(
             }
         }
         GuardVerdict::Allow => {
-            if let Some(f) = translation_fault {
+            let warp = &mut core.warps[wi];
+            let done = match translation_fault {
+                Some(f) => Err(f),
+                None => lane_data_path(
+                    vm,
+                    warp,
+                    &scratch.lane_vas,
+                    width_b,
+                    dst,
+                    &store_vals,
+                    false,
+                ),
+            };
+            if let Err(f) = done {
                 core.scratch = scratch;
                 freeze_abort(out, t, core, wi, li, AbortReason::MemFault(f));
                 return;
-            }
-            let warp_width = core.warps[wi].width;
-            for (lane, lane_va) in scratch.lane_vas.iter().enumerate().take(warp_width) {
-                let Some(va) = *lane_va else { continue };
-                // The pre-check translated every lane VA, so a fault here
-                // means the mapping changed under us (e.g. host-injected
-                // metadata corruption) — degrade into the same typed abort
-                // a translation fault takes, never a panic.
-                if is_store {
-                    let v = store_vals[lane];
-                    if let Err(f) = vm.write_uint(va, width_b, v) {
-                        core.scratch = scratch;
-                        freeze_abort(out, t, core, wi, li, AbortReason::MemFault(f));
-                        return;
-                    }
-                } else {
-                    let v = match vm.read_uint(va, width_b) {
-                        Ok(v) => v,
-                        Err(f) => {
-                            core.scratch = scratch;
-                            freeze_abort(out, t, core, wi, li, AbortReason::MemFault(f));
-                            return;
-                        }
-                    };
-                    // A load without a destination is dropped by decode, so
-                    // `dst` is always present here; skip defensively rather
-                    // than assert.
-                    let Some(d) = dst else { continue };
-                    let warp = &mut core.warps[wi];
-                    warp.set_reg(d, lane, v);
-                }
             }
         }
     }
@@ -1389,6 +1345,7 @@ fn dispatch_wg(
         *age_seq += 1;
         core.warps.push(warp);
     }
+    debug_assert!(core.warps_age_ordered());
     true
 }
 
@@ -1808,12 +1765,7 @@ fn drain_atom<'w, 'g>(
     };
 
     // ---- Translate + real shared-system timing --------------------------
-    let mut translation_fault: Option<MemFault> = None;
-    for va in scratch.lane_vas.iter().flatten() {
-        if let Err(f) = vm.translate(*va) {
-            translation_fault.get_or_insert(f);
-        }
-    }
+    let translation_fault = vm.first_lane_fault(&scratch.lane_vas);
     coalesce_warp_into(&scratch.lane_vas, width_b, &mut scratch.txs);
     let start = t.max(core.lsu_busy_until);
     let mut done_at = start + cfg.timings.l1_hit;
@@ -1903,32 +1855,22 @@ fn drain_atom<'w, 'g>(
             warp.store_row(dst, warp.active_mask(), &[0; MAX_LANES]);
         }
         GuardVerdict::Allow => {
-            if let Some(f) = translation_fault {
+            let warp = &mut core.warps[wi];
+            let done = match translation_fault {
+                Some(f) => Err(f),
+                None => lane_data_path(
+                    vm,
+                    warp,
+                    &scratch.lane_vas,
+                    width_b,
+                    Some(dst),
+                    &addends,
+                    true,
+                ),
+            };
+            if let Err(f) = done {
                 core.scratch = scratch;
                 return abort(AbortReason::MemFault(f));
-            }
-            // Lanes serialize in lane order (real hardware serializes
-            // same-address atomics; a fixed order keeps it deterministic).
-            let warp_width = core.warps[wi].width;
-            for (lane, lane_va) in scratch.lane_vas.iter().enumerate().take(warp_width) {
-                let Some(va) = *lane_va else { continue };
-                // As in the load/store path: the pre-check translated every
-                // lane VA, so a fault here means the mapping changed under
-                // us — take the typed abort, never a panic.
-                let old = match vm.read_uint(va, width_b) {
-                    Ok(v) => v,
-                    Err(f) => {
-                        core.scratch = scratch;
-                        return abort(AbortReason::MemFault(f));
-                    }
-                };
-                let add = addends[lane];
-                if let Err(f) = vm.write_uint(va, width_b, old.wrapping_add(add)) {
-                    core.scratch = scratch;
-                    return abort(AbortReason::MemFault(f));
-                }
-                let warp = &mut core.warps[wi];
-                warp.set_reg(dst, lane, old);
             }
         }
     }
