@@ -271,6 +271,7 @@ fn sys_config(cfg: &ServingConfig) -> SystemConfig {
     SystemConfig {
         gpu: GpuConfig {
             max_cycles: cfg.max_cycles,
+            sim_threads: crate::runner::sim_threads(),
             ..GpuConfig::nvidia()
         },
         // Analysis and Type 3 off: every site is runtime-checked and every

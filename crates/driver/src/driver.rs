@@ -2,7 +2,7 @@
 //! assignment/encryption, and pointer tagging (paper §5.4, Figs. 9–10).
 
 use crate::cipher::encrypt_id;
-use crate::rbt::{write_entry, BoundsEntry, RBT_BYTES};
+use crate::rbt::{write_entry, BoundsEntry, RBT_BYTES, RBT_ENTRIES};
 use crate::tenant::RegionIdAllocator;
 use gpushield_compiler::{
     analyze, discharge, prove_sites, AnalysisConfig, ArgInfo, BoundsAnalysis, LaunchKnowledge,
@@ -169,6 +169,12 @@ pub enum DriverError {
         /// The offending ID.
         id: u16,
     },
+    /// An RBT was retired that belongs to no prepared launch awaiting
+    /// retirement (double retirement, or a foreign [`ShieldSetup`]).
+    RbtNotLive {
+        /// The offending RBT base address.
+        base: u64,
+    },
     /// A tenant ID that no tenant table row corresponds to.
     UnknownTenant {
         /// The offending tenant ID.
@@ -214,6 +220,9 @@ impl fmt::Display for DriverError {
             DriverError::RegionIdNotLive { id } => {
                 write!(f, "region ID {id} released while not live")
             }
+            DriverError::RbtNotLive { base } => {
+                write!(f, "RBT at 0x{base:x} retired while not live")
+            }
             DriverError::UnknownTenant { id } => {
                 write!(f, "unknown tenant {id}")
             }
@@ -240,7 +249,8 @@ struct BufferRecord {
 pub struct DriverStats {
     /// Launches successfully prepared (shielded or not).
     pub launches_prepared: u64,
-    /// Per-launch RBTs allocated in device memory.
+    /// Per-launch RBTs freshly mapped in device memory (a launch that
+    /// reuses a retired RBT maps none).
     pub rbt_allocs: u64,
     /// RBT entries written (one per region-ID group, local, and heap).
     pub rbt_entries_written: u64,
@@ -297,6 +307,11 @@ pub struct Driver {
     heap: Option<Allocation>,
     kernel_seq: u16,
     stats: DriverStats,
+    /// RBTs of prepared launches not yet retired.
+    live_rbts: Vec<u64>,
+    /// Retired RBTs, every entry invalid, reused before a new one is
+    /// mapped.
+    free_rbts: Vec<u64>,
 }
 
 impl Driver {
@@ -311,6 +326,8 @@ impl Driver {
             heap: None,
             kernel_seq: 0,
             stats: DriverStats::default(),
+            live_rbts: Vec::new(),
+            free_rbts: Vec::new(),
         }
     }
 
@@ -774,11 +791,6 @@ impl Driver {
         self.kernel_seq = (self.kernel_seq + 1) & 0xFFF;
         let kernel_id = self.kernel_seq;
         let key: u64 = self.rng.gen();
-        let rbt = self
-            .vm
-            .alloc(RBT_BYTES, AllocPolicy::Isolated)
-            .map_err(|fault| DriverError::AllocationFailed { what: "RBT", fault })?;
-        self.stats.rbt_allocs += 1;
 
         // Count the RBT entries needed: Region-classed params/locals + heap.
         let region_params: Vec<u8> = (0..args.len() as u8)
@@ -832,6 +844,8 @@ impl Driver {
         self.stats.region_ids_assigned += n_ids as u64;
         let region_ids = ids.clone();
         let mut id_iter = ids.into_iter();
+        // RBT entries, written once every pointer is tagged.
+        let mut entries: Vec<(u16, BoundsEntry)> = Vec::with_capacity(n_ids);
 
         // Pre-assign one ID and merged bounds per group.
         let mut param_ids: std::collections::HashMap<u8, (u16, u64, u64)> =
@@ -881,20 +895,16 @@ impl Driver {
                                         ParamKind::Buffer { readonly: true, .. }
                                     )
                                 });
-                            write_entry(
-                                &mut self.vm,
-                                rbt.va,
+                            entries.push((
                                 id,
-                                &BoundsEntry {
+                                BoundsEntry {
                                     valid: true,
                                     readonly,
                                     kernel_id,
                                     base: lo,
                                     size: (hi - lo) as u32,
                                 },
-                            )
-                            .map_err(|fault| DriverError::MetadataWrite { fault })?;
-                            self.stats.rbt_entries_written += 1;
+                            ));
                             TaggedPtr::with_region_id(rec.alloc.va, encrypt_id(id, key)).raw()
                         }
                         PtrClass::SizeEmbedded => {
@@ -916,20 +926,16 @@ impl Driver {
                     let id = id_iter.next().ok_or(DriverError::LaunchInvariant {
                         what: "region ID reserved for every local",
                     })?;
-                    write_entry(
-                        &mut self.vm,
-                        rbt.va,
+                    entries.push((
                         id,
-                        &BoundsEntry {
+                        BoundsEntry {
                             valid: true,
                             readonly: false,
                             kernel_id,
                             base: alloc.va,
                             size: alloc.size as u32,
                         },
-                    )
-                    .map_err(|fault| DriverError::MetadataWrite { fault })?;
-                    self.stats.rbt_entries_written += 1;
+                    ));
                     TaggedPtr::with_region_id(alloc.va, encrypt_id(id, key)).raw()
                 }
                 PtrClass::SizeEmbedded => {
@@ -948,29 +954,29 @@ impl Driver {
             let id = id_iter.next().ok_or(DriverError::LaunchInvariant {
                 what: "region ID reserved for the heap",
             })?;
-            write_entry(
-                &mut self.vm,
-                rbt.va,
+            entries.push((
                 id,
-                &BoundsEntry {
+                BoundsEntry {
                     valid: true,
                     readonly: false,
                     kernel_id,
                     base: h.va,
                     size: h.size as u32,
                 },
-            )
-            .map_err(|fault| DriverError::MetadataWrite { fault })?;
-            self.stats.rbt_entries_written += 1;
+            ));
             launch = launch.heap(HeapDesc {
                 tagged_base: TaggedPtr::with_region_id(h.va, encrypt_id(id, key)),
                 size: h.size,
             });
         }
 
-        // Make the RBT pages inaccessible to normal kernel accesses (§5.4);
-        // the BCU reads them via the bypass path.
-        self.vm.protect(rbt.va, RBT_BYTES);
+        let rbt_base = self.take_rbt()?;
+        for (id, entry) in &entries {
+            write_entry(&mut self.vm, rbt_base, *id, entry)
+                .map_err(|fault| DriverError::MetadataWrite { fault })?;
+        }
+        self.stats.rbt_entries_written += entries.len() as u64;
+        self.live_rbts.push(rbt_base);
 
         // --- Auditable claims: the VA window each non-Runtime decision
         // guarantees. A Static site proven by intervals claims its origin's
@@ -1046,13 +1052,64 @@ impl Driver {
             launch,
             shield: Some(ShieldSetup {
                 kernel_id,
-                rbt_base: rbt.va,
+                rbt_base,
                 key,
             }),
             bat: Some(bat),
             region_ids,
             site_claims,
         })
+    }
+
+    /// A retired RBT from the free list, else a freshly mapped one. A
+    /// fresh RBT's pages are made inaccessible to normal kernel accesses
+    /// at once (§5.4); the driver and the BCU use the bypass path.
+    fn take_rbt(&mut self) -> Result<u64, DriverError> {
+        if let Some(base) = self.free_rbts.pop() {
+            return Ok(base);
+        }
+        let rbt = self
+            .vm
+            .alloc(RBT_BYTES, AllocPolicy::Isolated)
+            .map_err(|fault| DriverError::AllocationFailed { what: "RBT", fault })?;
+        self.vm.protect(rbt.va, RBT_BYTES);
+        self.stats.rbt_allocs += 1;
+        Ok(rbt.va)
+    }
+
+    /// Retires a launch at kernel completion (the RBT is per kernel,
+    /// §5.4): writes an invalid entry at every region ID the launch was
+    /// given and returns its RBT to the free list that
+    /// [`Driver::prepare_launch_scoped`] draws from before mapping a new
+    /// one. A pointer tagged for the retired launch therefore finds no
+    /// valid entry when a later launch reuses the table. Launches in
+    /// flight together always hold distinct RBTs.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::RbtNotLive`] when `setup` is not a prepared launch
+    /// of this driver awaiting retirement (e.g. retired twice), and
+    /// [`DriverError::RegionIdNotLive`] for an ID outside the 14-bit
+    /// space; the RBT is then not reused.
+    pub fn retire_launch(
+        &mut self,
+        setup: ShieldSetup,
+        region_ids: &[u16],
+    ) -> Result<(), DriverError> {
+        let base = setup.rbt_base;
+        let Some(slot) = self.live_rbts.iter().rposition(|b| *b == base) else {
+            return Err(DriverError::RbtNotLive { base });
+        };
+        self.live_rbts.swap_remove(slot);
+        for &id in region_ids {
+            if u64::from(id) >= RBT_ENTRIES {
+                return Err(DriverError::RegionIdNotLive { id });
+            }
+            write_entry(&mut self.vm, base, id, &BoundsEntry::default())
+                .map_err(|fault| DriverError::MetadataWrite { fault })?;
+        }
+        self.free_rbts.push(base);
+        Ok(())
     }
 
     fn write_canary(&mut self, idx: usize) {
@@ -1087,6 +1144,7 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rbt::read_entry;
     use gpushield_isa::{KernelBuilder, MemSpace, MemWidth, Operand, PtrClass};
 
     fn iota_kernel() -> Arc<Kernel> {
@@ -1321,6 +1379,74 @@ mod tests {
         assert!(p.region_ids.is_empty());
     }
 
+    fn no_analysis_driver() -> Driver {
+        Driver::new(
+            DriverConfig {
+                enable_static_analysis: false,
+                ..DriverConfig::default()
+            },
+            3,
+        )
+    }
+
+    #[test]
+    fn retired_launches_invalidate_their_entries_and_recycle_the_rbt() -> Result<(), Box<dyn Error>>
+    {
+        let mut d = no_analysis_driver();
+        let buf = d.malloc(1024 * 4)?;
+        let mut bases = Vec::new();
+        for _ in 0..3 {
+            let p = d.prepare_launch(iota_kernel(), 4, 256, &[Arg::Buffer(buf)])?;
+            let setup = p.shield.ok_or("shielded launch")?;
+            for &id in &p.region_ids {
+                assert!(read_entry(d.vm(), setup.rbt_base, id)?.valid);
+            }
+            d.retire_launch(setup, &p.region_ids)?;
+            for &id in &p.region_ids {
+                let e = read_entry(d.vm(), setup.rbt_base, id)?;
+                assert_eq!(e, BoundsEntry::default(), "retired ID {id}");
+            }
+            assert_eq!(
+                d.retire_launch(setup, &p.region_ids),
+                Err(DriverError::RbtNotLive {
+                    base: setup.rbt_base
+                }),
+                "a second retirement is refused"
+            );
+            bases.push(setup.rbt_base);
+        }
+        assert!(bases.iter().all(|b| *b == bases[0]), "one RBT reused");
+        assert_eq!(d.stats().rbt_allocs, 1);
+        assert_eq!(d.stats().launches_prepared, 3);
+        Ok(())
+    }
+
+    #[test]
+    fn launches_in_flight_hold_distinct_rbts() -> Result<(), Box<dyn Error>> {
+        let mut d = no_analysis_driver();
+        let buf = d.malloc(1024 * 4)?;
+        let prepare = |d: &mut Driver| -> Result<(ShieldSetup, Vec<u16>), Box<dyn Error>> {
+            let p = d.prepare_launch(iota_kernel(), 4, 256, &[Arg::Buffer(buf)])?;
+            Ok((p.shield.ok_or("shielded launch")?, p.region_ids))
+        };
+        let first = [prepare(&mut d)?, prepare(&mut d)?];
+        assert_ne!(first[0].0.rbt_base, first[1].0.rbt_base);
+        for (setup, ids) in &first {
+            d.retire_launch(*setup, ids)?;
+        }
+        let second = [prepare(&mut d)?, prepare(&mut d)?];
+        assert_ne!(second[0].0.rbt_base, second[1].0.rbt_base);
+        let mut was: Vec<u64> = first.iter().map(|(s, _)| s.rbt_base).collect();
+        let mut now: Vec<u64> = second.iter().map(|(s, _)| s.rbt_base).collect();
+        was.sort_unstable();
+        now.sort_unstable();
+        assert_eq!(was, now, "both retired RBTs reused");
+        assert_eq!(d.stats().rbt_allocs, 2);
+        let err = d.retire_launch(second[0].0, &[1 << 14]);
+        assert_eq!(err, Err(DriverError::RegionIdNotLive { id: 1 << 14 }));
+        Ok(())
+    }
+
     #[test]
     fn error_displays_cover_the_untriggerable_variants() {
         let a = DriverError::AllocationFailed {
@@ -1345,6 +1471,8 @@ mod tests {
         );
         let g = DriverError::DegenerateLaunch { grid: 0, block: 64 };
         assert_eq!(g.to_string(), "degenerate launch geometry 0x64");
+        let b = DriverError::RbtNotLive { base: 0x20_0000 };
+        assert_eq!(b.to_string(), "RBT at 0x200000 retired while not live");
     }
 
     #[test]

@@ -186,6 +186,9 @@ impl From<RunError> for SystemError {
     }
 }
 
+/// A prepared, shielded launch awaiting retirement: its RBT and region IDs.
+type Held = (ShieldSetup, Vec<u16>);
+
 /// A description of one kernel in a concurrent multi-kernel launch.
 pub struct ConcurrentKernel {
     /// The kernel.
@@ -389,6 +392,47 @@ impl System {
         }
     }
 
+    /// Prepares one launch (see [`Driver::prepare_launch_scoped`]) and,
+    /// when it is shielded, records its RBT in `held` for
+    /// [`System::retiring`] to retire.
+    fn prepare(
+        &mut self,
+        held: &mut Vec<Held>,
+        kernel: Arc<Kernel>,
+        grid: u32,
+        block: u32,
+        args: &[Arg],
+        scope: Option<&mut RegionIdAllocator>,
+    ) -> Result<PreparedLaunch, DriverError> {
+        let prepared = self
+            .driver
+            .prepare_launch_scoped(kernel, grid, block, args, scope)?;
+        if let Some(setup) = prepared.shield {
+            held.push((setup, prepared.region_ids.clone()));
+        }
+        Ok(prepared)
+    }
+
+    /// Runs one launch path, then retires every launch it prepared
+    /// through [`System::prepare`] (see [`Driver::retire_launch`]) on
+    /// every exit, `body`'s errors included. The RBT is per kernel
+    /// (§5.4), so its life ends when the kernel's run does. A retirement
+    /// failure surfaces only when `body` succeeded.
+    fn retiring<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self, &mut Vec<Held>) -> Result<T, SystemError>,
+    ) -> Result<T, SystemError> {
+        let mut held = Vec::new();
+        let result = body(self, &mut held);
+        let mut retired = Ok(());
+        for (setup, ids) in &held {
+            retired = retired.and(self.driver.retire_launch(*setup, ids));
+        }
+        let out = result?;
+        retired?;
+        Ok(out)
+    }
+
     /// Launches one kernel and runs it to completion.
     ///
     /// # Errors
@@ -402,23 +446,26 @@ impl System {
         block: u32,
         args: &[Arg],
     ) -> Result<RunReport, SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = match self.flight.as_mut() {
-            Some(f) => self
-                .gpu
-                .run_observed(self.driver.vm_mut(), &[prepared.launch], guard, f)?,
-            None => self
-                .gpu
-                .run(self.driver.vm_mut(), &[prepared.launch], guard)?,
-        };
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok(report)
+        self.retiring(|sys, held| {
+            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
+            sys.attach_shield(prepared.shield, &prepared.region_ids);
+            sys.note_prepared(&prepared);
+            sys.last_bat = prepared.bat;
+            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
+            let report = match sys.flight.as_mut() {
+                Some(f) => {
+                    sys.gpu
+                        .run_observed(sys.driver.vm_mut(), &[prepared.launch], guard, f)?
+                }
+                None => sys
+                    .gpu
+                    .run(sys.driver.vm_mut(), &[prepared.launch], guard)?,
+            };
+            if let Some(f) = sys.flight.as_mut() {
+                f.advance_epoch(report.cycles);
+            }
+            Ok(report)
+        })
     }
 
     /// Launches one kernel on behalf of tenant `t`: region IDs come from
@@ -444,59 +491,58 @@ impl System {
         block: u32,
         args: &[Arg],
     ) -> Result<(RunReport, Vec<ViolationRecord>), SystemError> {
-        let scope = tenants.allocator_mut(t)?;
-        let prepared =
-            match self
-                .driver
-                .prepare_launch_scoped(kernel, grid, block, args, Some(scope))
-            {
+        self.retiring(|sys, held| {
+            let scope = tenants.allocator_mut(t)?;
+            let prepared = match sys.prepare(held, kernel, grid, block, args, Some(scope)) {
                 Ok(p) => p,
                 Err(e) => {
                     tenants.record_rejection(t)?;
-                    if let Some(f) = self.flight.as_mut() {
+                    if let Some(f) = sys.flight.as_mut() {
                         f.note(FlightEvent::TenantReject { tenant: t.0 });
                     }
                     return Err(e.into());
                 }
             };
-        tenants.record_launch(t, prepared.launch.kernel_id)?;
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        if let Some(f) = self.flight.as_mut() {
-            f.note(FlightEvent::TenantAdmit {
-                tenant: t.0,
-                kernel_id: prepared.launch.kernel_id,
-            });
-        }
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let logged_before = self.bcu.as_ref().map(|b| b.violations().len());
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = match self.flight.as_mut() {
-            Some(f) => self
-                .gpu
-                .run_observed(self.driver.vm_mut(), &[prepared.launch], guard, f)?,
-            None => self
-                .gpu
-                .run(self.driver.vm_mut(), &[prepared.launch], guard)?,
-        };
-        let new_violations: Vec<ViolationRecord> = match (self.bcu.as_ref(), logged_before) {
-            (Some(b), Some(n)) => b.violations()[n..].to_vec(),
-            _ => Vec::new(),
-        };
-        for v in &new_violations {
-            if let Some(owner) = tenants.owner_of_kernel(v.kernel_id) {
-                tenants.note_violation(owner)?;
+            tenants.record_launch(t, prepared.launch.kernel_id)?;
+            sys.attach_shield(prepared.shield, &prepared.region_ids);
+            if let Some(f) = sys.flight.as_mut() {
+                f.note(FlightEvent::TenantAdmit {
+                    tenant: t.0,
+                    kernel_id: prepared.launch.kernel_id,
+                });
             }
-        }
-        tenants.stats_mut(t)?.cycles_consumed += report.cycles;
-        tenants.complete_launch(t, &prepared.region_ids)?;
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-            for &id in &prepared.region_ids {
-                f.note(FlightEvent::RegionFree { id });
+            sys.note_prepared(&prepared);
+            sys.last_bat = prepared.bat;
+            let logged_before = sys.bcu.as_ref().map(|b| b.violations().len());
+            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
+            let report = match sys.flight.as_mut() {
+                Some(f) => {
+                    sys.gpu
+                        .run_observed(sys.driver.vm_mut(), &[prepared.launch], guard, f)?
+                }
+                None => sys
+                    .gpu
+                    .run(sys.driver.vm_mut(), &[prepared.launch], guard)?,
+            };
+            let new_violations: Vec<ViolationRecord> = match (sys.bcu.as_ref(), logged_before) {
+                (Some(b), Some(n)) => b.violations()[n..].to_vec(),
+                _ => Vec::new(),
+            };
+            for v in &new_violations {
+                if let Some(owner) = tenants.owner_of_kernel(v.kernel_id) {
+                    tenants.note_violation(owner)?;
+                }
             }
-        }
-        Ok((report, new_violations))
+            tenants.stats_mut(t)?.cycles_consumed += report.cycles;
+            tenants.complete_launch(t, &prepared.region_ids)?;
+            if let Some(f) = sys.flight.as_mut() {
+                f.advance_epoch(report.cycles);
+                for &id in &prepared.region_ids {
+                    f.note(FlightEvent::RegionFree { id });
+                }
+            }
+            Ok((report, new_violations))
+        })
     }
 
     /// Launches several kernels concurrently on behalf of their tenants
@@ -506,6 +552,7 @@ impl System {
     /// RCaches under their distinct kernel-ID tags (see
     /// [`BcuStats::cross_kernel_evictions`]). The whole run's cycles are
     /// charged to every participating tenant (they co-occupied the GPU).
+    /// Each kernel gets its own RBT.
     ///
     /// # Errors
     ///
@@ -518,77 +565,74 @@ impl System {
         kernels: Vec<(TenantId, ConcurrentKernel)>,
         mode: MultiKernelMode,
     ) -> Result<(RunReport, Vec<ViolationRecord>), SystemError> {
-        let mut launches = Vec::with_capacity(kernels.len());
-        let mut owners: Vec<(TenantId, Vec<u16>)> = Vec::with_capacity(kernels.len());
-        for (t, k) in kernels {
-            let scope = tenants.allocator_mut(t)?;
-            let prepared = match self.driver.prepare_launch_scoped(
-                k.kernel,
-                k.grid,
-                k.block,
-                &k.args,
-                Some(scope),
-            ) {
-                Ok(p) => p,
-                Err(e) => {
-                    tenants.record_rejection(t)?;
-                    if let Some(f) = self.flight.as_mut() {
-                        f.note(FlightEvent::TenantReject { tenant: t.0 });
-                    }
-                    for (pt, ids) in &owners {
-                        tenants.allocator_mut(*pt)?.release(ids)?;
-                    }
-                    return Err(e.into());
+        self.retiring(|sys, held| {
+            let mut launches = Vec::with_capacity(kernels.len());
+            let mut owners: Vec<(TenantId, Vec<u16>)> = Vec::with_capacity(kernels.len());
+            for (t, k) in kernels {
+                let scope = tenants.allocator_mut(t)?;
+                let prepared =
+                    match sys.prepare(held, k.kernel, k.grid, k.block, &k.args, Some(scope)) {
+                        Ok(p) => p,
+                        Err(e) => {
+                            tenants.record_rejection(t)?;
+                            if let Some(f) = sys.flight.as_mut() {
+                                f.note(FlightEvent::TenantReject { tenant: t.0 });
+                            }
+                            for (pt, ids) in &owners {
+                                tenants.allocator_mut(*pt)?.release(ids)?;
+                            }
+                            return Err(e.into());
+                        }
+                    };
+                tenants.record_launch(t, prepared.launch.kernel_id)?;
+                sys.attach_shield(prepared.shield, &prepared.region_ids);
+                if let Some(f) = sys.flight.as_mut() {
+                    f.note(FlightEvent::TenantAdmit {
+                        tenant: t.0,
+                        kernel_id: prepared.launch.kernel_id,
+                    });
                 }
+                sys.note_prepared(&prepared);
+                owners.push((t, prepared.region_ids.clone()));
+                launches.push(prepared.launch);
+            }
+            let logged_before = sys.bcu.as_ref().map(|b| b.violations().len());
+            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
+            // The observed engine path runs the default fine-grained sharing
+            // mode; an explicit InterCore request keeps the unobserved path
+            // (launch-prep and admission events are still recorded).
+            let report = match sys.flight.as_mut() {
+                Some(f) if mode == MultiKernelMode::IntraCore => {
+                    sys.gpu
+                        .run_observed(sys.driver.vm_mut(), &launches, guard, f)?
+                }
+                _ => sys
+                    .gpu
+                    .run_multi(sys.driver.vm_mut(), &launches, mode, guard)?,
             };
-            tenants.record_launch(t, prepared.launch.kernel_id)?;
-            self.attach_shield(prepared.shield, &prepared.region_ids);
-            if let Some(f) = self.flight.as_mut() {
-                f.note(FlightEvent::TenantAdmit {
-                    tenant: t.0,
-                    kernel_id: prepared.launch.kernel_id,
-                });
-            }
-            self.note_prepared(&prepared);
-            owners.push((t, prepared.region_ids.clone()));
-            launches.push(prepared.launch);
-        }
-        let logged_before = self.bcu.as_ref().map(|b| b.violations().len());
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        // The observed engine path runs the default fine-grained sharing
-        // mode; an explicit InterCore request keeps the unobserved path
-        // (launch-prep and admission events are still recorded).
-        let report = match self.flight.as_mut() {
-            Some(f) if mode == MultiKernelMode::IntraCore => {
-                self.gpu
-                    .run_observed(self.driver.vm_mut(), &launches, guard, f)?
-            }
-            _ => self
-                .gpu
-                .run_multi(self.driver.vm_mut(), &launches, mode, guard)?,
-        };
-        let new_violations: Vec<ViolationRecord> = match (self.bcu.as_ref(), logged_before) {
-            (Some(b), Some(n)) => b.violations()[n..].to_vec(),
-            _ => Vec::new(),
-        };
-        for v in &new_violations {
-            if let Some(owner) = tenants.owner_of_kernel(v.kernel_id) {
-                tenants.note_violation(owner)?;
-            }
-        }
-        for (t, ids) in &owners {
-            tenants.stats_mut(*t)?.cycles_consumed += report.cycles;
-            tenants.complete_launch(*t, ids)?;
-        }
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-            for (_, ids) in &owners {
-                for &id in ids {
-                    f.note(FlightEvent::RegionFree { id });
+            let new_violations: Vec<ViolationRecord> = match (sys.bcu.as_ref(), logged_before) {
+                (Some(b), Some(n)) => b.violations()[n..].to_vec(),
+                _ => Vec::new(),
+            };
+            for v in &new_violations {
+                if let Some(owner) = tenants.owner_of_kernel(v.kernel_id) {
+                    tenants.note_violation(owner)?;
                 }
             }
-        }
-        Ok((report, new_violations))
+            for (t, ids) in &owners {
+                tenants.stats_mut(*t)?.cycles_consumed += report.cycles;
+                tenants.complete_launch(*t, ids)?;
+            }
+            if let Some(f) = sys.flight.as_mut() {
+                f.advance_epoch(report.cycles);
+                for (_, ids) in &owners {
+                    for &id in ids {
+                        f.note(FlightEvent::RegionFree { id });
+                    }
+                }
+            }
+            Ok((report, new_violations))
+        })
     }
 
     /// Launches one kernel under a deterministic fault-injection plan
@@ -611,36 +655,38 @@ impl System {
         args: &[Arg],
         plan: FaultPlan,
     ) -> Result<(RunReport, Vec<InjectionRecord>), SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        let mut targets = FaultTargets::default();
-        if let Some(setup) = prepared.shield {
-            targets.rbt_entries = prepared
-                .region_ids
-                .iter()
-                .map(|id| {
-                    (
-                        setup.rbt_base + u64::from(*id) * RBT_ENTRY_BYTES,
-                        RBT_ENTRY_BYTES,
-                    )
-                })
-                .collect();
-        }
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let mut session = FaultSession::new(plan, targets);
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = self.gpu.run_faulted(
-            self.driver.vm_mut(),
-            &[prepared.launch],
-            guard,
-            &mut session,
-            self.flight.as_mut(),
-        )?;
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok((report, session.injected().to_vec()))
+        self.retiring(|sys, held| {
+            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
+            let mut targets = FaultTargets::default();
+            if let Some(setup) = prepared.shield {
+                targets.rbt_entries = prepared
+                    .region_ids
+                    .iter()
+                    .map(|id| {
+                        (
+                            setup.rbt_base + u64::from(*id) * RBT_ENTRY_BYTES,
+                            RBT_ENTRY_BYTES,
+                        )
+                    })
+                    .collect();
+            }
+            sys.attach_shield(prepared.shield, &prepared.region_ids);
+            sys.note_prepared(&prepared);
+            sys.last_bat = prepared.bat;
+            let mut session = FaultSession::new(plan, targets);
+            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
+            let report = sys.gpu.run_faulted(
+                sys.driver.vm_mut(),
+                &[prepared.launch],
+                guard,
+                &mut session,
+                sys.flight.as_mut(),
+            )?;
+            if let Some(f) = sys.flight.as_mut() {
+                f.advance_epoch(report.cycles);
+            }
+            Ok((report, session.injected().to_vec()))
+        })
     }
 
     /// Launches one kernel with soundness-audit recording: runs under
@@ -661,18 +707,20 @@ impl System {
         block: u32,
         args: &[Arg],
     ) -> Result<(RunReport, Vec<SiteClaim>), SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = self
-            .gpu
-            .run_recorded(self.driver.vm_mut(), &[prepared.launch], guard)?;
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok((report, prepared.site_claims))
+        self.retiring(|sys, held| {
+            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
+            sys.attach_shield(prepared.shield, &prepared.region_ids);
+            sys.note_prepared(&prepared);
+            sys.last_bat = prepared.bat;
+            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
+            let report = sys
+                .gpu
+                .run_recorded(sys.driver.vm_mut(), &[prepared.launch], guard)?;
+            if let Some(f) = sys.flight.as_mut() {
+                f.advance_epoch(report.cycles);
+            }
+            Ok((report, prepared.site_claims))
+        })
     }
 
     /// Launches one kernel with execution tracing (see [`Trace`]).
@@ -688,18 +736,20 @@ impl System {
         args: &[Arg],
         trace: &mut Trace,
     ) -> Result<RunReport, SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = self
-            .gpu
-            .run_traced(self.driver.vm_mut(), &[prepared.launch], guard, trace)?;
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok(report)
+        self.retiring(|sys, held| {
+            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
+            sys.attach_shield(prepared.shield, &prepared.region_ids);
+            sys.note_prepared(&prepared);
+            sys.last_bat = prepared.bat;
+            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
+            let report =
+                sys.gpu
+                    .run_traced(sys.driver.vm_mut(), &[prepared.launch], guard, trace)?;
+            if let Some(f) = sys.flight.as_mut() {
+                f.advance_epoch(report.cycles);
+            }
+            Ok(report)
+        })
     }
 
     /// Launches one kernel with full telemetry: scheduler occupancy series,
@@ -721,24 +771,26 @@ impl System {
         registry: &mut Registry,
         trace: Option<&mut Trace>,
     ) -> Result<RunReport, SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        self.attach_shield(prepared.shield, &prepared.region_ids);
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = self.gpu.run_instrumented(
-            self.driver.vm_mut(),
-            &[prepared.launch],
-            guard,
-            registry,
-            trace,
-        )?;
-        self.driver.publish_telemetry(registry);
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-            f.publish(registry);
-        }
-        Ok(report)
+        self.retiring(|sys, held| {
+            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
+            sys.attach_shield(prepared.shield, &prepared.region_ids);
+            sys.note_prepared(&prepared);
+            sys.last_bat = prepared.bat;
+            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
+            let report = sys.gpu.run_instrumented(
+                sys.driver.vm_mut(),
+                &[prepared.launch],
+                guard,
+                registry,
+                trace,
+            )?;
+            sys.driver.publish_telemetry(registry);
+            if let Some(f) = sys.flight.as_mut() {
+                f.advance_epoch(report.cycles);
+                f.publish(registry);
+            }
+            Ok(report)
+        })
     }
 
     /// Launches several kernels concurrently (§6.2) under `mode`.
@@ -751,29 +803,29 @@ impl System {
         kernels: Vec<ConcurrentKernel>,
         mode: MultiKernelMode,
     ) -> Result<RunReport, SystemError> {
-        let mut launches = Vec::with_capacity(kernels.len());
-        for k in kernels {
-            let prepared = self
-                .driver
-                .prepare_launch(k.kernel, k.grid, k.block, &k.args)?;
-            self.attach_shield(prepared.shield, &prepared.region_ids);
-            self.note_prepared(&prepared);
-            launches.push(prepared.launch);
-        }
-        let guard = self.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-        let report = match self.flight.as_mut() {
-            Some(f) if mode == MultiKernelMode::IntraCore => {
-                self.gpu
-                    .run_observed(self.driver.vm_mut(), &launches, guard, f)?
+        self.retiring(|sys, held| {
+            let mut launches = Vec::with_capacity(kernels.len());
+            for k in kernels {
+                let prepared = sys.prepare(held, k.kernel, k.grid, k.block, &k.args, None)?;
+                sys.attach_shield(prepared.shield, &prepared.region_ids);
+                sys.note_prepared(&prepared);
+                launches.push(prepared.launch);
             }
-            _ => self
-                .gpu
-                .run_multi(self.driver.vm_mut(), &launches, mode, guard)?,
-        };
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok(report)
+            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
+            let report = match sys.flight.as_mut() {
+                Some(f) if mode == MultiKernelMode::IntraCore => {
+                    sys.gpu
+                        .run_observed(sys.driver.vm_mut(), &launches, guard, f)?
+                }
+                _ => sys
+                    .gpu
+                    .run_multi(sys.driver.vm_mut(), &launches, mode, guard)?,
+            };
+            if let Some(f) = sys.flight.as_mut() {
+                f.advance_epoch(report.cycles);
+            }
+            Ok(report)
+        })
     }
 
     /// Launches one kernel under an external guard (used by the
@@ -790,22 +842,24 @@ impl System {
         args: &[Arg],
         guard: &mut dyn MemGuard,
     ) -> Result<RunReport, SystemError> {
-        let prepared = self.driver.prepare_launch(kernel, grid, block, args)?;
-        self.note_prepared(&prepared);
-        self.last_bat = prepared.bat;
-        let report = match self.flight.as_mut() {
-            Some(f) => {
-                self.gpu
-                    .run_observed(self.driver.vm_mut(), &[prepared.launch], Some(guard), f)?
+        self.retiring(|sys, held| {
+            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
+            sys.note_prepared(&prepared);
+            sys.last_bat = prepared.bat;
+            let report = match sys.flight.as_mut() {
+                Some(f) => {
+                    sys.gpu
+                        .run_observed(sys.driver.vm_mut(), &[prepared.launch], Some(guard), f)?
+                }
+                None => sys
+                    .gpu
+                    .run(sys.driver.vm_mut(), &[prepared.launch], Some(guard))?,
+            };
+            if let Some(f) = sys.flight.as_mut() {
+                f.advance_epoch(report.cycles);
             }
-            None => self
-                .gpu
-                .run(self.driver.vm_mut(), &[prepared.launch], Some(guard))?,
-        };
-        if let Some(f) = self.flight.as_mut() {
-            f.advance_epoch(report.cycles);
-        }
-        Ok(report)
+            Ok(report)
+        })
     }
 
     /// BCU statistics (zeroed when the shield is off).

@@ -80,9 +80,8 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// All lines in one flat slab, `ways` consecutive slots per set — a
-    /// single allocation per cache (cores are rebuilt per kernel batch, so
-    /// construction cost is on the simulator's warm path) and one cache
-    /// line walk per set scan.
+    /// single allocation per cache, reused across runs by
+    /// [`Cache::reset`], and one cache line walk per set scan.
     lines: Vec<Line>,
     nsets: usize,
     line_bytes: u64,
@@ -231,6 +230,24 @@ impl Cache {
         }
     }
 
+    /// Returns the cache to its freshly constructed state: every line
+    /// empty, the replacement clock at zero and the statistics cleared.
+    /// Every line and statistic changes only together with the clock, so
+    /// a cache untouched since construction or the last reset returns at
+    /// once.
+    pub fn reset(&mut self) {
+        if self.tick == 0 {
+            return;
+        }
+        self.lines.fill(Line {
+            tag: 0,
+            valid: false,
+            stamp: 0,
+        });
+        self.tick = 0;
+        self.stats = CacheStats::default();
+    }
+
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -292,6 +309,23 @@ mod tests {
         c.access(0);
         c.flush();
         assert!(!c.access(0));
+    }
+
+    #[test]
+    fn reset_restores_the_fresh_state() {
+        let fresh = Cache::new(512, 128, 2, Replacement::Lru);
+        let mut c = fresh.clone();
+        c.reset();
+        assert_eq!(format!("{c:?}"), format!("{fresh:?}"), "untouched reset");
+        for a in [0, 128, 256, 384, 512, 0] {
+            c.access(a);
+        }
+        c.fill(640);
+        c.flush();
+        c.access(768);
+        c.reset();
+        assert_eq!(format!("{c:?}"), format!("{fresh:?}"));
+        assert!(!c.access(768), "reset forgets every line");
     }
 
     #[test]

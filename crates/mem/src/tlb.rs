@@ -57,6 +57,12 @@ impl Tlb {
         self.inner.flush();
     }
 
+    /// Returns the TLB to its freshly constructed state (see
+    /// [`Cache::reset`]).
+    pub fn reset(&mut self) {
+        self.inner.reset();
+    }
+
     /// Accumulated statistics.
     pub fn stats(&self) -> TlbStats {
         self.inner.stats()

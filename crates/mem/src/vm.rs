@@ -302,6 +302,13 @@ impl VirtualMemorySpace {
         }
     }
 
+    /// Physical frames backing mapped pages. Mappings are installed
+    /// eagerly and never removed, so this is the address space's
+    /// high-water mark of device memory.
+    pub fn mapped_frames(&self) -> u64 {
+        self.next_frame
+    }
+
     /// Marks every page overlapping `[va, va+len)` as driver-protected;
     /// normal accesses then fault with [`MemFault::Protected`].
     pub fn protect(&mut self, va: u64, len: u64) {
@@ -637,6 +644,19 @@ mod tests {
         let b = vm.alloc(64, AllocPolicy::Device512).unwrap();
         assert_eq!(a.va % 512, 0);
         assert_eq!(b.va, a.va + 512);
+    }
+
+    #[test]
+    fn mapped_frames_counts_every_mapped_page() -> Result<(), MemFault> {
+        let mut vm = VirtualMemorySpace::new();
+        assert_eq!(vm.mapped_frames(), 0);
+        vm.alloc(64, AllocPolicy::Device512)?;
+        vm.alloc(64, AllocPolicy::Device512)?;
+        let per_region = REGION_SIZE / PAGE_SIZE;
+        assert_eq!(vm.mapped_frames(), per_region, "packed into one region");
+        vm.alloc(REGION_SIZE + 1, AllocPolicy::Isolated)?;
+        assert_eq!(vm.mapped_frames(), 3 * per_region);
+        Ok(())
     }
 
     #[test]

@@ -192,6 +192,7 @@ impl fmt::Display for RunError {
 
 impl Error for RunError {}
 
+#[derive(Debug)]
 struct ResidentWg {
     launch_idx: usize,
     wg: u64,
@@ -202,7 +203,7 @@ struct ResidentWg {
 /// core with `mem::take` for the duration of one memory instruction and
 /// put back afterwards, so the steady-state hot path performs no heap
 /// allocation — the vectors keep their capacity across instructions.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct WarpScratch {
     /// Per-lane effective addresses (`None` = masked-off lane).
     lane_vas: Vec<Option<u64>>,
@@ -214,6 +215,7 @@ struct WarpScratch {
     txs: Vec<Transaction>,
 }
 
+#[derive(Debug)]
 struct Core {
     l1d: Cache,
     l1tlb: Tlb,
@@ -249,6 +251,30 @@ impl Core {
             next_ready_at: 0,
             scratch: WarpScratch::default(),
         }
+    }
+
+    /// Returns the core to the state [`Core::new`] builds, keeping the
+    /// capacity of its buffers — every run still starts with cold L1s.
+    fn reset(&mut self) {
+        self.l1d.reset();
+        self.l1tlb.reset();
+        self.lsu_busy_until = 0;
+        self.warps.clear();
+        self.wgs.clear();
+        self.last_issued = None;
+        self.regs_used = 0;
+        self.shared_used = 0;
+        self.next_ready_at = 0;
+        let WarpScratch {
+            lane_vas,
+            lane_sizes,
+            results,
+            txs,
+        } = &mut self.scratch;
+        lane_vas.clear();
+        lane_sizes.clear();
+        results.clear();
+        txs.clear();
     }
 
     fn resident_warps(&self) -> usize {
@@ -317,10 +343,13 @@ struct HeapRun {
 /// The shared L2/L2-TLB stay warm across `run` calls (as on real hardware,
 /// where kernel boundaries flush per-core L1s and GPUShield's RCaches but
 /// not the chip-level cache); DRAM channel timing and statistics restart
-/// with each run's cycle 0.
+/// with each run's cycle 0. Every run starts its cores cold: the engine
+/// keeps their storage between runs and resets it to the constructed
+/// state.
 pub struct Gpu {
     cfg: GpuConfig,
     shared: SharedMemorySystem,
+    arena: par::Arena,
 }
 
 impl Gpu {
@@ -328,7 +357,11 @@ impl Gpu {
     pub fn new(cfg: GpuConfig) -> Self {
         let shared =
             SharedMemorySystem::new(cfg.l2_bytes, cfg.l2_tlb_entries, cfg.dram, cfg.timings);
-        Gpu { cfg, shared }
+        Gpu {
+            cfg,
+            shared,
+            arena: par::Arena::default(),
+        }
     }
 
     /// The hardware configuration.
@@ -373,6 +406,7 @@ impl Gpu {
             &self.cfg,
             vm,
             &mut self.shared,
+            &mut self.arena,
             launches,
             mode,
             guard,
@@ -403,6 +437,7 @@ impl Gpu {
             &self.cfg,
             vm,
             &mut self.shared,
+            &mut self.arena,
             launches,
             MultiKernelMode::IntraCore,
             guard,
@@ -430,6 +465,7 @@ impl Gpu {
             &self.cfg,
             vm,
             &mut self.shared,
+            &mut self.arena,
             launches,
             MultiKernelMode::IntraCore,
             guard,
@@ -544,6 +580,7 @@ impl Gpu {
             &self.cfg,
             vm,
             &mut self.shared,
+            &mut self.arena,
             launches,
             MultiKernelMode::IntraCore,
             guard,
@@ -1756,6 +1793,39 @@ mod tests {
         b.st(MemSpace::Global, MemWidth::W4, b.base_offset(out, off), tid);
         b.ret();
         Arc::new(b.finish().unwrap())
+    }
+
+    #[test]
+    fn a_reset_core_equals_a_fresh_one() -> Result<(), Box<dyn Error>> {
+        let cfg = GpuConfig::test_tiny();
+        let fresh = format!("{:?}", Core::new(&cfg));
+        let mut vm = VirtualMemorySpace::new();
+        let buf = vm.alloc(256 * 4, AllocPolicy::Device512)?;
+        let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(16, 16))
+            .arg(TaggedPtr::unprotected(buf.va).raw());
+        let mut done = Gpu::new(cfg.clone());
+        assert!(done
+            .run(&mut vm, std::slice::from_ref(&launch), None)?
+            .completed());
+        // A run cut off by the watchdog leaves workgroups resident.
+        let mut cut = Gpu::new(GpuConfig {
+            max_cycles: 10,
+            ..cfg
+        });
+        assert!(cut.run(&mut vm, &[launch], None).is_err());
+        let cores = cut.arena.cores_mut();
+        assert!(cores
+            .iter()
+            .any(|c| !c.warps.is_empty() && !c.wgs.is_empty()));
+        for gpu in [&mut done, &mut cut] {
+            let cores = gpu.arena.cores_mut();
+            assert!(cores.iter().any(|c| format!("{c:?}") != fresh));
+            for (i, core) in cores.iter_mut().enumerate() {
+                core.reset();
+                assert_eq!(format!("{core:?}"), fresh, "core {i}");
+            }
+        }
+        Ok(())
     }
 
     #[test]

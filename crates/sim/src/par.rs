@@ -151,7 +151,7 @@ struct DrainKey {
 /// Everything a core accumulates during one phase; cleared (capacity
 /// kept) by the drain, so steady-state quanta allocate nothing.
 #[derive(Default)]
-struct Outbox {
+pub(super) struct Outbox {
     evs: Vec<QEv>,
     seq: u32,
     profile: SimProfile,
@@ -165,33 +165,83 @@ struct Outbox {
     /// Cycles with at least one issue this quantum — the per-core load
     /// signal behind `sim.parallel.*` skew telemetry.
     busy: u64,
+    /// The core advanced this quantum. Only the advance phase writes an
+    /// outbox, so the drain skips every outbox whose core did not.
+    advanced: bool,
 }
 
 impl Outbox {
-    /// An outbox with its buffers sized for a full quantum up front, so a
-    /// run pays one warm-up allocation per buffer instead of replaying the
-    /// `Vec` doubling ladder — workloads made of many short launches
-    /// (one `run` each) would otherwise pay that ladder per launch.
-    fn for_run(n_launches: usize) -> Self {
-        let mut out = Outbox {
-            evs: Vec::with_capacity(QUANTUM as usize * 24),
-            stalls: Vec::with_capacity(QUANTUM as usize * 2),
+    /// Empties the outbox for a run of `n_launches` launches, keeping
+    /// every buffer's capacity.
+    fn reset(&mut self, n_launches: usize) {
+        let Outbox {
+            mut evs,
+            mut accs,
+            mut stalls,
+            ..
+        } = std::mem::take(self);
+        evs.clear();
+        stalls.clear();
+        accs.clear();
+        accs.resize_with(n_launches, LaunchAcc::default);
+        *self = Outbox {
+            evs,
+            accs,
+            stalls,
             ..Outbox::default()
         };
-        out.accs.resize_with(n_launches, LaunchAcc::default);
-        out
     }
 }
 
-/// One core's share of the machine: the simulated core itself, its
-/// outbox, its forked guard shard (when the guard supports forking), and
-/// its private DRAM timing view (refreshed from the real DRAM after every
-/// drain).
-struct CoreSlot<'g> {
-    core: Core,
-    out: Outbox,
+/// The engine's per-core state, owned by the [`super::Gpu`] and reset —
+/// not rebuilt — at the start of every run, so a run's set-up cost does
+/// not depend on how many cores the machine has. Built on the first run.
+#[derive(Default)]
+pub(super) struct Arena {
+    cores: Vec<Core>,
+    outs: Vec<Outbox>,
+    dram_views: Vec<DramView>,
+    /// The drain's sort buffer.
+    keys: Vec<DrainKey>,
+}
+
+impl Arena {
+    /// Returns every core to its freshly constructed state and empties
+    /// every buffer for a run of `n_launches` launches.
+    fn reset(&mut self, cfg: &GpuConfig, n_launches: usize) {
+        let n = cfg.num_cores;
+        if self.cores.len() != n {
+            self.cores = (0..n).map(|_| Core::new(cfg)).collect();
+            self.outs = (0..n).map(|_| Outbox::default()).collect();
+            self.dram_views = vec![DramView::default(); n];
+        }
+        for core in &mut self.cores {
+            core.reset();
+        }
+        for out in &mut self.outs {
+            out.reset(n_launches);
+        }
+        self.keys.clear();
+    }
+}
+
+#[cfg(test)]
+impl Arena {
+    /// The engine's cores, for state checks.
+    pub(super) fn cores_mut(&mut self) -> &mut [Core] {
+        &mut self.cores
+    }
+}
+
+/// One core's share of the machine for one run: the simulated core, its
+/// outbox and its private DRAM timing view (refreshed from the real DRAM
+/// when the core starts a phase), all borrowed from the [`Arena`], plus
+/// its forked guard shard (when the guard supports forking).
+struct CoreSlot<'a, 'g> {
+    core: &'a mut Core,
+    out: &'a mut Outbox,
     shard: Option<Box<dyn CoreGuard + Send + 'g>>,
-    dram_view: DramView,
+    dram_view: &'a mut DramView,
 }
 
 /// How a phase consults the bounds-check guard. Forked guards hand each
@@ -335,9 +385,7 @@ fn advance_core(
     want_trace: bool,
     want_flight: bool,
 ) {
-    if out.accs.len() != launches.len() {
-        out.accs.resize_with(launches.len(), LaunchAcc::default);
-    }
+    out.advanced = true;
     let mut t = t0;
     while t < t1 {
         if core.next_ready_at > t {
@@ -954,6 +1002,7 @@ pub(super) fn run_engine(
     cfg: &GpuConfig,
     vm: &mut VirtualMemorySpace,
     shared: &mut SharedMemorySystem,
+    arena: &mut Arena,
     launches: &[KernelLaunch],
     mode: MultiKernelMode,
     mut guard: Option<&mut dyn MemGuard>,
@@ -990,21 +1039,28 @@ pub(super) fn run_engine(
             .clamp(1, n)
     };
 
-    let mut shards: Vec<Option<Box<dyn CoreGuard + Send + '_>>> = forked.map_or_else(
-        || (0..n).map(|_| None).collect(),
-        |v| v.into_iter().map(Some).collect(),
-    );
-    let slots: Vec<Mutex<CoreSlot<'_>>> = (0..n)
-        .map(|i| {
+    arena.reset(cfg, launches.len());
+    let Arena {
+        cores,
+        outs,
+        dram_views,
+        keys,
+    } = arena;
+    let mut forked = forked.map(Vec::into_iter);
+    let slots: Vec<Mutex<CoreSlot<'_, '_>>> = cores
+        .iter_mut()
+        .zip(outs.iter_mut())
+        .zip(dram_views.iter_mut())
+        .map(|((core, out), dram_view)| {
             Mutex::new(CoreSlot {
-                core: Core::new(cfg),
-                out: Outbox::for_run(launches.len()),
-                shard: shards[i].take(),
-                dram_view: shared.dram().view(),
+                core,
+                out,
+                shard: forked.as_mut().and_then(Iterator::next),
+                dram_view,
             })
         })
         .collect();
-    drop(shards); // all `None` now; ends its borrow of the guard
+    drop(forked); // exhausted now; ends its borrow of the guard
     let launches_lk = RwLock::new(ls);
     let shared_lk = RwLock::new(&mut *shared);
     let t0a = AtomicU64::new(0);
@@ -1022,6 +1078,11 @@ pub(super) fn run_engine(
                 break;
             }
             let mut slot = lock_ok(slots[i].lock());
+            // A core whose next ready cycle lies past the quantum would
+            // not issue: leave it (and its outbox) untouched.
+            if slot.core.next_ready_at >= t1 {
+                continue;
+            }
             let CoreSlot {
                 core,
                 out,
@@ -1030,6 +1091,9 @@ pub(super) fn run_engine(
             } = &mut *slot;
             let lr = lock_ok(launches_lk.read());
             let sr = lock_ok(shared_lk.read());
+            // DRAM only changes at the drain, so the view taken here is
+            // the quantum-start state for the whole phase.
+            sr.dram().refresh_view(dram_view);
             let mut check = match (shard.as_deref_mut(), whole.as_ref()) {
                 (Some(s), _) => PhaseCheck::Shard(s),
                 (None, Some(m)) => PhaseCheck::Whole(m),
@@ -1059,7 +1123,6 @@ pub(super) fn run_engine(
         let mut rr_cursor: usize = 0;
         let mut profile = SimProfile::default();
         let mut heaps: HashMap<u64, HeapRun> = HashMap::new();
-        let mut keys: Vec<DrainKey> = Vec::with_capacity(n * QUANTUM as usize * 4);
         let mut quanta: u64 = 0;
         let mut busy_totals = vec![0u64; n];
         let mut max_skew: u64 = 0;
@@ -1115,7 +1178,7 @@ pub(super) fn run_engine(
                 &mut profile,
                 &mut trace,
                 &mut tele,
-                &mut keys,
+                keys,
                 &mut busy_totals,
                 &mut max_skew,
                 &mut flight,
@@ -1245,7 +1308,7 @@ fn launch_allowed_on_core(
 #[allow(clippy::too_many_arguments)]
 fn try_dispatch(
     cfg: &GpuConfig,
-    slots: &[Mutex<CoreSlot<'_>>],
+    slots: &[Mutex<CoreSlot<'_, '_>>],
     lw: &mut [LaunchState],
     mode: MultiKernelMode,
     cycle: u64,
@@ -1288,7 +1351,7 @@ fn try_dispatch(
 #[allow(clippy::too_many_arguments)]
 fn dispatch_wg(
     cfg: &GpuConfig,
-    slots: &[Mutex<CoreSlot<'_>>],
+    slots: &[Mutex<CoreSlot<'_, '_>>],
     lw: &mut [LaunchState],
     cycle: u64,
     age_seq: &mut u64,
@@ -1351,7 +1414,11 @@ fn dispatch_wg(
 
 /// Stride-bucket occupancy sampling at a quantum boundary (the sequential
 /// rule, evaluated over all cores by the driver thread).
-fn sample_occupancy_par(tele: &mut Option<ParTele<'_>>, cycle: u64, slots: &[Mutex<CoreSlot<'_>>]) {
+fn sample_occupancy_par(
+    tele: &mut Option<ParTele<'_>>,
+    cycle: u64,
+    slots: &[Mutex<CoreSlot<'_, '_>>],
+) {
     let Some(t) = tele.as_mut() else {
         return;
     };
@@ -1380,15 +1447,14 @@ fn sample_occupancy_par(tele: &mut Option<ParTele<'_>>, cycle: u64, slots: &[Mut
 }
 
 /// The quantum drain, run serially by the driver thread. Pass 1 collects
-/// every outbox (counters merge in core order; events gain their core in
-/// the sort key); pass 2 replays the events against the real shared
-/// system in canonical `(t, core, seq)` order; pass 3 refreshes each
-/// core's private DRAM timing view from the post-drain channel state.
+/// the outbox of every core that advanced (counters merge in core order;
+/// events gain their core in the sort key); pass 2 replays the events
+/// against the real shared system in canonical `(t, core, seq)` order.
 /// Returns the number of instructions issued across the quantum.
 #[allow(clippy::too_many_arguments)]
 fn drain<'w, 'g>(
     cfg: &GpuConfig,
-    slots: &[Mutex<CoreSlot<'_>>],
+    slots: &[Mutex<CoreSlot<'_, '_>>],
     launches_lk: &RwLock<Vec<LaunchState>>,
     shared_lk: &RwLock<&mut SharedMemorySystem>,
     vm: &VirtualMemorySpace,
@@ -1409,7 +1475,13 @@ fn drain<'w, 'g>(
         let mut lw = lock_ok(launches_lk.write());
         for (ci, slot) in slots.iter().enumerate() {
             let mut s = lock_ok(slot.lock());
-            let out = &mut s.out;
+            let out = &mut *s.out;
+            if !out.advanced {
+                // Nothing to collect; its busy count is zero.
+                busy_min = 0;
+                continue;
+            }
+            out.advanced = false;
             for q in out.evs.drain(..) {
                 keys.push(DrainKey {
                     t: q.t,
@@ -1535,13 +1607,6 @@ fn drain<'w, 'g>(
         }
     }
 
-    {
-        let sr = lock_ok(shared_lk.read());
-        for slot in slots {
-            let mut s = lock_ok(slot.lock());
-            sr.dram().refresh_view(&mut s.dram_view);
-        }
-    }
     Ok(issued_total)
 }
 
@@ -1563,7 +1628,7 @@ struct AbortReq {
 #[allow(clippy::too_many_arguments)]
 fn drain_parked<'w, 'g>(
     cfg: &GpuConfig,
-    slots: &[Mutex<CoreSlot<'_>>],
+    slots: &[Mutex<CoreSlot<'_, '_>>],
     lw: &mut [LaunchState],
     shared: &mut SharedMemorySystem,
     vm: &VirtualMemorySpace,
@@ -1626,7 +1691,7 @@ fn drain_parked<'w, 'g>(
 #[allow(clippy::too_many_arguments)]
 fn drain_malloc(
     cfg: &GpuConfig,
-    sl: &mut CoreSlot<'_>,
+    sl: &mut CoreSlot<'_, '_>,
     lw: &mut [LaunchState],
     heaps: &mut HashMap<u64, HeapRun>,
     profile: &mut SimProfile,
@@ -1713,7 +1778,7 @@ fn drain_malloc(
 #[allow(clippy::too_many_arguments)]
 fn drain_atom<'w, 'g>(
     cfg: &GpuConfig,
-    sl: &mut CoreSlot<'_>,
+    sl: &mut CoreSlot<'_, '_>,
     lw: &mut [LaunchState],
     shared: &mut SharedMemorySystem,
     vm: &VirtualMemorySpace,
@@ -1921,7 +1986,7 @@ fn drain_atom<'w, 'g>(
 /// the canonically-first abort event per launch gets here.
 #[allow(clippy::too_many_arguments)]
 fn apply_abort<'w, 'g>(
-    slots: &[Mutex<CoreSlot<'_>>],
+    slots: &[Mutex<CoreSlot<'_, '_>>],
     lw: &mut [LaunchState],
     trace: &mut Option<&mut Trace>,
     whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
@@ -1977,7 +2042,7 @@ fn apply_abort<'w, 'g>(
 /// RCache flush on kernel end: every shard (core order) plus the whole
 /// guard when running unsharded.
 fn guard_kernel_end<'w, 'g>(
-    slots: &[Mutex<CoreSlot<'_>>],
+    slots: &[Mutex<CoreSlot<'_, '_>>],
     whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
     kernel_id: u16,
 ) {

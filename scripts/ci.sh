@@ -169,11 +169,16 @@ if [[ "${CI_PERF:-1}" == "1" ]]; then
     # every cross-tenant probe must classify as detected (never masked or
     # silent), the per-tenant driver.tenant.* accounting must land in the
     # results JSON, and the rendered exhibit must be byte-identical at any
-    # worker count.
+    # worker count and any --sim-threads sharding, and to the committed
+    # results/ (one long-lived system reuses its engine state and RBTs
+    # across every launch).
     ./target/release/experiments multi_tenant "$out" --jobs 1
     mv "$out/multi_tenant.txt" "$out/multi_tenant.j1.txt"
     ./target/release/experiments multi_tenant "$out" --jobs 4
     cmp "$out/multi_tenant.j1.txt" "$out/multi_tenant.txt"
+    ./target/release/experiments multi_tenant "$out" --jobs 4 --sim-threads 7
+    cmp "$out/multi_tenant.j1.txt" "$out/multi_tenant.txt"
+    cmp results/multi_tenant.txt "$out/multi_tenant.txt"
     grep -q 'masked=0 silent=0' "$out/multi_tenant.txt"
     grep -q 'misattributed=0 secrets_intact=true' "$out/multi_tenant.txt"
     grep -q '"driver.tenant.launches_admitted"' "$out/multi_tenant.json"
@@ -183,6 +188,9 @@ if [[ "${CI_PERF:-1}" == "1" ]]; then
     mv "$out/qos_fairness.txt" "$out/qos_fairness.j1.txt"
     ./target/release/experiments qos_fairness "$out" --jobs 4
     cmp "$out/qos_fairness.j1.txt" "$out/qos_fairness.txt"
+    ./target/release/experiments qos_fairness "$out" --jobs 4 --sim-threads 7
+    cmp "$out/qos_fairness.j1.txt" "$out/qos_fairness.txt"
+    cmp results/qos_fairness.txt "$out/qos_fairness.txt"
     grep -q 'jain_index_over_mean_wait' "$out/qos_fairness.txt"
 
     echo "== cycle-quantum engine determinism (CI_PERF=0 to skip)"

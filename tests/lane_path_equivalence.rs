@@ -16,11 +16,18 @@
 //! defined order (see `VirtualMemorySpace`'s frame docs), so a racy
 //! kernel such as `tpacf`'s non-atomic histogram leaves a host-timing
 //! dependent image when cores run on different threads.
+//!
+//! A long serving session pins the engine state a `Gpu` keeps between
+//! runs and the RBTs the driver reuses between launches: 2,000 tenant
+//! jobs on one `System` fold into one fingerprint at one and two workers.
 
-use gpushield::{Arg, BufferHandle, System, SystemConfig};
+use gpushield::{
+    Arg, BcuConfig, BufferHandle, DriverConfig, GpuConfig, System, SystemConfig, TenantId,
+    TenantTable,
+};
 use gpushield_bench::runner::{config, Protection, Target};
 use gpushield_fuzzgen::{corpus, BugClass, Specimen, CORPUS_SEED, PER_CLASS};
-use gpushield_isa::Kernel;
+use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand, TaggedPtr};
 use gpushield_workloads::{all, BufId, HostApi, Suite, WArg};
 use std::sync::Arc;
 
@@ -332,4 +339,118 @@ fn fuzz_corpus_matches_the_pinned_fingerprints_on_both_engines() {
         got.push((class.slug().to_string(), quantum.0, serial.0));
     }
     check_pins("fuzz class", &got, FUZZ_PINS);
+}
+
+/// Fingerprint of [`serving_session`], the same at one and two workers.
+const SERVING_PIN: u64 = 0xfd32_6ab1_2630_c84c;
+
+/// Stores `0xBAD` through a pointer loaded from `A[0]` (`indirect` false)
+/// or through `A` at an offset loaded from `A[8]` (`indirect` true).
+fn probe_kernel(indirect: bool) -> Arc<Kernel> {
+    let mut b = KernelBuilder::new("pin_probe");
+    let a = b.param_buffer("A", false);
+    let slot = b.ld(
+        MemSpace::Global,
+        MemWidth::W8,
+        b.base_offset(a, Operand::Imm(if indirect { 8 } else { 0 })),
+    );
+    let addr = if indirect {
+        b.base_offset(a, slot)
+    } else {
+        b.base_offset(slot, Operand::Imm(0))
+    };
+    b.st(MemSpace::Global, MemWidth::W4, addr, Operand::Imm(0xBAD));
+    b.ret();
+    Arc::new(b.finish().expect("valid kernel"))
+}
+
+/// A 2,000-job serving session on one `System`: four tenants on
+/// 16-ID slices take turns launching `iota` over 1..=32 threads, and
+/// every 25 jobs carry one probe of each cross-tenant vector against the
+/// next tenant's secret. Folds every job's `(cycles, instructions,
+/// violations)` (or its error) and then every buffer's final bytes.
+fn serving_session(sim_threads: usize) -> u64 {
+    const TENANTS: usize = 4;
+    let mut sys = System::new(SystemConfig {
+        gpu: GpuConfig {
+            max_cycles: 200_000,
+            sim_threads,
+            ..GpuConfig::nvidia()
+        },
+        driver: DriverConfig {
+            enable_static_analysis: false,
+            ..DriverConfig::default()
+        },
+        bcu: BcuConfig {
+            strict_runtime_tags: true,
+            ..BcuConfig::default()
+        },
+        seed: 0x6057_5E1D,
+    });
+    let mut tenants =
+        TenantTable::with_slices((0..TENANTS as u16).map(|t| (1 + 16 * t, 17 + 16 * t, 1)));
+    let work: Vec<BufferHandle> = (0..TENANTS)
+        .map(|_| sys.alloc(32 * 4).expect("work buffer"))
+        .collect();
+    let secret: Vec<BufferHandle> = (0..TENANTS as u32)
+        .map(|t| {
+            let words: Vec<u32> = (0..8).map(|i| 0xA5A5_0000 ^ (t << 8) ^ i).collect();
+            sys.alloc_u32s(&words).expect("secret buffer")
+        })
+        .collect();
+    let iota = gpushield_bench::serving::iota_kernel();
+    let (deref, indirect) = (probe_kernel(false), probe_kernel(true));
+    let mut fp = Fnv::new();
+    for job in 0..2_000u32 {
+        let t = job as usize % TENANTS;
+        let victim_va = sys.driver().buffer_va(secret[(t + 1) % TENANTS]);
+        let (kernel, block, payload) = match job % 25 {
+            5 => (&deref, 1, Some((0, victim_va))),
+            11 => {
+                let delta = victim_va.wrapping_sub(sys.driver().buffer_va(work[t]));
+                (&indirect, 1, Some((8, delta)))
+            }
+            17 => {
+                let guess = 1 + 16 * ((t + 1) % TENANTS) as u16;
+                let raw = TaggedPtr::with_region_id(victim_va, guess).raw();
+                (&deref, 1, Some((0, raw)))
+            }
+            23 => (
+                &deref,
+                1,
+                Some((0, TaggedPtr::with_log2_size(victim_va, 40).raw())),
+            ),
+            _ => (&iota, 1 + job % 32, None),
+        };
+        if let Some((offset, value)) = payload {
+            sys.write_buffer(work[t], offset, &value.to_le_bytes());
+        }
+        let result = sys
+            .launch_tenant(
+                &mut tenants,
+                TenantId(t as u16),
+                kernel.clone(),
+                1,
+                block,
+                &[Arg::Buffer(work[t])],
+            )
+            .map(|(r, v)| (r.cycles, r.instructions(), v.len()));
+        fp.eat(format!("{result:?}").as_bytes());
+    }
+    for &h in work.iter().chain(&secret) {
+        let mut bytes = vec![0u8; sys.driver().buffer_size(h) as usize];
+        sys.read_buffer(h, 0, &mut bytes);
+        fp.eat(&bytes);
+    }
+    fp.0
+}
+
+#[test]
+fn a_long_serving_session_matches_the_pinned_fingerprint() {
+    let got = [serving_session(1), serving_session(2)];
+    assert_eq!(
+        got, [SERVING_PIN; 2],
+        "serving session fingerprints at sim_threads 1 and 2: 0x{:016x} 0x{:016x}",
+        got[0], got[1]
+    );
 }
