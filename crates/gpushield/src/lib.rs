@@ -481,7 +481,9 @@ impl System {
     /// As [`System::launch`], plus [`DriverError::RegionIdsExhausted`]
     /// when the tenant's slice cannot cover the launch (counted against
     /// the tenant as a rejection) and [`DriverError::UnknownTenant`] for
-    /// an ID outside the table.
+    /// an ID outside the table. A launch the engine fails (for example
+    /// [`RunError::CycleBudgetExceeded`]) releases its IDs before the
+    /// error propagates.
     pub fn launch_tenant(
         &mut self,
         tenants: &mut TenantTable,
@@ -515,14 +517,20 @@ impl System {
             sys.last_bat = prepared.bat;
             let logged_before = sys.bcu.as_ref().map(|b| b.violations().len());
             let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-            let report = match sys.flight.as_mut() {
-                Some(f) => {
-                    sys.gpu
-                        .run_observed(sys.driver.vm_mut(), &[prepared.launch], guard, f)?
-                }
-                None => sys
+            let run = match sys.flight.as_mut() {
+                Some(f) => sys
                     .gpu
-                    .run(sys.driver.vm_mut(), &[prepared.launch], guard)?,
+                    .run_observed(sys.driver.vm_mut(), &[prepared.launch], guard, f),
+                None => sys.gpu.run(sys.driver.vm_mut(), &[prepared.launch], guard),
+            };
+            let report = match run {
+                Ok(report) => report,
+                Err(e) => {
+                    // An engine error (a watchdog trip, a deadlock) ends
+                    // the launch too: its IDs go back to the slice.
+                    tenants.allocator_mut(t)?.release(&prepared.region_ids)?;
+                    return Err(e.into());
+                }
             };
             let new_violations: Vec<ViolationRecord> = match (sys.bcu.as_ref(), logged_before) {
                 (Some(b), Some(n)) => b.violations()[n..].to_vec(),
@@ -557,8 +565,8 @@ impl System {
     /// # Errors
     ///
     /// As [`System::launch_tenant`]; on a mid-batch preparation failure
-    /// the IDs of already-prepared kernels are returned to their
-    /// allocators before the error propagates.
+    /// or an engine failure the IDs of already-prepared kernels are
+    /// returned to their allocators before the error propagates.
     pub fn launch_tenant_concurrent(
         &mut self,
         tenants: &mut TenantTable,
@@ -601,14 +609,23 @@ impl System {
             // The observed engine path runs the default fine-grained sharing
             // mode; an explicit InterCore request keeps the unobserved path
             // (launch-prep and admission events are still recorded).
-            let report = match sys.flight.as_mut() {
+            let run = match sys.flight.as_mut() {
                 Some(f) if mode == MultiKernelMode::IntraCore => {
                     sys.gpu
-                        .run_observed(sys.driver.vm_mut(), &launches, guard, f)?
+                        .run_observed(sys.driver.vm_mut(), &launches, guard, f)
                 }
                 _ => sys
                     .gpu
-                    .run_multi(sys.driver.vm_mut(), &launches, mode, guard)?,
+                    .run_multi(sys.driver.vm_mut(), &launches, mode, guard),
+            };
+            let report = match run {
+                Ok(report) => report,
+                Err(e) => {
+                    for (t, ids) in &owners {
+                        tenants.allocator_mut(*t)?.release(ids)?;
+                    }
+                    return Err(e.into());
+                }
             };
             let new_violations: Vec<ViolationRecord> = match (sys.bcu.as_ref(), logged_before) {
                 (Some(b), Some(n)) => b.violations()[n..].to_vec(),

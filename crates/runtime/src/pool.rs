@@ -1,8 +1,9 @@
 //! A scoped-thread job pool for embarrassingly parallel simulation sweeps.
 //!
-//! Every GPUShield simulation is deterministic and single-threaded
-//! (DESIGN.md §4.3), so a `(workload × config × protection)` sweep is pure
-//! fan-out. [`run`] executes a batch of closures on `workers` OS threads
+//! Every GPUShield simulation is deterministic and independent of every
+//! other (DESIGN.md §4.3), so a `(workload × config × protection)` sweep
+//! is pure fan-out; the workers *inside* one simulation are
+//! [`with_crew`]'s job. [`run`] executes a batch of closures on `workers` OS threads
 //! that self-schedule from a shared queue (each idle worker steals the
 //! next unclaimed job), and returns results **in submission order** — so
 //! any output assembled from the results is bit-for-bit identical

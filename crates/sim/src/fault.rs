@@ -4,11 +4,12 @@
 //! metadata, so the simulator can corrupt its own protection state mid-run
 //! and observe how the system degrades. A [`FaultPlan`] is a seeded,
 //! pre-generated schedule of corruptions; each [`FaultSpec`] fires when the
-//! run's global-memory access counter reaches its trigger point. Because
-//! the simulator is single-threaded and the access counter is part of the
-//! deterministic execution order, the same plan against the same workload
-//! produces byte-identical behaviour on every run and at any host thread
-//! count.
+//! run's global-memory access counter reaches its trigger point. A run
+//! with a fault session simulates every core on one engine worker, so the
+//! counter advances in one deterministic order — core by core within each
+//! cycle quantum, global atomics at the quantum drain — and the same plan
+//! against the same workload produces byte-identical behaviour on every
+//! run and at any `sim_threads` setting.
 //!
 //! Four structures can be corrupted (see [`FaultKind`]): RBT entries in
 //! device memory, the tag bits of a pointer under check, the BAT's
@@ -17,6 +18,8 @@
 //! to: detection, a false fault, silent corruption, a watchdog-terminated
 //! hang, or no observable effect.
 
+use crate::guard::MemGuard;
+use crate::launch::SiteCheck;
 use gpushield_isa::TaggedPtr;
 use gpushield_mem::VirtualMemorySpace;
 use gpushield_runtime::rng::StdRng;
@@ -235,13 +238,6 @@ impl FaultSession {
         });
     }
 
-    /// True when the session's plan schedules nothing: no fault can ever
-    /// come due, so a run under this session is equivalent to an
-    /// unfaulted run.
-    pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
-    }
-
     /// Every fault that came due, in firing order.
     pub fn injected(&self) -> &[InjectionRecord] {
         &self.injected
@@ -278,6 +274,49 @@ impl FaultSession {
     }
 }
 
+/// Applies every fault scheduled for the current global-memory access:
+/// pointer-tag mangling and site-check falsification act on the in-flight
+/// `access` (its tagged pointer and check decision), RBT bit flips and
+/// RCache poisoning corrupt the metadata the bounds check will consult.
+/// `on_applied` hears of each fault that corrupted something. Returns the
+/// (possibly mangled) pointer and (possibly falsified) decision.
+pub(crate) fn apply_due_faults(
+    fs: &mut FaultSession,
+    vm: &VirtualMemorySpace,
+    mut guard: Option<&mut dyn MemGuard>,
+    core: usize,
+    cycle: u64,
+    access: (TaggedPtr, SiteCheck),
+    mut on_applied: impl FnMut(FaultKind),
+) -> (TaggedPtr, SiteCheck) {
+    let (mut ptr, mut decision) = access;
+    let seq = fs.begin_access();
+    while let Some(spec) = fs.take_due(seq) {
+        let applied = match spec.kind {
+            FaultKind::TagMangle => {
+                ptr = mangle_pointer(ptr, spec.entropy);
+                true
+            }
+            FaultKind::SiteCheckFalsify => {
+                decision = match decision {
+                    SiteCheck::Static => SiteCheck::Runtime,
+                    _ => SiteCheck::Static,
+                };
+                true
+            }
+            FaultKind::RbtBitFlip => flip_rbt_bit(vm, fs.targets(), spec.entropy),
+            FaultKind::RcachePoison => guard
+                .as_deref_mut()
+                .is_some_and(|g| g.inject_metadata_fault(core, spec.entropy)),
+        };
+        fs.record(spec, cycle, seq, applied);
+        if applied {
+            on_applied(spec.kind);
+        }
+    }
+    (ptr, decision)
+}
+
 /// XORs 1–3 entropy-chosen bits into the tag field (bits 63:48) of `ptr`.
 pub(crate) fn mangle_pointer(ptr: TaggedPtr, entropy: u64) -> TaggedPtr {
     let nbits = 1 + entropy % 3;
@@ -293,11 +332,7 @@ pub(crate) fn mangle_pointer(ptr: TaggedPtr, entropy: u64) -> TaggedPtr {
 /// Flips one entropy-chosen bit of one live RBT entry via the
 /// translation-bypass path (the same path the hardware uses). Returns
 /// whether a bit was flipped.
-pub(crate) fn flip_rbt_bit(
-    vm: &mut VirtualMemorySpace,
-    targets: &FaultTargets,
-    entropy: u64,
-) -> bool {
+pub(crate) fn flip_rbt_bit(vm: &VirtualMemorySpace, targets: &FaultTargets, entropy: u64) -> bool {
     if targets.rbt_entries.is_empty() {
         return false;
     }
@@ -380,8 +415,8 @@ mod tests {
 
     #[test]
     fn rbt_flip_without_targets_is_a_noop() {
-        let mut vm = VirtualMemorySpace::new();
-        assert!(!flip_rbt_bit(&mut vm, &FaultTargets::default(), 123));
+        let vm = VirtualMemorySpace::new();
+        assert!(!flip_rbt_bit(&vm, &FaultTargets::default(), 123));
     }
 
     #[test]

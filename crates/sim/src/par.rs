@@ -1,4 +1,4 @@
-//! Deterministic cycle-quantum parallel engine.
+//! The deterministic cycle-quantum engine behind every `Gpu::run_*`.
 //!
 //! [`run_engine`] advances the GPU in fixed *quanta* of [`QUANTUM`]
 //! simulated cycles. Inside a quantum, every SIMT core is advanced
@@ -8,8 +8,8 @@
 //! while L2/L2-TLB hits are *predicted* with side-effect-free probes and
 //! DRAM timing with a private per-core [`DramView`]. Every side effect
 //! that crosses core boundaries (L2/DRAM state, trace records, launch
-//! counters, aborts) is buffered in a per-core outbox with a `(cycle,
-//! core, seq)` key.
+//! counters, observed ranges, aborts) is buffered in a per-core outbox
+//! with a `(cycle, core, seq)` key.
 //!
 //! At the quantum barrier the driver thread *drains* the outboxes: it
 //! merges counters in core order, sorts the buffered events by their
@@ -24,40 +24,49 @@
 //! (the serialized allocator lock) and global-memory atomics (read-
 //! modify-write ordering). Issuing one *parks* the warp (`ready_at =
 //! u64::MAX`, pc not advanced); the drain re-derives the instruction from
-//! the frozen warp state and executes it with the legacy sequential
-//! semantics at its recorded issue cycle, in canonical order.
+//! the frozen warp state and executes it at its recorded issue cycle, in
+//! canonical order.
 //!
-//! Model deltas vs. the sequential engine (all deterministic): workgroup
-//! dispatch happens at quantum boundaries; an abort strips the launch at
-//! the end of its quantum, so other cores may execute up to one quantum
-//! of extra instructions for an aborting launch; L2/L2-TLB/DRAM timing
-//! seen by a warp is the quantum-start prediction rather than the
-//! serially-interleaved value. Plain (non-atomic) global accesses by
-//! *different* cores to the *same* location inside one quantum are data
-//! races in the programming model and take no defined interleaving.
+//! A run with a fault-injection session, or with a guard that cannot
+//! fork per-core shards, consults the whole guard behind a mutex on one
+//! worker, so checks and injections happen in one canonical order: core
+//! by core within each quantum, parked atomics at the drain.
+//!
+//! Model deltas (all deterministic; DESIGN.md §13): workgroup dispatch
+//! happens at quantum boundaries; an abort strips the launch at the end
+//! of its quantum, so other cores may execute up to one quantum of extra
+//! instructions for an aborting launch; L2/L2-TLB/DRAM timing seen by a
+//! warp is the quantum-start prediction rather than an interleaved
+//! per-access value. Plain (non-atomic) global accesses by *different*
+//! cores to the *same* location inside one quantum are data races in the
+//! programming model and take no defined interleaving.
 
 use super::{
     build_launch_states, gather_lane_vas, lane_data_path, Core, GpuConfig, HeapRun, LaunchState,
-    MultiKernelMode, ResidentWg, RunError, TeleCtx,
+    MultiKernelMode, ResidentWg, RunError,
 };
+use crate::fault::{self, FaultSession};
 use crate::guard::{CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
-use crate::stats::{AbortReason, LaunchReport, RunReport, SimProfile, StallAttribution};
+use crate::stats::{
+    AbortReason, LaunchReport, ObservedRange, RunReport, SimProfile, StallAttribution,
+};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::warp::{ExecCtx, Row, SimpleOutcome, Warp, MAX_LANES};
-use gpushield_isa::{BlockId, Instr, MemSpace, Operand, VReg};
+use gpushield_isa::{BlockId, Instr, MemSpace, Operand, TaggedPtr, VReg};
 use gpushield_mem::coalesce::warp_address_range;
 use gpushield_mem::{coalesce_warp_into, DramView, SharedMemorySystem, VirtualMemorySpace};
 use gpushield_runtime::with_crew;
 use gpushield_telemetry::flight::{FlightEvent, FlightRecorder};
 use gpushield_telemetry::{MetricId, Registry};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{LockResult, Mutex, RwLock};
 
 /// Simulated cycles per parallel phase. Large enough to amortize the
 /// barrier + drain, small enough that the boundary-only dispatch and the
-/// quantum-granular abort stay close to the sequential model.
+/// quantum-granular abort stay close to a cycle-by-cycle model.
 const QUANTUM: u64 = 64;
 
 /// Unwraps a lock result, adopting the data on poisoning. A poisoned lock
@@ -139,6 +148,9 @@ enum Ev {
     Flight(FlightEvent),
 }
 
+/// A static memory instruction: (block, instruction index).
+type Site = (BlockId, usize);
+
 /// A drained event: [`QEv`] plus its core, forming the canonical sort key
 /// `(t, core, seq)`.
 struct DrainKey {
@@ -168,6 +180,10 @@ pub(super) struct Outbox {
     /// The core advanced this quantum. Only the advance phase writes an
     /// outbox, so the drain skips every outbox whose core did not.
     advanced: bool,
+    /// Attempted-address extremes per `(launch, site)` this quantum,
+    /// kept under observed-range recording only; the drain merges them
+    /// into the launches by min/max.
+    observed: HashMap<(usize, Site), (u64, u64)>,
 }
 
 impl Outbox {
@@ -178,16 +194,19 @@ impl Outbox {
             mut evs,
             mut accs,
             mut stalls,
+            mut observed,
             ..
         } = std::mem::take(self);
         evs.clear();
         stalls.clear();
         accs.clear();
         accs.resize_with(n_launches, LaunchAcc::default);
+        observed.clear();
         *self = Outbox {
             evs,
             accs,
             stalls,
+            observed,
             ..Outbox::default()
         };
     }
@@ -244,57 +263,144 @@ struct CoreSlot<'a, 'g> {
     dram_view: &'a mut DramView,
 }
 
-/// How a phase consults the bounds-check guard. Forked guards hand each
-/// core an independent shard; a non-forkable guard is shared behind a
-/// mutex, and the engine then runs single-worker so the check order stays
-/// canonical (core-major), which keeps results identical to the forked
-/// layout's per-core sequences.
-enum PhaseCheck<'a, 's, 'w, 'g> {
-    None,
-    Shard(&'a mut (dyn CoreGuard + Send + 's)),
-    Whole(&'a Mutex<&'w mut (dyn MemGuard + 'g)>),
-}
+/// A guard that cannot fork, or that a fault session corrupts, shared
+/// whole behind a mutex by a run on one worker.
+type WholeGuard<'w, 'g> = Mutex<&'w mut (dyn MemGuard + 'g)>;
 
-impl PhaseCheck<'_, '_, '_, '_> {
-    fn some(&self) -> bool {
-        !matches!(self, PhaseCheck::None)
-    }
-
-    fn check(&mut self, access: &MemAccess, vm: &VirtualMemorySpace) -> GuardCheck {
-        match self {
-            PhaseCheck::None => GuardCheck::allow_free(),
-            PhaseCheck::Shard(g) => g.check(access, vm),
-            PhaseCheck::Whole(m) => lock_ok(m.lock()).check(access, vm),
-        }
+/// Consults the bounds-check guard for one access: the core's forked
+/// shard, else the whole guard.
+fn guard_check(
+    shard: Option<&mut (dyn CoreGuard + Send + '_)>,
+    whole: Option<&WholeGuard<'_, '_>>,
+    access: &MemAccess,
+    vm: &VirtualMemorySpace,
+) -> GuardCheck {
+    match (shard, whole) {
+        (Some(s), _) => s.check(access, vm),
+        (None, Some(m)) => lock_ok(m.lock()).check(access, vm),
+        (None, None) => GuardCheck::allow_free(),
     }
 }
 
-/// The sequential engine's telemetry hooks plus the parallel-engine
-/// additions: quantum count, worst per-quantum busy-cycle skew between
-/// cores, and per-core busy-cycle gauges. Keyed per *core* (not per
-/// worker) so the published values are independent of how cores were
-/// claimed by threads.
-struct ParTele<'t> {
-    base: TeleCtx<'t>,
+/// Draws the session's faults due at the current global-memory access
+/// (see [`fault::apply_due_faults`]), with RCache poisoning aimed at the
+/// whole guard, and reports each applied one to `on_applied` as a flight
+/// event. Returns the access's (possibly corrupted) pointer and decision.
+fn inject_due_faults(
+    fs: &Mutex<&mut FaultSession>,
+    whole: Option<&WholeGuard<'_, '_>>,
+    vm: &VirtualMemorySpace,
+    core: usize,
+    t: u64,
+    access: (TaggedPtr, SiteCheck),
+    mut on_applied: impl FnMut(FlightEvent),
+) -> (TaggedPtr, SiteCheck) {
+    let mut guard = whole.map(|m| lock_ok(m.lock()));
+    let mut fs = lock_ok(fs.lock());
+    fault::apply_due_faults(
+        &mut fs,
+        vm,
+        guard.as_deref_mut().map(|g| &mut **g as &mut dyn MemGuard),
+        core,
+        t,
+        access,
+        |kind| on_applied(FlightEvent::FaultInjected { kind: kind.code() }),
+    )
+}
+
+/// Widens `key`'s observed address extremes in `map` to cover `[lo, hi)`.
+fn widen<K: Eq + Hash>(map: &mut HashMap<K, (u64, u64)>, key: K, (lo, hi): (u64, u64)) {
+    let e = map.entry(key).or_insert((lo, hi));
+    e.0 = e.0.min(lo);
+    e.1 = e.1.max(hi);
+}
+
+/// Hot-loop telemetry hooks: the registry plus pre-resolved metric
+/// handles, so instrumented runs record in O(1) and uninstrumented runs
+/// pay one `Option` branch per hook site. The `sim.parallel.*` metrics —
+/// quantum count, worst per-quantum busy-cycle skew between cores and
+/// per-core busy cycles — are keyed per *core* (not per worker), so the
+/// published values do not depend on how workers claimed cores.
+struct Tele<'t> {
+    reg: &'t mut Registry,
+    /// Next cycle at or after which the occupancy series sample fires
+    /// (stride-bucket crossing; robust to event-skip cycle jumps).
+    next_sample: u64,
     quantum_count: MetricId,
     max_skew: MetricId,
     busy: Vec<MetricId>,
+    resident_warps: MetricId,
+    ready_warps: MetricId,
+    no_issue_slots: MetricId,
+    idle_skip_cycles: MetricId,
+    visible_stall: MetricId,
 }
 
-impl<'t> ParTele<'t> {
+impl<'t> Tele<'t> {
     fn new(reg: &'t mut Registry, num_cores: usize) -> Self {
         let quantum_count = reg.counter("sim.parallel.quantum_count");
         let max_skew = reg.gauge("sim.parallel.max_skew_cycles");
         let busy = (0..num_cores)
             .map(|i| reg.gauge(&format!("sim.parallel.cluster.{i}.busy_cycles")))
             .collect();
-        ParTele {
-            base: TeleCtx::new(reg),
+        let resident_warps = reg.series("sim.series.resident_warps");
+        let ready_warps = reg.series("sim.series.ready_warps");
+        let no_issue_slots = reg.counter("sim.sched.no_issue_slots");
+        let idle_skip_cycles = reg.counter("sim.sched.idle_skip_cycles");
+        let visible_stall = reg.histogram("sim.hist.visible_stall_cycles");
+        Tele {
+            reg,
+            next_sample: 0,
             quantum_count,
             max_skew,
             busy,
+            resident_warps,
+            ready_warps,
+            no_issue_slots,
+            idle_skip_cycles,
+            visible_stall,
         }
     }
+}
+
+/// The optional outputs of one run; the default records nothing.
+#[derive(Default)]
+pub(super) struct Sinks<'t> {
+    /// Bounded dispatch/memory/barrier/retire event stream.
+    pub(super) trace: Option<&'t mut Trace>,
+    /// Telemetry registry (enabled registries only).
+    pub(super) registry: Option<&'t mut Registry>,
+    /// Structured flight events.
+    pub(super) flight: Option<&'t mut FlightRecorder>,
+    /// Fault-injection session; the run then consults the whole guard on
+    /// one worker.
+    pub(super) fault: Option<&'t mut FaultSession>,
+    /// Record each site's attempted-address extremes into the launch
+    /// reports' `observed_ranges`.
+    pub(super) observed_ranges: bool,
+}
+
+/// The event sinks the driver thread feeds: at dispatch, at the drain and
+/// at the end of the run.
+struct Feeds<'t> {
+    trace: Option<&'t mut Trace>,
+    tele: Option<Tele<'t>>,
+    flight: Option<&'t mut FlightRecorder>,
+}
+
+/// What one core's phase reads besides its own slot.
+struct PhaseCtx<'a, 'w, 'g, 'f> {
+    cfg: &'a GpuConfig,
+    launches: &'a [LaunchState],
+    /// The quantum-start snapshot of the shared memory system.
+    shared: &'a SharedMemorySystem,
+    vm: &'a VirtualMemorySpace,
+    /// The guard when it is not forked into the slots' shards.
+    whole: Option<&'a WholeGuard<'w, 'g>>,
+    fault: Option<&'a Mutex<&'f mut FaultSession>>,
+    core_idx: usize,
+    want_trace: bool,
+    want_flight: bool,
 }
 
 fn push_ev(out: &mut Outbox, t: u64, ev: Ev) {
@@ -342,8 +448,8 @@ fn recompute_next_ready(core: &Core) -> u64 {
 }
 
 /// Timing prediction for a translation that missed the core's L1 TLB:
-/// the sequential `SharedMemorySystem::translate` arithmetic, with the
-/// snapshot probe standing in for the L2 TLB access and the core's
+/// the `SharedMemorySystem::translate` arithmetic, with the snapshot
+/// probe standing in for the L2 TLB access and the core's
 /// private DRAM view standing in for the shared channels.
 fn predict_translate(shared: &SharedMemorySystem, dv: &mut DramView, va: u64, now: u64) -> u64 {
     let tm = shared.timings();
@@ -356,7 +462,7 @@ fn predict_translate(shared: &SharedMemorySystem, dv: &mut DramView, va: u64, no
 }
 
 /// Timing prediction for a data transaction that missed the core's L1
-/// Dcache (sequential `access_data` arithmetic against the snapshot).
+/// Dcache (the `access_data` arithmetic against the snapshot).
 fn predict_data(shared: &SharedMemorySystem, dv: &mut DramView, pa: u64, now: u64) -> u64 {
     let tm = shared.timings();
     let at_l2 = now + tm.l2_hit;
@@ -367,66 +473,37 @@ fn predict_data(shared: &SharedMemorySystem, dv: &mut DramView, pa: u64, now: u6
     }
 }
 
-/// Advances one core from `t0` to `t1`: the per-cycle issue loop of the
-/// sequential engine, restricted to core-local state + the snapshot.
-#[allow(clippy::too_many_arguments)]
-fn advance_core(
-    cfg: &GpuConfig,
-    t0: u64,
-    t1: u64,
-    core: &mut Core,
-    out: &mut Outbox,
-    check: &mut PhaseCheck<'_, '_, '_, '_>,
-    dram_view: &mut DramView,
-    launches: &[LaunchState],
-    shared: &SharedMemorySystem,
-    vm: &VirtualMemorySpace,
-    core_idx: usize,
-    want_trace: bool,
-    want_flight: bool,
-) {
-    out.advanced = true;
+/// Advances one core from `t0` to `t1`: the per-cycle issue loop,
+/// restricted to core-local state + the snapshot.
+fn advance_core(ctx: &PhaseCtx<'_, '_, '_, '_>, t0: u64, t1: u64, slot: &mut CoreSlot<'_, '_>) {
+    slot.out.advanced = true;
     let mut t = t0;
     while t < t1 {
-        if core.next_ready_at > t {
-            if core.next_ready_at >= t1 {
+        if slot.core.next_ready_at > t {
+            if slot.core.next_ready_at >= t1 {
                 break;
             }
-            t = core.next_ready_at;
+            t = slot.core.next_ready_at;
             continue;
         }
         let mut issued = false;
-        for _ in 0..cfg.issue_width {
-            match core.pick_warp(t) {
+        for _ in 0..ctx.cfg.issue_width {
+            match slot.core.pick_warp(t) {
                 Some(wi) => {
-                    core.last_issued = Some(wi);
-                    exec_warp_phase(
-                        cfg,
-                        t,
-                        core,
-                        out,
-                        check,
-                        dram_view,
-                        launches,
-                        shared,
-                        vm,
-                        core_idx,
-                        want_trace,
-                        want_flight,
-                        wi,
-                    );
-                    out.issued += 1;
+                    slot.core.last_issued = Some(wi);
+                    exec_warp_phase(ctx, t, slot, wi);
+                    slot.out.issued += 1;
                     issued = true;
                 }
                 None => {
-                    out.no_issue += 1;
-                    core.next_ready_at = recompute_next_ready(core);
+                    slot.out.no_issue += 1;
+                    slot.core.next_ready_at = recompute_next_ready(slot.core);
                     break;
                 }
             }
         }
         if issued {
-            out.busy += 1;
+            slot.out.busy += 1;
         }
         t += 1;
     }
@@ -485,66 +562,29 @@ fn freeze_abort(
     );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_warp_phase(
-    cfg: &GpuConfig,
-    t: u64,
-    core: &mut Core,
-    out: &mut Outbox,
-    check: &mut PhaseCheck<'_, '_, '_, '_>,
-    dram_view: &mut DramView,
-    launches: &[LaunchState],
-    shared: &SharedMemorySystem,
-    vm: &VirtualMemorySpace,
-    core_idx: usize,
-    want_trace: bool,
-    want_flight: bool,
-    wi: usize,
-) {
+fn exec_warp_phase(ctx: &PhaseCtx<'_, '_, '_, '_>, t: u64, slot: &mut CoreSlot<'_, '_>, wi: usize) {
+    let (core, out) = (&mut *slot.core, &mut *slot.out);
     let li = core.warps[wi].launch_idx;
-    let outcome = {
-        let ls = &launches[li];
-        let ctx = exec_ctx(ls);
-        core.warps[wi].exec_simple(&ls.launch.kernel, &ls.recon, &ctx)
-    };
-    match outcome {
+    let ls = &ctx.launches[li];
+    match core.warps[wi].exec_simple(&ls.launch.kernel, &ls.recon, &exec_ctx(ls)) {
         SimpleOutcome::Done => {
             out.profile.alu_issues += 1;
             out.accs[li].instructions += 1;
-            core.warps[wi].ready_at = t + cfg.alu_latency;
+            core.warps[wi].ready_at = t + ctx.cfg.alu_latency;
         }
         SimpleOutcome::Retired => {
             out.profile.alu_issues += 1;
             out.accs[li].instructions += 1;
-            retire_warp_phase(cfg, t, core, out, launches, core_idx, want_trace, wi);
+            retire_warp_phase(ctx, t, core, out, wi);
         }
         SimpleOutcome::NeedsCore => {
             let pc = core.warps[wi].pc().expect("NeedsCore implies a live pc");
-            let instr = launches[li].launch.kernel.block(pc.0).instrs()[pc.1];
+            let instr = ls.launch.kernel.block(pc.0).instrs()[pc.1];
             match instr {
-                Instr::Bar => {
-                    exec_barrier_phase(t, core, out, core_idx, want_trace, wi, li);
-                }
+                Instr::Bar => exec_barrier_phase(ctx, t, core, out, wi, li),
                 Instr::Malloc { .. } | Instr::Free { .. } => park_warp(out, t, core, wi),
                 Instr::Ld { .. } | Instr::St { .. } | Instr::AtomAdd { .. } => {
-                    exec_mem_phase(
-                        cfg,
-                        t,
-                        core,
-                        out,
-                        check,
-                        dram_view,
-                        launches,
-                        shared,
-                        vm,
-                        core_idx,
-                        want_trace,
-                        want_flight,
-                        wi,
-                        li,
-                        pc,
-                        instr,
-                    );
+                    exec_mem_phase(ctx, t, slot, wi, pc, instr);
                 }
                 _ => unreachable!("exec_simple handles all other instructions"),
             }
@@ -552,15 +592,11 @@ fn exec_warp_phase(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn retire_warp_phase(
-    cfg: &GpuConfig,
+    ctx: &PhaseCtx<'_, '_, '_, '_>,
     t: u64,
     core: &mut Core,
     out: &mut Outbox,
-    launches: &[LaunchState],
-    core_idx: usize,
-    want_trace: bool,
     wi: usize,
 ) {
     let (li, wg, win) = {
@@ -569,9 +605,9 @@ fn retire_warp_phase(
     };
     push_trace(
         out,
-        want_trace,
+        ctx.want_trace,
         t,
-        core_idx,
+        ctx.core_idx,
         li,
         wg,
         win,
@@ -585,9 +621,9 @@ fn retire_warp_phase(
         .filter(|w| w.launch_idx == li && w.wg == wg)
         .all(|w| w.done);
     if wg_done {
-        let freed_regs = launches[li].warps_per_wg
-            * usize::from(launches[li].launch.kernel.num_regs())
-            * cfg.warp_width;
+        let freed_regs = ctx.launches[li].warps_per_wg
+            * usize::from(ctx.launches[li].launch.kernel.num_regs())
+            * ctx.cfg.warp_width;
         let freed_shared: u64 = core
             .wgs
             .iter()
@@ -603,13 +639,11 @@ fn retire_warp_phase(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn exec_barrier_phase(
+    ctx: &PhaseCtx<'_, '_, '_, '_>,
     t: u64,
     core: &mut Core,
     out: &mut Outbox,
-    core_idx: usize,
-    want_trace: bool,
     wi: usize,
     li: usize,
 ) {
@@ -623,9 +657,9 @@ fn exec_barrier_phase(
     out.accs[li].instructions += 1;
     push_trace(
         out,
-        want_trace,
+        ctx.want_trace,
         t,
-        core_idx,
+        ctx.core_idx,
         li,
         wg,
         win,
@@ -661,25 +695,21 @@ fn release_barrier_at(core: &mut Core, li: usize, wg: u64, t: u64) {
 /// Shared-memory accesses are entirely core-local and run to completion;
 /// global loads/stores run functionally against the (lock-free) VM with
 /// snapshot-predicted timing; global atomics park for the drain.
-#[allow(clippy::too_many_arguments)]
 fn exec_mem_phase(
-    cfg: &GpuConfig,
+    ctx: &PhaseCtx<'_, '_, '_, '_>,
     t: u64,
-    core: &mut Core,
-    out: &mut Outbox,
-    check: &mut PhaseCheck<'_, '_, '_, '_>,
-    dram_view: &mut DramView,
-    launches: &[LaunchState],
-    shared: &SharedMemorySystem,
-    vm: &VirtualMemorySpace,
-    core_idx: usize,
-    want_trace: bool,
-    want_flight: bool,
+    slot: &mut CoreSlot<'_, '_>,
     wi: usize,
-    li: usize,
-    site: (BlockId, usize),
+    site: Site,
     instr: Instr,
 ) {
+    let CoreSlot {
+        core,
+        out,
+        shard,
+        dram_view,
+    } = slot;
+    let (core, out) = (&mut **core, &mut **out);
     let (is_store, addr, space, width, dst, src, is_atomic) = match instr {
         Instr::Ld {
             dst,
@@ -708,28 +738,29 @@ fn exec_mem_phase(
         park_warp(out, t, core, wi);
         return;
     }
+    let li = core.warps[wi].launch_idx;
+    let ls = &ctx.launches[li];
+    let (cfg, vm) = (ctx.cfg, ctx.vm);
     let width_b = width.bytes();
     let mut scratch = std::mem::take(&mut core.scratch);
 
-    // ---- AGU: per-lane addresses and store values (sequential logic) ----
+    // ---- AGU: per-lane addresses and store values -----------------------
     let mut store_vals: Row = [0; MAX_LANES];
     let ptr = {
-        let ctx = exec_ctx(&launches[li]);
+        let ectx = exec_ctx(ls);
         let warp = &core.warps[wi];
         if let Some(s) = src {
-            warp.load_row(s, &ctx, &mut store_vals);
+            warp.load_row(s, &ectx, &mut store_vals);
         }
-        gather_lane_vas(warp, addr, space, &ctx, &mut scratch.lane_vas)
+        gather_lane_vas(warp, addr, space, &ectx, &mut scratch.lane_vas)
     };
 
     if space == MemSpace::Shared {
         exec_shared_phase(
-            cfg,
+            ctx,
             t,
             core,
             out,
-            core_idx,
-            want_trace,
             wi,
             li,
             &scratch.lane_vas,
@@ -740,6 +771,13 @@ fn exec_mem_phase(
         );
         core.scratch = scratch;
         return;
+    }
+
+    // ---- Observed-range recording (before any verdict) ------------------
+    if ls.observed.is_some() {
+        if let Some(range) = warp_address_range(&scratch.lane_vas, width_b) {
+            widen(&mut out.observed, (li, site), range);
+        }
     }
 
     // ---- Translate + timing against the quantum-start snapshot ----------
@@ -756,7 +794,7 @@ fn exec_mem_phase(
             start
         } else {
             push_ev(out, start, Ev::Xlate(tx.base));
-            predict_translate(shared, dram_view, tx.base, start)
+            predict_translate(ctx.shared, dram_view, tx.base, start)
         };
         let tx_done = if core.l1d.access(pa) {
             (start + cfg.timings.l1_hit).max(t_ready + 1)
@@ -764,25 +802,33 @@ fn exec_mem_phase(
             all_l1_hit = false;
             let at = (start + cfg.timings.l1_hit).max(t_ready);
             push_ev(out, at, Ev::Data(pa));
-            predict_data(shared, dram_view, pa, at)
+            predict_data(ctx.shared, dram_view, pa, at)
         };
         done_at = done_at.max(tx_done);
     }
 
-    // ---- Bounds check via the core's shard (or the whole guard) ---------
-    let decision = launches[li].launch.plan.get(site);
+    // ---- Fault injection, then the bounds check -------------------------
+    let (mut ptr, mut decision) = (ptr, ls.launch.plan.get(site));
+    if let Some(fs) = ctx.fault {
+        (ptr, decision) =
+            inject_due_faults(fs, ctx.whole, vm, ctx.core_idx, t, (ptr, decision), |fe| {
+                if ctx.want_flight {
+                    push_ev(out, t, Ev::Flight(fe));
+                }
+            });
+    }
     let mut stall = 0u64;
     let mut verdict = GuardVerdict::Allow;
-    if check.some() {
+    if shard.is_some() || ctx.whole.is_some() {
         if decision == SiteCheck::Static {
             out.accs[li].checks_skipped += 1;
-            if launches[li].launch.plan.certified(site) {
+            if ls.launch.plan.certified(site) {
                 out.accs[li].checks_certified += 1;
             }
         } else if let Some(range) = warp_address_range(&scratch.lane_vas, width_b) {
             let access = MemAccess {
-                core: core_idx,
-                kernel_id: launches[li].launch.kernel_id,
+                core: ctx.core_idx,
+                kernel_id: ls.launch.kernel_id,
                 is_store,
                 space,
                 pointer: ptr,
@@ -793,7 +839,7 @@ fn exec_mem_phase(
                 active_lanes: scratch.lane_vas.iter().flatten().count(),
                 l1d_all_hit: all_l1_hit,
             };
-            let chk = check.check(&access, vm);
+            let chk = guard_check(shard.as_deref_mut(), ctx.whole, &access, vm);
             stall = chk.stall_cycles;
             verdict = chk.verdict;
             out.profile.bcu_checks += 1;
@@ -801,13 +847,13 @@ fn exec_mem_phase(
             out.accs[li]
                 .stall_attribution
                 .record(chk.path, chk.stall_cycles);
-            if want_flight {
+            if ctx.want_flight {
                 let w = &core.warps[wi];
                 push_ev(
                     out,
                     t,
                     Ev::Flight(FlightEvent::CheckVerdict {
-                        kernel_id: launches[li].launch.kernel_id,
+                        kernel_id: ls.launch.kernel_id,
                         wg: w.wg as u32,
                         warp: w.warp_in_wg as u16,
                         block: site.0 .0,
@@ -865,9 +911,9 @@ fn exec_mem_phase(
         let (wgid, win) = (w.wg, w.warp_in_wg);
         push_trace(
             out,
-            want_trace,
+            ctx.want_trace,
             t,
-            core_idx,
+            ctx.core_idx,
             li,
             wgid,
             win,
@@ -897,16 +943,13 @@ fn exec_mem_phase(
     acc.guard_stall_cycles += stall;
 }
 
-/// Shared-memory access: on-chip, core-local, no VM, no bounds checking —
-/// the sequential `exec_shared_mem` verbatim against core-local state.
+/// Shared-memory access: on-chip, core-local, no VM, no bounds checking.
 #[allow(clippy::too_many_arguments)]
 fn exec_shared_phase(
-    cfg: &GpuConfig,
+    ctx: &PhaseCtx<'_, '_, '_, '_>,
     t: u64,
     core: &mut Core,
     out: &mut Outbox,
-    core_idx: usize,
-    want_trace: bool,
     wi: usize,
     li: usize,
     lane_vas: &[Option<u64>],
@@ -918,7 +961,7 @@ fn exec_shared_phase(
     out.profile.shared_issues += 1;
     let wg = core.warps[wi].wg;
     let start = t.max(core.lsu_busy_until);
-    let done_at = start + cfg.timings.l1_hit;
+    let done_at = start + ctx.cfg.timings.l1_hit;
     let wg_idx = core
         .wgs
         .iter()
@@ -931,11 +974,16 @@ fn exec_shared_phase(
     for (lane, va) in lane_vas.iter().enumerate() {
         let Some(va) = va else { continue };
         if n == 0 {
+            // Kernel accessed shared memory without declaring any;
+            // reads yield zero, writes are dropped.
             if let Some(d) = dst {
                 warp.set_reg(d, lane, 0);
             }
             continue;
         }
+        // Out-of-bounds shared accesses wrap inside the workgroup's
+        // allocation (on-chip scratch is not protected by GPUShield;
+        // Table 1 lists shared-memory overflow as possible).
         if is_atomic {
             // Decode always materialises an addend vector for atomics; a
             // missing one is treated as adding zero rather than a panic.
@@ -974,9 +1022,9 @@ fn exec_shared_phase(
     let (wgid, win) = (warp.wg, warp.warp_in_wg);
     push_trace(
         out,
-        want_trace,
+        ctx.want_trace,
         t,
-        core_idx,
+        ctx.core_idx,
         li,
         wgid,
         win,
@@ -993,10 +1041,8 @@ fn exec_shared_phase(
     acc.mem_instructions += 1;
 }
 
-/// Runs `launches` to completion on the cycle-quantum engine. The
-/// entry point behind [`super::Gpu::run`], [`super::Gpu::run_multi`],
-/// [`super::Gpu::run_traced`] and [`super::Gpu::run_instrumented`];
-/// fault-injected and observed-range runs keep the sequential engine.
+/// Runs `launches` to completion on the cycle-quantum engine, feeding
+/// `sinks`. The entry point behind every `Gpu::run_*`.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_engine(
     cfg: &GpuConfig,
@@ -1006,20 +1052,31 @@ pub(super) fn run_engine(
     launches: &[KernelLaunch],
     mode: MultiKernelMode,
     mut guard: Option<&mut dyn MemGuard>,
-    trace: Option<&mut Trace>,
-    registry: Option<&mut Registry>,
-    flight: Option<&mut FlightRecorder>,
+    sinks: Sinks<'_>,
 ) -> Result<RunReport, RunError> {
-    let ls = build_launch_states(cfg, launches)?;
+    let Sinks {
+        trace,
+        registry,
+        flight,
+        fault,
+        observed_ranges,
+    } = sinks;
+    let mut ls = build_launch_states(cfg, launches)?;
+    if observed_ranges {
+        for l in &mut ls {
+            l.observed = Some(HashMap::new());
+        }
+    }
     let n = cfg.num_cores;
     let vm: &VirtualMemorySpace = vm;
 
-    // A forkable guard always runs sharded — even single-threaded — so the
+    // A forkable guard runs sharded — even single-threaded — so the
     // per-core check sequences are the same for every worker count. A
-    // non-forkable guard is shared behind a mutex and forces one worker,
-    // which keeps its global check order canonical (core-major).
+    // non-forkable guard, or one a fault session corrupts, is shared
+    // whole behind a mutex and forces one worker, which keeps its global
+    // check order (and the session's access counter) canonical.
     let (forked, whole) = match guard.as_deref_mut() {
-        Some(g) if g.supports_fork(n) => (
+        Some(g) if fault.is_none() && g.supports_fork(n) => (
             Some(
                 g.fork_cores(n)
                     .expect("supports_fork implies fork_cores succeeds"),
@@ -1029,9 +1086,10 @@ pub(super) fn run_engine(
         Some(g) => (None, Some(Mutex::new(g))),
         None => (None, None),
     };
+    let fault = fault.map(Mutex::new);
     // More workers than host threads only adds spin-barrier contention;
     // the report is the same at any worker count.
-    let workers = if whole.is_some() {
+    let workers = if whole.is_some() || fault.is_some() {
         1
     } else {
         cfg.sim_threads
@@ -1083,37 +1141,23 @@ pub(super) fn run_engine(
             if slot.core.next_ready_at >= t1 {
                 continue;
             }
-            let CoreSlot {
-                core,
-                out,
-                shard,
-                dram_view,
-            } = &mut *slot;
             let lr = lock_ok(launches_lk.read());
             let sr = lock_ok(shared_lk.read());
             // DRAM only changes at the drain, so the view taken here is
             // the quantum-start state for the whole phase.
-            sr.dram().refresh_view(dram_view);
-            let mut check = match (shard.as_deref_mut(), whole.as_ref()) {
-                (Some(s), _) => PhaseCheck::Shard(s),
-                (None, Some(m)) => PhaseCheck::Whole(m),
-                (None, None) => PhaseCheck::None,
-            };
-            advance_core(
+            sr.dram().refresh_view(slot.dram_view);
+            let ctx = PhaseCtx {
                 cfg,
-                t0,
-                t1,
-                core,
-                out,
-                &mut check,
-                dram_view,
-                &lr,
-                &sr,
+                launches: &lr,
+                shared: &sr,
                 vm,
-                i,
+                whole: whole.as_ref(),
+                fault: fault.as_ref(),
+                core_idx: i,
                 want_trace,
                 want_flight,
-            );
+            };
+            advance_core(&ctx, t0, t1, &mut slot);
         }
     };
 
@@ -1126,12 +1170,14 @@ pub(super) fn run_engine(
         let mut quanta: u64 = 0;
         let mut busy_totals = vec![0u64; n];
         let mut max_skew: u64 = 0;
-        let mut tele = registry.map(|reg| ParTele::new(reg, n));
-        let mut trace = trace;
-        let mut flight = flight;
+        let mut feeds = Feeds {
+            trace,
+            tele: registry.map(|reg| Tele::new(reg, n)),
+            flight,
+        };
         loop {
             if cycle >= cfg.max_cycles {
-                if let Some(f) = flight.as_mut() {
+                if let Some(f) = feeds.flight.as_mut() {
                     f.record(
                         cycle,
                         FlightEvent::WatchdogTrip {
@@ -1154,13 +1200,13 @@ pub(super) fn run_engine(
                     cycle,
                     &mut age_seq,
                     &mut rr_cursor,
-                    &mut trace,
+                    &mut feeds.trace,
                 );
                 if lw.iter().all(|l| l.finished()) {
                     break;
                 }
             }
-            sample_occupancy_par(&mut tele, cycle, &slots);
+            sample_occupancy(&mut feeds.tele, cycle, &slots);
             let t1 = cycle.saturating_add(QUANTUM).min(cfg.max_cycles);
             t0a.store(cycle, Ordering::Relaxed);
             t1a.store(t1, Ordering::Relaxed);
@@ -1173,15 +1219,14 @@ pub(super) fn run_engine(
                 &launches_lk,
                 &shared_lk,
                 vm,
-                &whole,
+                whole.as_ref(),
+                fault.as_ref(),
                 &mut heaps,
                 &mut profile,
-                &mut trace,
-                &mut tele,
+                &mut feeds,
                 keys,
                 &mut busy_totals,
                 &mut max_skew,
-                &mut flight,
             )?;
             if lock_ok(launches_lk.read()).iter().all(|l| l.finished()) {
                 break;
@@ -1219,9 +1264,8 @@ pub(super) fn run_engine(
                         // Clamp to the watchdog budget so the error reports
                         // the budget cycle, not a far-future wakeup.
                         let target = nr.max(t1).min(cfg.max_cycles);
-                        if let Some(t) = tele.as_mut() {
-                            let tb = &mut t.base;
-                            tb.reg.add(tb.idle_skip_cycles, target - cycle);
+                        if let Some(t) = feeds.tele.as_mut() {
+                            t.reg.add(t.idle_skip_cycles, target - cycle);
                         }
                         cycle = target;
                     }
@@ -1239,13 +1283,11 @@ pub(super) fn run_engine(
             .map(|l| l.report.end_cycle)
             .max()
             .unwrap_or(0);
-        if let Some(t) = tele.as_mut() {
-            let qc = t.quantum_count;
-            let ms = t.max_skew;
-            t.base.reg.add(qc, quanta);
-            t.base.reg.set(ms, max_skew);
-            for (i, id) in t.busy.iter().enumerate() {
-                t.base.reg.set(*id, busy_totals[i]);
+        if let Some(t) = feeds.tele.as_mut() {
+            t.reg.add(t.quantum_count, quanta);
+            t.reg.set(t.max_skew, max_skew);
+            for (id, busy) in t.busy.iter().zip(&busy_totals) {
+                t.reg.set(*id, *busy);
             }
         }
         Ok((final_cycles, profile))
@@ -1277,7 +1319,7 @@ pub(super) fn run_engine(
     profile.dram_accesses = dram.requests;
     Ok(RunReport {
         cycles: final_cycles,
-        launches: ls.into_iter().map(|l| l.report).collect(),
+        launches: ls.into_iter().map(LaunchState::into_report).collect(),
         l1d,
         l1_tlb: l1tlb,
         l2: shared.l2_stats(),
@@ -1285,6 +1327,21 @@ pub(super) fn run_engine(
         dram,
         profile,
     })
+}
+
+impl LaunchState {
+    /// The launch's report, with its observed ranges sorted by site.
+    fn into_report(self) -> LaunchReport {
+        let mut report = self.report;
+        if let Some(obs) = self.observed {
+            report.observed_ranges = obs
+                .into_iter()
+                .map(|(site, (lo, hi))| ObservedRange { site, lo, hi })
+                .collect();
+            report.observed_ranges.sort_unstable_by_key(|r| r.site);
+        }
+        report
+    }
 }
 
 fn launch_allowed_on_core(
@@ -1303,8 +1360,10 @@ fn launch_allowed_on_core(
     }
 }
 
-/// Round-robin workgroup dispatch at a quantum boundary — the sequential
-/// dispatcher verbatim, run serially by the driver thread.
+/// Round-robin workgroup dispatch at a quantum boundary, run serially by
+/// the driver thread. Workgroups spread across cores (at most one new
+/// workgroup per core per round), as real dispatchers balance occupancy
+/// instead of packing one SM full first.
 #[allow(clippy::too_many_arguments)]
 fn try_dispatch(
     cfg: &GpuConfig,
@@ -1412,22 +1471,20 @@ fn dispatch_wg(
     true
 }
 
-/// Stride-bucket occupancy sampling at a quantum boundary (the sequential
-/// rule, evaluated over all cores by the driver thread).
-fn sample_occupancy_par(
-    tele: &mut Option<ParTele<'_>>,
-    cycle: u64,
-    slots: &[Mutex<CoreSlot<'_, '_>>],
-) {
+/// Samples the occupancy time series at a quantum boundary on
+/// stride-bucket crossings. The event skip jumps the cycle counter, so
+/// sampling keys on "has the cycle reached the next stride boundary"
+/// rather than exact cycle equality — one point per crossed bucket,
+/// deterministic in simulated time.
+fn sample_occupancy(tele: &mut Option<Tele<'_>>, cycle: u64, slots: &[Mutex<CoreSlot<'_, '_>>]) {
     let Some(t) = tele.as_mut() else {
         return;
     };
-    let tb = &mut t.base;
-    if cycle < tb.next_sample {
+    if cycle < t.next_sample {
         return;
     }
-    let stride = tb.reg.stride();
-    tb.next_sample = (cycle / stride + 1) * stride;
+    let stride = t.reg.stride();
+    t.next_sample = (cycle / stride + 1) * stride;
     let mut resident = 0u64;
     let mut ready = 0u64;
     for slot in slots {
@@ -1442,31 +1499,31 @@ fn sample_occupancy_par(
             }
         }
     }
-    tb.reg.sample(tb.resident_warps, cycle, resident);
-    tb.reg.sample(tb.ready_warps, cycle, ready);
+    t.reg.sample(t.resident_warps, cycle, resident);
+    t.reg.sample(t.ready_warps, cycle, ready);
 }
 
 /// The quantum drain, run serially by the driver thread. Pass 1 collects
-/// the outbox of every core that advanced (counters merge in core order;
-/// events gain their core in the sort key); pass 2 replays the events
-/// against the real shared system in canonical `(t, core, seq)` order.
-/// Returns the number of instructions issued across the quantum.
+/// the outbox of every core that advanced (counters merge in core order,
+/// observed ranges by min/max; events gain their core in the sort key);
+/// pass 2 replays the events against the real shared system in canonical
+/// `(t, core, seq)` order. Returns the number of instructions issued
+/// across the quantum.
 #[allow(clippy::too_many_arguments)]
-fn drain<'w, 'g>(
+fn drain(
     cfg: &GpuConfig,
     slots: &[Mutex<CoreSlot<'_, '_>>],
     launches_lk: &RwLock<Vec<LaunchState>>,
     shared_lk: &RwLock<&mut SharedMemorySystem>,
     vm: &VirtualMemorySpace,
-    whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
+    whole: Option<&WholeGuard<'_, '_>>,
+    fault: Option<&Mutex<&mut FaultSession>>,
     heaps: &mut HashMap<u64, HeapRun>,
     profile: &mut SimProfile,
-    trace: &mut Option<&mut Trace>,
-    tele: &mut Option<ParTele<'_>>,
+    feeds: &mut Feeds<'_>,
     keys: &mut Vec<DrainKey>,
     busy_totals: &mut [u64],
     max_skew: &mut u64,
-    flight: &mut Option<&mut FlightRecorder>,
 ) -> Result<u64, RunError> {
     keys.clear();
     let mut issued_total = 0u64;
@@ -1496,11 +1553,15 @@ fn drain<'w, 'g>(
             for (li, acc) in out.accs.iter_mut().enumerate() {
                 acc.drain_into(&mut lw[li].report);
             }
-            if let Some(t) = tele.as_mut() {
-                let tb = &mut t.base;
-                tb.reg.add(tb.no_issue_slots, out.no_issue);
+            for ((li, site), range) in out.observed.drain() {
+                if let Some(obs) = lw[li].observed.as_mut() {
+                    widen(obs, site, range);
+                }
+            }
+            if let Some(t) = feeds.tele.as_mut() {
+                t.reg.add(t.no_issue_slots, out.no_issue);
                 for &st in &out.stalls {
-                    tb.reg.observe(tb.visible_stall, st);
+                    t.reg.observe(t.visible_stall, st);
                 }
             }
             out.no_issue = 0;
@@ -1531,12 +1592,12 @@ fn drain<'w, 'g>(
                     shared.translate(va, k.t);
                 }
                 Ev::Trace(ev) => {
-                    if let Some(t) = trace.as_mut() {
+                    if let Some(t) = feeds.trace.as_mut() {
                         t.push(ev);
                     }
                 }
                 Ev::Flight(fe) => {
-                    if let Some(f) = flight.as_mut() {
+                    if let Some(f) = feeds.flight.as_mut() {
                         f.record(k.t, fe);
                     }
                 }
@@ -1547,7 +1608,7 @@ fn drain<'w, 'g>(
                     if lstate.finished() {
                         lstate.report.end_cycle = k.t;
                         let kid = lstate.launch.kernel_id;
-                        if let Some(f) = flight.as_mut() {
+                        if let Some(f) = feeds.flight.as_mut() {
                             f.record(k.t, FlightEvent::KernelComplete { kernel_id: kid });
                         }
                         guard_kernel_end(slots, whole, kid);
@@ -1564,9 +1625,8 @@ fn drain<'w, 'g>(
                         apply_abort(
                             slots,
                             &mut lw,
-                            trace,
+                            feeds,
                             whole,
-                            flight,
                             li,
                             wg,
                             win as usize,
@@ -1583,11 +1643,10 @@ fn drain<'w, 'g>(
                         shared,
                         vm,
                         whole,
+                        fault,
                         heaps,
                         profile,
-                        trace,
-                        tele,
-                        flight,
+                        feeds,
                         k.t,
                         k.core as usize,
                         li as usize,
@@ -1597,8 +1656,8 @@ fn drain<'w, 'g>(
                     if let Some(req) = pending {
                         if !lw[req.li].aborted {
                             apply_abort(
-                                slots, &mut lw, trace, whole, flight, req.li, req.wg, req.win,
-                                req.reason, k.t,
+                                slots, &mut lw, feeds, whole, req.li, req.wg, req.win, req.reason,
+                                k.t,
                             );
                         }
                     }
@@ -1626,18 +1685,17 @@ struct AbortReq {
 /// earlier in canonical order and the park is moot. Returns a pending
 /// abort request to apply after the slot lock drops.
 #[allow(clippy::too_many_arguments)]
-fn drain_parked<'w, 'g>(
+fn drain_parked(
     cfg: &GpuConfig,
     slots: &[Mutex<CoreSlot<'_, '_>>],
     lw: &mut [LaunchState],
     shared: &mut SharedMemorySystem,
     vm: &VirtualMemorySpace,
-    whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
+    whole: Option<&WholeGuard<'_, '_>>,
+    fault: Option<&Mutex<&mut FaultSession>>,
     heaps: &mut HashMap<u64, HeapRun>,
     profile: &mut SimProfile,
-    trace: &mut Option<&mut Trace>,
-    tele: &mut Option<ParTele<'_>>,
-    flight: &mut Option<&mut FlightRecorder>,
+    feeds: &mut Feeds<'_>,
     t: u64,
     ci: usize,
     li: usize,
@@ -1679,15 +1737,14 @@ fn drain_parked<'w, 'g>(
             Ok(None)
         }
         Instr::AtomAdd { .. } => Ok(drain_atom(
-            cfg, sl, lw, shared, vm, whole, profile, trace, tele, flight, t, ci, wi, li, pc, instr,
+            cfg, sl, lw, shared, vm, whole, fault, profile, feeds, t, ci, wi, li, pc, instr,
         )),
         _ => unreachable!("only malloc/free/global atomics park"),
     }
 }
 
-/// Device-heap `malloc`/`free` at the drain: the sequential allocator
-/// semantics at the park's issue cycle, against the (driver-owned) global
-/// heap cursor map.
+/// Device-heap `malloc`/`free` at the drain, at the park's issue cycle,
+/// against the (driver-owned) global heap cursor map.
 #[allow(clippy::too_many_arguments)]
 fn drain_malloc(
     cfg: &GpuConfig,
@@ -1771,22 +1828,21 @@ fn drain_malloc(
     Ok(())
 }
 
-/// A global-memory atomic at the drain: the sequential LSU/BCU pipeline
-/// verbatim at the park's issue cycle, against the *real* shared memory
-/// system — canonical order makes the read-modify-write sequence and its
-/// timing identical for every worker count.
+/// A global-memory atomic at the drain: the LSU/BCU pipeline at the
+/// park's issue cycle, against the *real* shared memory system —
+/// canonical order makes the read-modify-write sequence and its timing
+/// identical for every worker count.
 #[allow(clippy::too_many_arguments)]
-fn drain_atom<'w, 'g>(
+fn drain_atom(
     cfg: &GpuConfig,
     sl: &mut CoreSlot<'_, '_>,
     lw: &mut [LaunchState],
     shared: &mut SharedMemorySystem,
     vm: &VirtualMemorySpace,
-    whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
+    whole: Option<&WholeGuard<'_, '_>>,
+    fault: Option<&Mutex<&mut FaultSession>>,
     profile: &mut SimProfile,
-    trace: &mut Option<&mut Trace>,
-    tele: &mut Option<ParTele<'_>>,
-    flight: &mut Option<&mut FlightRecorder>,
+    feeds: &mut Feeds<'_>,
     t: u64,
     ci: usize,
     wi: usize,
@@ -1829,6 +1885,13 @@ fn drain_atom<'w, 'g>(
         gather_lane_vas(warp, addr, space, &ctx, &mut scratch.lane_vas)
     };
 
+    // ---- Observed-range recording (before any verdict) ------------------
+    if let Some(obs) = lw[li].observed.as_mut() {
+        if let Some(range) = warp_address_range(&scratch.lane_vas, width_b) {
+            widen(obs, site, range);
+        }
+    }
+
     // ---- Translate + real shared-system timing --------------------------
     let translation_fault = vm.first_lane_fault(&scratch.lane_vas);
     coalesce_warp_into(&scratch.lane_vas, width_b, &mut scratch.txs);
@@ -1853,8 +1916,15 @@ fn drain_atom<'w, 'g>(
         done_at = done_at.max(tx_done);
     }
 
-    // ---- Bounds check ----------------------------------------------------
-    let decision = lw[li].launch.plan.get(site);
+    // ---- Fault injection, then the bounds check --------------------------
+    let (mut ptr, mut decision) = (ptr, lw[li].launch.plan.get(site));
+    if let Some(fs) = fault {
+        (ptr, decision) = inject_due_faults(fs, whole, vm, ci, t, (ptr, decision), |fe| {
+            if let Some(f) = feeds.flight.as_mut() {
+                f.record(t, fe);
+            }
+        });
+    }
     let mut stall = 0u64;
     let mut verdict = GuardVerdict::Allow;
     if shard.is_some() || whole.is_some() {
@@ -1877,18 +1947,14 @@ fn drain_atom<'w, 'g>(
                 active_lanes: scratch.lane_vas.iter().flatten().count(),
                 l1d_all_hit: all_l1_hit,
             };
-            let chk = match (shard.as_deref_mut(), whole.as_ref()) {
-                (Some(s), _) => s.check(&access, vm),
-                (None, Some(m)) => lock_ok(m.lock()).check(&access, vm),
-                (None, None) => GuardCheck::allow_free(),
-            };
+            let chk = guard_check(shard.as_deref_mut(), whole, &access, vm);
             stall = chk.stall_cycles;
             verdict = chk.verdict;
             profile.bcu_checks += 1;
             let report = &mut lw[li].report;
             report.checks_performed += 1;
             report.stall_attribution.record(chk.path, chk.stall_cycles);
-            if let Some(f) = flight.as_mut() {
+            if let Some(f) = feeds.flight.as_mut() {
                 f.record(
                     t,
                     FlightEvent::CheckVerdict {
@@ -1941,7 +2007,7 @@ fn drain_atom<'w, 'g>(
     }
 
     // ---- Timing commit ---------------------------------------------------
-    if let Some(tr) = trace.as_mut() {
+    if let Some(tr) = feeds.trace.as_mut() {
         let w = &core.warps[wi];
         tr.push(TraceEvent {
             cycle: t,
@@ -1969,9 +2035,8 @@ fn drain_atom<'w, 'g>(
     profile.mem_issues += 1;
     profile.lsu_transactions += n_txs;
     profile.bcu_stall_cycles += stall;
-    if let Some(te) = tele.as_mut() {
-        let tb = &mut te.base;
-        tb.reg.observe(tb.visible_stall, stall);
+    if let Some(te) = feeds.tele.as_mut() {
+        te.reg.observe(te.visible_stall, stall);
     }
     let report = &mut lw[li].report;
     report.instructions += 1;
@@ -1981,23 +2046,22 @@ fn drain_atom<'w, 'g>(
     None
 }
 
-/// Strips an aborting launch from the whole machine at the drain — the
-/// sequential `abort_launch` semantics at the abort's issue cycle. Only
-/// the canonically-first abort event per launch gets here.
+/// Strips an aborting launch from the whole machine at the drain, at the
+/// abort's issue cycle. Only the canonically-first abort event per launch
+/// gets here.
 #[allow(clippy::too_many_arguments)]
-fn apply_abort<'w, 'g>(
+fn apply_abort(
     slots: &[Mutex<CoreSlot<'_, '_>>],
     lw: &mut [LaunchState],
-    trace: &mut Option<&mut Trace>,
-    whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
-    flight: &mut Option<&mut FlightRecorder>,
+    feeds: &mut Feeds<'_>,
+    whole: Option<&WholeGuard<'_, '_>>,
     li: usize,
     wg: u64,
     win: usize,
     reason: AbortReason,
     t: u64,
 ) {
-    if let Some(tr) = trace.as_mut() {
+    if let Some(tr) = feeds.trace.as_mut() {
         tr.push(TraceEvent {
             cycle: t,
             core: 0,
@@ -2015,7 +2079,7 @@ fn apply_abort<'w, 'g>(
         lstate.report.end_cycle = t;
         lstate.launch.kernel_id
     };
-    if let Some(f) = flight.as_mut() {
+    if let Some(f) = feeds.flight.as_mut() {
         f.record(
             t,
             FlightEvent::KernelAbort {
@@ -2041,9 +2105,9 @@ fn apply_abort<'w, 'g>(
 
 /// RCache flush on kernel end: every shard (core order) plus the whole
 /// guard when running unsharded.
-fn guard_kernel_end<'w, 'g>(
+fn guard_kernel_end(
     slots: &[Mutex<CoreSlot<'_, '_>>],
-    whole: &Option<Mutex<&'w mut (dyn MemGuard + 'g)>>,
+    whole: Option<&WholeGuard<'_, '_>>,
     kernel_id: u16,
 ) {
     for slot in slots {

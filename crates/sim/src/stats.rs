@@ -47,7 +47,8 @@ impl fmt::Display for AbortReason {
 }
 
 /// The extreme addresses one static memory instruction *attempted* to
-/// touch during a recorded run (see [`crate::Gpu::run_recorded`]).
+/// touch during a recorded run (see [`crate::Gpu::run_recorded`]), over
+/// every core and so independent of the engine's worker count.
 ///
 /// Ranges are captured after address generation but before the bounds
 /// check renders a verdict, so an out-of-bounds attempt is visible here
@@ -98,7 +99,8 @@ pub struct LaunchReport {
     /// Early-termination reason, if any.
     pub abort: Option<AbortReason>,
     /// Per-site observed address extremes, sorted by site. Empty unless the
-    /// run was started via [`crate::Gpu::run_recorded`].
+    /// run was started via [`crate::Gpu::run_recorded`] (which changes
+    /// nothing else in the report).
     pub observed_ranges: Vec<ObservedRange>,
     /// Per-path bounds-check counts and visible stall cycles (the Fig. 13
     /// attribution axis). Always recorded — plain `u64` increments on an

@@ -21,14 +21,16 @@ echo "== panic-surface gate (driver/sim/mem unwrap+expect ceiling)"
 # conversion to a structured error or a deliberate ceiling bump here.
 panic_sites=$(grep -rEo '\.unwrap\(\)|\.expect\(' \
     crates/driver/src crates/sim/src crates/mem/src | wc -l)
-# 134 = 137 + 3 remaining invariant assertions in sim/par.rs (live PCs,
+# 131 = 137 + 3 remaining invariant assertions in sim/par.rs (live PCs,
 # resident workgroups, forkable guards) - 6 expects the serial engine's
-# LSU dropped when both engines moved onto the shared lane data path;
-# every checked-translation and decoded-operand expect is now a typed
-# MemFault abort or a defensive skip, so a lane straddling into an
-# unmapped page or a metadata mapping changing mid-run degrades
-# gracefully instead of panicking.
-panic_ceiling=134
+# LSU dropped when both engines moved onto the shared lane data path
+# - 3 more (live PC, resident workgroup, atomic addend) that went with
+# the serial engine itself, once audited and fault-injected runs moved
+# onto the cycle-quantum engine; every checked-translation and
+# decoded-operand expect is now a typed MemFault abort or a defensive
+# skip, so a lane straddling into an unmapped page or a metadata
+# mapping changing mid-run degrades gracefully instead of panicking.
+panic_ceiling=131
 if [[ "$panic_sites" -gt "$panic_ceiling" ]]; then
     echo "panic surface grew: $panic_sites unwrap/expect sites in" \
          "driver+sim+mem (ceiling $panic_ceiling)" >&2
@@ -92,10 +94,12 @@ if [[ "${CI_PERF:-1}" == "1" ]]; then
     echo "== fault-resilience smoke run (CI_PERF=0 to skip)"
     # The injected-fault sweep must classify every trial and terminate
     # within the tightened watchdog budget; identical matrices at 1 and 8
-    # jobs pin the determinism guarantee.
+    # jobs and at 1 and 7 sim-threads pin the determinism guarantee.
     ./target/release/experiments fault_resilience "$out" --jobs 1 --max-cycles 100000
     mv "$out/fault_resilience.txt" "$out/fault_resilience.j1.txt"
     ./target/release/experiments fault_resilience "$out" --jobs 8 --max-cycles 100000
+    cmp "$out/fault_resilience.j1.txt" "$out/fault_resilience.txt"
+    ./target/release/experiments fault_resilience "$out" --jobs 8 --max-cycles 100000 --sim-threads 7
     cmp "$out/fault_resilience.j1.txt" "$out/fault_resilience.txt"
     grep -q '"quarantined": false' "$out/fault_resilience.json"
 fi

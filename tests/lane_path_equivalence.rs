@@ -2,14 +2,21 @@
 //!
 //! Every registry workload and every specimen of the default fuzz corpus
 //! (all nine planted-bug classes, including the page-straddling and
-//! out-of-bounds ones) runs through both engines: the quantum engine
-//! (`Gpu::run`, via `System::launch`) at one and two workers, and the
-//! serial audit engine (`Gpu::run_recorded`, via `System::launch_audited`).
-//! Each run is reduced to an FNV-1a fingerprint of every launch result
-//! (`Debug` of the report or error), the violation log and the final
-//! bytes of every buffer and of the device heap. The pinned values were
-//! recorded with the per-lane load/store loops the page-run lane path
-//! replaced, so any drift in reports or memory images fails here.
+//! out-of-bounds ones) runs on the cycle-quantum engine three ways: plain
+//! (`Gpu::run`, via `System::launch`) at one and two workers, and audited
+//! (`Gpu::run_recorded`, via `System::launch_audited`). Each run is
+//! reduced to an FNV-1a fingerprint of every launch result (`Debug` of
+//! the report or error), the violation log and the final bytes of every
+//! buffer and of the device heap. The pinned values were recorded with
+//! the per-lane load/store loops the page-run lane path replaced, so any
+//! drift in reports or memory images fails here.
+//!
+//! Recording observed ranges must not perturb the run: the audited
+//! fingerprint, with every report's `observed_ranges` cleared, equals the
+//! plain one. The ranges themselves fold into a second pin per registry
+//! workload, recorded on the serial engine that audited runs used before
+//! they moved onto the quantum engine, so the move left every site's
+//! attempted-address extremes where they were.
 //!
 //! At two workers only the reports are compared (against one worker's):
 //! plain stores racing across cores inside one cycle quantum have no
@@ -31,127 +38,119 @@ use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand, TaggedPt
 use gpushield_workloads::{all, BufId, HostApi, Suite, WArg};
 use std::sync::Arc;
 
-/// `(workload, quantum-engine fingerprint, serial-engine fingerprint)`.
+/// `(workload, fingerprint, observed-range fingerprint)`.
 const WORKLOAD_PINS: &[(&str, u64, u64)] = &[
-    ("mm", 0xd14801cea359bb65, 0x3a9174412c9e2240),
-    ("ConvSep", 0x2c92e18954b82acd, 0x4bc72b5f71e21144),
-    ("kmeans", 0x50c106e7b47cebc7, 0xdbbcb024011db10e),
-    ("backprop", 0x0d2ba24534243fd5, 0x565b25d25f5a0ebd),
-    ("sad", 0x1d301b45567cfa79, 0x3080ed5a7cf4fe9e),
-    ("spmv", 0x6889394bc4b76ee1, 0x91831ba8306be8f3),
-    ("stencil", 0xec0b41505f8661ec, 0xb3eaa922ba25c1ee),
-    ("ScalarProd", 0x7682de626dc1b410, 0x32db86d79792f2b1),
-    ("vectoradd", 0x3dbf7f5c7c87b0a7, 0x8df7d8597847badc),
-    ("dct", 0x0515b95530ed88e8, 0x4fbce8c66b3c7b29),
-    ("Reduction", 0xba27eb278325c5ef, 0x0ade1a1c65e498e1),
-    ("bc", 0x7b5f842939d84084, 0xac236ea5ca94cd50),
-    ("bfs-dtc", 0x6e026ca56014cd59, 0x05c45d6a49df7908),
-    ("gc-dtc", 0x7eb09b887e7a57da, 0xcf3fd64a24b37648),
-    ("sssp-dwc", 0x5d23f29050e25815, 0x4215caeb45ee58d9),
-    ("lavaMD", 0x632f3ed18fb927c0, 0x99ac7a8aeb6664d8),
-    ("gaussian", 0x90ea745fe6d2d725, 0x6434cbc5a4cbea28),
-    ("nn-256k-1", 0x6f954d20a402fa9e, 0x384a28fa182b3049),
-    ("pagerank", 0x27236ad03e840bfa, 0x0d6bda49ce1f37c0),
-    ("kcore", 0x7d7d2b2c08a6cd43, 0x447eb0803b5eb069),
-    ("trianglecount", 0x0a02aeb9eb51743e, 0x305a08e0b4bddb99),
-    ("cutcp", 0x8e901343ce07da7b, 0xcc1db1cb67b3a375),
-    ("tpacf", 0x3ed7e20c311f761a, 0x4b26cb4b08dc6290),
-    ("blacksholes", 0xed94f72ae04ed3be, 0xe1371fd38efbd758),
-    ("mersennetwister", 0x6ed60134d3cc0d29, 0x42397e24818430e6),
-    ("sorting", 0x82e00739b37201fe, 0xb0cfbc069cd67aee),
-    ("shoc-reduction", 0x355fa5c7fdc050eb, 0x368ccb055db90625),
-    ("scan", 0x1103273498d477ac, 0x475b202ed0222b78),
-    ("MergeSort", 0x3fd6d0bb9da7eec5, 0x752be9462b870ebb),
-    ("mri-q", 0xb5549af34df481ca, 0x5f2901b402446c58),
-    ("SobolQRNG", 0xfade69f6a0de584b, 0x8ede09c7921cd7f1),
-    ("DwtHarr", 0x080e0d67aa33e9a8, 0xd0c0d281aeef2ec6),
-    ("hotspot", 0xa3340e512ada4f9c, 0xaf478b01217b1107),
-    ("lud-64", 0xdae5c839ef1aa38f, 0x70bc44b9076882fd),
-    ("lud-256", 0x240973caf378c3a8, 0xee0cf2e68ff1de9a),
-    ("LineOfSight", 0xa950d2519158e06c, 0xeb0a06fc1a890499),
-    ("Dxtc", 0x9e0615883de6c821, 0xb1ac71728e867917),
-    ("Histogram", 0xab2e1a4acb1f4af6, 0x3f6ba75d964344be),
-    ("HSOpticalFlow", 0x0f5925ebc3cd7149, 0x23323e886eb30777),
-    ("streamcluster", 0xb62f567dfa4a344d, 0x60c71842f47771ca),
-    ("nw", 0x840e6fa26d277da7, 0xe41bb08d58930ce8),
-    ("transpose", 0x7e0832e259b04a3e, 0x4168f2581b7891e4),
-    ("sgemm", 0xe1db30187726ce23, 0xa9729ff1abd0d43a),
-    ("lbm", 0xecd62a91ae54044d, 0x8c7e28378219e1ae),
-    ("histo", 0xdf96b0e1a59fbe9d, 0x27c3ae4d2888a2a2),
-    ("mri-gridding", 0x061bc30a1ee981d6, 0x95b355a9b28c6e80),
-    ("atax", 0x3da387ba6c93b857, 0x17134d6ba125b725),
-    ("bicg", 0x31dc450a9fbc1d1c, 0x11e97adb1c9a39ca),
-    ("mvt", 0x9d3cdb98bf0292e0, 0xbd3e91fbfa255e27),
-    ("gemver", 0x8f0e6392798c278a, 0xdc7841301f1ae396),
-    ("jacobi2d", 0xec7fdec9e1583759, 0xffc1d13741050075),
-    ("fdtd2d", 0x388de3ca7f60fa4b, 0x81e7433d0584b724),
-    ("correlation", 0x0f41306f56910a4a, 0x4c44b49a9ba1d494),
-    ("covariance", 0x5ad9d99dea2a70e9, 0xe52e5d3b0c062f07),
-    ("scalarprod-shoc", 0x22c5b674c3df0571, 0xa83eb90216b0c30b),
-    ("spmv-shoc", 0xe0555694eb4e1e22, 0x13f54db8e1903705),
-    ("md", 0x60799629d2ae5caf, 0xb0367aabec6a32a2),
-    ("fft", 0x9a51422d994dadaf, 0x39da3b49015ea486),
-    ("quasirandom", 0x481d5f49ebcc0b67, 0xc79e3fc22bec480a),
-    ("binomialoptions", 0x1d9fa2711d4db49f, 0x82f58fc6ae110ace),
-    ("montecarlo-fb", 0x291bb3ddb9774f81, 0xacc7d47cfa27ca16),
-    ("b+tree", 0xe9604c84b0cc37d6, 0x08bacd1539dd40f6),
-    ("cfd", 0x9c9e9af24304b5f0, 0xe53f57d2aeacc30d),
-    ("dwt2d", 0x985702a96d69237d, 0xc581b3c124323ff8),
-    ("heartwall", 0x566858839f5f359b, 0x9a028d9e77aaff6d),
-    ("hotspot3D", 0x264175f83b46a3cd, 0xc92603a696caa6b4),
-    ("hybridsort", 0xe9f3d69c67940a83, 0x4ec303d4ffafdd7e),
-    ("myocyte", 0x83765eac884787fa, 0xc7f953b4d24146fc),
-    ("particlefilter", 0xbd68c793dfbc17c7, 0x1a60f1024bdb75e7),
-    ("pathfinder", 0x42c555904cd6ae25, 0xc7a9156ff5a0df05),
-    ("srad", 0xada77b3391b24ad6, 0x4a8af9a8270dd69d),
-    ("ocl:backprop", 0x94ebb1b8b6e63611, 0x79d01996ca814fa1),
-    ("ocl:bfs", 0x9f099716eaa7e8db, 0xe4744f5c6c0458fa),
-    ("ocl:BitonicSort", 0xe2fbd4a27834093a, 0x6c8dc7eab79281da),
-    ("ocl:GEMM", 0x6c3abcb8fc8820ce, 0x67aff2e0ad96cb91),
-    ("ocl:image", 0x3bfd511df0493de4, 0x0a0099b214e97e1d),
-    ("ocl:lavaMD", 0xb9b2197a916c4777, 0x606cf286bbfd3814),
-    ("ocl:MedianFilter", 0x4298a0514dc4f391, 0xe7bf2b764003cb5e),
-    ("ocl:cfd", 0xb656a08b86baa9ab, 0x68a821cd81b1abd2),
-    ("ocl:MonteCarlo", 0x8a83c8296247abe4, 0x81d8b772b703cae2),
-    ("ocl:pathfinder", 0x0f6656ca096e67ac, 0x6038a2e2db3f77c5),
-    ("ocl:svm", 0x1f21175c86535137, 0xc43c7f7cd7586a72),
-    ("ocl:hotspot", 0x3f32c312eb990a20, 0xaf57154e54ccbef0),
-    ("ocl:hotspot3D", 0x8f0f1f33872b40c5, 0x84341100d5e0a31e),
-    ("ocl:hybridsort", 0xb9ca45e2e8f0694f, 0xf47b79f39476e267),
-    ("ocl:kmeans", 0x104a8ecb7771e659, 0xa06628c58c782a03),
-    ("ocl:nn", 0xe38de7ad4d6269d5, 0x4111b532d6d5008b),
-    ("ocl:streamcluster", 0x3d988ef4b24412dd, 0xc8b7b9c9240d0956),
+    ("mm", 0xd14801cea359bb65, 0xee702c8e0619e191),
+    ("ConvSep", 0x2c92e18954b82acd, 0x16461ca84f5cc05e),
+    ("kmeans", 0x50c106e7b47cebc7, 0x4f8af8608e672070),
+    ("backprop", 0x0d2ba24534243fd5, 0x92b417935d4380d9),
+    ("sad", 0x1d301b45567cfa79, 0x52aae028c23abd1a),
+    ("spmv", 0x6889394bc4b76ee1, 0xe28da970452250fc),
+    ("stencil", 0xec0b41505f8661ec, 0xfe1ec4b13b197a11),
+    ("ScalarProd", 0x7682de626dc1b410, 0x73285946af3adeb7),
+    ("vectoradd", 0x3dbf7f5c7c87b0a7, 0x04c2b67f5f1672b1),
+    ("dct", 0x0515b95530ed88e8, 0x510a35a3e8996214),
+    ("Reduction", 0xba27eb278325c5ef, 0x0d1db61a3a4defa5),
+    ("bc", 0x7b5f842939d84084, 0x1e90549031ddaab0),
+    ("bfs-dtc", 0x6e026ca56014cd59, 0x48eb1a8ce6bb237f),
+    ("gc-dtc", 0x7eb09b887e7a57da, 0x921da41adb084075),
+    ("sssp-dwc", 0x5d23f29050e25815, 0x9b05b7aa0c9fe249),
+    ("lavaMD", 0x632f3ed18fb927c0, 0x304e7c8f6f2a02c6),
+    ("gaussian", 0x90ea745fe6d2d725, 0x1ea35c5a34f0d7c7),
+    ("nn-256k-1", 0x6f954d20a402fa9e, 0x8c694e096e99a99b),
+    ("pagerank", 0x27236ad03e840bfa, 0xdcd4cd43367e31ee),
+    ("kcore", 0x7d7d2b2c08a6cd43, 0x5c6927be294b5cb5),
+    ("trianglecount", 0x0a02aeb9eb51743e, 0xecdbfe2a0f67a79e),
+    ("cutcp", 0x8e901343ce07da7b, 0x563ac7ffe4201e5e),
+    ("tpacf", 0x3ed7e20c311f761a, 0xa92ff6345f0f19a2),
+    ("blacksholes", 0xed94f72ae04ed3be, 0xeeb592cc6ce20520),
+    ("mersennetwister", 0x6ed60134d3cc0d29, 0xe34b4077f67e7ee0),
+    ("sorting", 0x82e00739b37201fe, 0x69b7b89e5993e58d),
+    ("shoc-reduction", 0x355fa5c7fdc050eb, 0xc7c01519dd63177b),
+    ("scan", 0x1103273498d477ac, 0x7e7506487e5e6731),
+    ("MergeSort", 0x3fd6d0bb9da7eec5, 0x09dc8d3fddf1329d),
+    ("mri-q", 0xb5549af34df481ca, 0x2ef8c969c1260415),
+    ("SobolQRNG", 0xfade69f6a0de584b, 0x73285946af3adeb7),
+    ("DwtHarr", 0x080e0d67aa33e9a8, 0x10f9b3014dad6209),
+    ("hotspot", 0xa3340e512ada4f9c, 0xfa30d585572b631a),
+    ("lud-64", 0xdae5c839ef1aa38f, 0xc82491dfae0006a5),
+    ("lud-256", 0x240973caf378c3a8, 0xbee3058a682bfa85),
+    ("LineOfSight", 0xa950d2519158e06c, 0x73285946af3adeb7),
+    ("Dxtc", 0x9e0615883de6c821, 0x90573ba1288db957),
+    ("Histogram", 0xab2e1a4acb1f4af6, 0xb4c7b63437c9321f),
+    ("HSOpticalFlow", 0x0f5925ebc3cd7149, 0x27823e7ccf4473cd),
+    ("streamcluster", 0xb62f567dfa4a344d, 0xedf7b4ff4f2be735),
+    ("nw", 0x840e6fa26d277da7, 0xc66b4d5ad2d66165),
+    ("transpose", 0x7e0832e259b04a3e, 0x64cacfa261d48d45),
+    ("sgemm", 0xe1db30187726ce23, 0x54f7301fd038243f),
+    ("lbm", 0xecd62a91ae54044d, 0x2768e19d64efe6ff),
+    ("histo", 0xdf96b0e1a59fbe9d, 0x01cad9ac78498d76),
+    ("mri-gridding", 0x061bc30a1ee981d6, 0x73285946af3adeb7),
+    ("atax", 0x3da387ba6c93b857, 0xfc8240bfea2b759a),
+    ("bicg", 0x31dc450a9fbc1d1c, 0x5f37b7c93c0b9c95),
+    ("mvt", 0x9d3cdb98bf0292e0, 0xee702c8e0619e191),
+    ("gemver", 0x8f0e6392798c278a, 0x9d3b58e69a75b70a),
+    ("jacobi2d", 0xec7fdec9e1583759, 0x9c384e6f1217f8d1),
+    ("fdtd2d", 0x388de3ca7f60fa4b, 0xc50378b329b7ea7b),
+    ("correlation", 0x0f41306f56910a4a, 0xb8d79a7f48a1be19),
+    ("covariance", 0x5ad9d99dea2a70e9, 0xb8d79a7f48a1be19),
+    ("scalarprod-shoc", 0x22c5b674c3df0571, 0x7752fc2322d8b6e5),
+    ("spmv-shoc", 0xe0555694eb4e1e22, 0xb4e083240b27c830),
+    ("md", 0x60799629d2ae5caf, 0x6ac00e0280cf5922),
+    ("fft", 0x9a51422d994dadaf, 0x25aacede979318fa),
+    ("quasirandom", 0x481d5f49ebcc0b67, 0x5622cee3343ba085),
+    ("binomialoptions", 0x1d9fa2711d4db49f, 0xf387dd6db0121ab2),
+    ("montecarlo-fb", 0x291bb3ddb9774f81, 0xc0b1306c19617a49),
+    ("b+tree", 0xe9604c84b0cc37d6, 0x78d906e53c5b9f2d),
+    ("cfd", 0x9c9e9af24304b5f0, 0x8cbdc1bb25020535),
+    ("dwt2d", 0x985702a96d69237d, 0xb8bfcedcf099eba5),
+    ("heartwall", 0x566858839f5f359b, 0xfc8240bfea2b759a),
+    ("hotspot3D", 0x264175f83b46a3cd, 0xd58fcaa8818fa5bc),
+    ("hybridsort", 0xe9f3d69c67940a83, 0x1b4fab1fbe45a256),
+    ("myocyte", 0x83765eac884787fa, 0xa418634749ea0fac),
+    ("particlefilter", 0xbd68c793dfbc17c7, 0x9ceece1c17bd05c0),
+    ("pathfinder", 0x42c555904cd6ae25, 0xc45a9718b30173bf),
+    ("srad", 0xada77b3391b24ad6, 0xb7de7cdb32afd5b7),
+    ("ocl:backprop", 0x94ebb1b8b6e63611, 0x92b417935d4380d9),
+    ("ocl:bfs", 0x9f099716eaa7e8db, 0xb264783c89eeaa4f),
+    ("ocl:BitonicSort", 0xe2fbd4a27834093a, 0x69b7b89e5993e58d),
+    ("ocl:GEMM", 0x6c3abcb8fc8820ce, 0xee702c8e0619e191),
+    ("ocl:image", 0x3bfd511df0493de4, 0x0ed4dc74a940742c),
+    ("ocl:lavaMD", 0xb9b2197a916c4777, 0x66e11b63e7a64a57),
+    ("ocl:MedianFilter", 0x4298a0514dc4f391, 0x3ba5a152ea7c6713),
+    ("ocl:cfd", 0xb656a08b86baa9ab, 0x01cc18adabbf0e05),
+    ("ocl:MonteCarlo", 0x8a83c8296247abe4, 0x53c7116e4ac6fc0f),
+    ("ocl:pathfinder", 0x0f6656ca096e67ac, 0xc45a9718b30173bf),
+    ("ocl:svm", 0x1f21175c86535137, 0xf8845a86bad750e1),
+    ("ocl:hotspot", 0x3f32c312eb990a20, 0xfa30d585572b631a),
+    ("ocl:hotspot3D", 0x8f0f1f33872b40c5, 0xd58fcaa8818fa5bc),
+    ("ocl:hybridsort", 0xb9ca45e2e8f0694f, 0x1b4fab1fbe45a256),
+    ("ocl:kmeans", 0x104a8ecb7771e659, 0x4f8af8608e672070),
+    ("ocl:nn", 0xe38de7ad4d6269d5, 0x065640208be7ce69),
+    ("ocl:streamcluster", 0x3d988ef4b24412dd, 0xedf7b4ff4f2be735),
 ];
 
-/// `(bug class, quantum-engine fingerprint, serial-engine fingerprint)`,
-/// each over the class's specimens in corpus order.
-const FUZZ_PINS: &[(&str, u64, u64)] = &[
-    ("static-oob-write", 0x6cd4e2ff387d6963, 0x01e280a723c56b77),
-    ("dyn-oob-read", 0x7089a29157106fe8, 0x65e477f74fd6bfd5),
-    ("heap-oob-write", 0x6467a85bdfaef7f2, 0x7c2f6e8cb06b3e97),
-    (
-        "intra-region-overflow",
-        0xf7efe849b32a02da,
-        0x11740caa80345994,
-    ),
-    ("use-after-free", 0xeab955dc60479e07, 0x5d2342b5c72447ef),
-    (
-        "partial-width-straddle",
-        0xed767d03771709ff,
-        0x5e521b1aa09d2153,
-    ),
-    ("local-oob-write", 0xfcff21f032eb7fee, 0x63c1e52518ec50b9),
-    ("shared-oob-write", 0x8f5e767b836a643e, 0xff3afcec04cf536e),
-    ("benign-control", 0x94fda66299495e94, 0x04ed2e1fd86fb4fc),
+/// `(bug class, fingerprint)`, each over the class's specimens in corpus
+/// order.
+const FUZZ_PINS: &[(&str, u64)] = &[
+    ("static-oob-write", 0x6cd4e2ff387d6963),
+    ("dyn-oob-read", 0x7089a29157106fe8),
+    ("heap-oob-write", 0x6467a85bdfaef7f2),
+    ("intra-region-overflow", 0xf7efe849b32a02da),
+    ("use-after-free", 0xeab955dc60479e07),
+    ("partial-width-straddle", 0xed767d03771709ff),
+    ("local-oob-write", 0xfcff21f032eb7fee),
+    ("shared-oob-write", 0x8f5e767b836a643e),
+    ("benign-control", 0x94fda66299495e94),
 ];
 
-/// Which engine a launch runs on.
+/// How a launch runs.
 #[derive(Clone, Copy)]
 enum Engine {
     /// `Gpu::run` with this many engine workers.
-    Quantum(usize),
-    /// `Gpu::run_recorded`.
-    Serial,
+    Plain(usize),
+    /// `Gpu::run_recorded` on one worker.
+    Audited,
 }
 
 struct Fnv(u64);
@@ -169,46 +168,67 @@ impl Fnv {
     }
 }
 
+/// What [`PinHost::finish`] folds one host's launches into.
+struct Prints {
+    /// Launch results and the violation log.
+    reports: u64,
+    /// `reports` plus every buffer's bytes and the device heap.
+    image: u64,
+    /// Every audited launch's observed ranges (the empty fold otherwise).
+    ranges: u64,
+}
+
 /// A workload host that fingerprints every launch as it happens.
 struct PinHost {
     sys: System,
     bufs: Vec<BufferHandle>,
     engine: Engine,
     fp: Fnv,
+    ranges: Fnv,
 }
 
 impl PinHost {
     fn new(mut cfg: SystemConfig, engine: Engine) -> Self {
-        if let Engine::Quantum(n) = engine {
-            cfg.gpu.sim_threads = n;
-        }
+        cfg.gpu.sim_threads = match engine {
+            Engine::Plain(n) => n,
+            Engine::Audited => 1,
+        };
         PinHost {
             sys: System::new(cfg),
             bufs: Vec::new(),
             engine,
             fp: Fnv::new(),
+            ranges: Fnv::new(),
         }
     }
 
+    /// Folds the launch result into the fingerprint. An audited launch's
+    /// observed ranges fold into their own fingerprint and are cleared
+    /// first, so the result reads as the plain launch's would.
     fn launch_args(&mut self, kernel: &Arc<Kernel>, grid: u32, block: u32, args: &[Arg]) {
         let line = match self.engine {
-            Engine::Quantum(_) => {
+            Engine::Plain(_) => {
                 format!("{:?}", self.sys.launch(kernel.clone(), grid, block, args))
             }
-            Engine::Serial => format!(
-                "{:?}",
-                self.sys
+            Engine::Audited => {
+                let mut result = self
+                    .sys
                     .launch_audited(kernel.clone(), grid, block, args)
-                    .map(|(report, _claims)| report)
-            ),
+                    .map(|(report, _claims)| report);
+                for l in result.iter_mut().flat_map(|r| &mut r.launches) {
+                    self.ranges
+                        .eat(format!("{:?}", l.observed_ranges).as_bytes());
+                    l.observed_ranges.clear();
+                }
+                format!("{result:?}")
+            }
         };
         self.fp.eat(line.as_bytes());
     }
 
     /// Folds the violation log into the report fingerprint, then every
-    /// buffer's bytes and the device heap into a copy of it. Returns
-    /// `(reports, reports + memory image)`.
-    fn finish(mut self) -> (u64, u64) {
+    /// buffer's bytes and the device heap into a copy of it.
+    fn finish(mut self) -> Prints {
         self.fp
             .eat(format!("{:?}", self.sys.violations()).as_bytes());
         let reports = self.fp.0;
@@ -223,7 +243,11 @@ impl PinHost {
             self.fp.eat(format!("{read:?}").as_bytes());
             self.fp.eat(&bytes);
         }
-        (reports, self.fp.0)
+        Prints {
+            reports,
+            image: self.fp.0,
+            ranges: self.ranges.0,
+        }
     }
 }
 
@@ -255,25 +279,23 @@ impl HostApi for PinHost {
     }
 }
 
-/// Checks `(name, quantum, serial)` rows against the pins, listing every
-/// row in paste-ready form on a mismatch.
-fn check_pins(what: &str, got: &[(String, u64, u64)], pins: &[(&str, u64, u64)]) {
-    let matches = got.len() == pins.len()
-        && got
-            .iter()
-            .zip(pins)
-            .all(|((n, q, s), (pn, pq, ps))| n == pn && q == pq && s == ps);
-    if !matches {
-        let rows: String = got
-            .iter()
-            .map(|(n, q, s)| format!("    ({n:?}, 0x{q:016x}, 0x{s:016x}),\n"))
-            .collect();
-        panic!("{what} fingerprints drifted from the pins; this run:\n{rows}");
+/// Checks paste-ready pin rows against the pins, listing every row of
+/// this run on a mismatch.
+fn check_pins(what: &str, got: &[String], pins: &[String]) {
+    if got != pins {
+        panic!(
+            "{what} fingerprints drifted from the pins; this run:\n{}",
+            got.concat()
+        );
     }
 }
 
+fn workload_row(name: &str, fp: u64, ranges: u64) -> String {
+    format!("    ({name:?}, 0x{fp:016x}, 0x{ranges:016x}),\n")
+}
+
 #[test]
-fn registry_workloads_match_the_pinned_fingerprints_on_both_engines() {
+fn registry_workloads_match_the_pinned_fingerprints() {
     let mut got = Vec::new();
     for w in all() {
         let target = match w.suite() {
@@ -286,22 +308,28 @@ fn registry_workloads_match_the_pinned_fingerprints_on_both_engines() {
             w.run(&mut host);
             host.finish()
         };
-        let (reports, quantum) = run(Engine::Quantum(1));
+        let plain = run(Engine::Plain(1));
         assert_eq!(
-            reports,
-            run(Engine::Quantum(2)).0,
+            plain.reports,
+            run(Engine::Plain(2)).reports,
             "{}: sim_threads 1 vs 2",
             w.name()
         );
-        got.push((w.name().to_string(), quantum, run(Engine::Serial).1));
+        let audited = run(Engine::Audited);
+        assert_eq!(plain.image, audited.image, "{}: audited vs plain", w.name());
+        got.push(workload_row(w.name(), plain.image, audited.ranges));
     }
-    check_pins("registry workload", &got, WORKLOAD_PINS);
+    let pins: Vec<String> = WORKLOAD_PINS
+        .iter()
+        .map(|&(n, fp, ranges)| workload_row(n, fp, ranges))
+        .collect();
+    check_pins("registry workload", &got, &pins);
 }
 
 /// Runs one fuzz specimen the way the fuzz sweep does, with a patterned
 /// sentinel allocation right after its buffers (where overflowing stores
-/// land), and returns [`PinHost::finish`]'s pair.
-fn run_specimen(s: &Specimen, engine: Engine) -> (u64, u64) {
+/// land).
+fn run_specimen(s: &Specimen, engine: Engine) -> Prints {
     let mut cfg = SystemConfig::nvidia_protected();
     cfg.driver.enable_type3 = true;
     cfg.driver.enable_elision = true;
@@ -323,22 +351,31 @@ fn run_specimen(s: &Specimen, engine: Engine) -> (u64, u64) {
     host.finish()
 }
 
+fn fuzz_row(class: &str, fp: u64) -> String {
+    format!("    ({class:?}, 0x{fp:016x}),\n")
+}
+
 #[test]
-fn fuzz_corpus_matches_the_pinned_fingerprints_on_both_engines() {
+fn fuzz_corpus_matches_the_pinned_fingerprints() {
     let specimens = corpus(CORPUS_SEED, PER_CLASS);
     let mut got = Vec::new();
     for class in BugClass::ALL {
-        let (mut quantum, mut serial) = (Fnv::new(), Fnv::new());
+        let mut fp = Fnv::new();
         for s in specimens.iter().filter(|s| s.bug.class == class) {
-            let (reports, with_image) = run_specimen(s, Engine::Quantum(1));
-            let sharded = run_specimen(s, Engine::Quantum(2)).0;
-            assert_eq!(reports, sharded, "{}: sim_threads 1 vs 2", s.name);
-            quantum.eat(&with_image.to_le_bytes());
-            serial.eat(&run_specimen(s, Engine::Serial).1.to_le_bytes());
+            let plain = run_specimen(s, Engine::Plain(1));
+            let sharded = run_specimen(s, Engine::Plain(2)).reports;
+            assert_eq!(plain.reports, sharded, "{}: sim_threads 1 vs 2", s.name);
+            let audited = run_specimen(s, Engine::Audited).image;
+            assert_eq!(plain.image, audited, "{}: audited vs plain", s.name);
+            fp.eat(&plain.image.to_le_bytes());
         }
-        got.push((class.slug().to_string(), quantum.0, serial.0));
+        got.push(fuzz_row(class.slug(), fp.0));
     }
-    check_pins("fuzz class", &got, FUZZ_PINS);
+    let pins: Vec<String> = FUZZ_PINS
+        .iter()
+        .map(|&(class, fp)| fuzz_row(class, fp))
+        .collect();
+    check_pins("fuzz class", &got, &pins);
 }
 
 /// Fingerprint of [`serving_session`], the same at one and two workers.

@@ -100,9 +100,9 @@ fn faulted_store_kernel() -> Arc<Kernel> {
     Arc::new(b.finish().unwrap())
 }
 
-/// A non-empty fault plan routes the run through the sequential engine
-/// (mid-run metadata corruption cannot be replayed against a snapshot),
-/// so `sim_threads` must have no observable effect on a faulted session
+/// A fault session runs the engine on one worker with the whole guard,
+/// so its access counter advances in one canonical order and
+/// `sim_threads` must have no observable effect on a faulted session
 /// either — report, injection record, verdicts, and memory identical.
 #[test]
 fn faulted_sessions_are_identical_at_every_worker_count() {

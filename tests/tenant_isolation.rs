@@ -7,11 +7,11 @@
 //! kernel ID.
 
 use gpushield::{
-    Arg, BcuConfig, DriverConfig, DriverError, GpuConfig, System, SystemConfig, SystemError,
-    TenantId, TenantTable, ViolationKind,
+    Arg, BcuConfig, DriverConfig, DriverError, GpuConfig, RunError, System, SystemConfig,
+    SystemError, TenantId, TenantTable, ViolationKind,
 };
 use gpushield_bench::serving::{run_serving, JobKind, ServingConfig};
-use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
+use gpushield_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
 use std::sync::Arc;
 
 fn strict_tenant_config() -> SystemConfig {
@@ -248,4 +248,60 @@ fn slice_exhaustion_is_typed_and_recoverable() {
     }
     let stats = tenants.stats(TenantId(0)).expect("stats");
     assert_eq!(stats.launches_completed, 3);
+}
+
+/// Spins while `flag[0]` is zero — forever, as nothing sets it.
+fn spin_kernel() -> Arc<Kernel> {
+    let mut b = KernelBuilder::new("isolation_spin");
+    let flag = b.param_buffer("flag", false);
+    b.while_loop(
+        |b| {
+            let v = b.ld(
+                MemSpace::Global,
+                MemWidth::W4,
+                b.base_offset(flag, Operand::Imm(0)),
+            );
+            Operand::Reg(b.cmp(CmpOp::Eq, v, Operand::Imm(0)))
+        },
+        |_| {},
+    );
+    b.ret();
+    Arc::new(b.finish().expect("valid kernel"))
+}
+
+/// A launch the watchdog ends still returns its region IDs: on a 4-ID
+/// slice, eight spinning jobs in a row each trip the watchdog (none is
+/// rejected for want of IDs), and no ID stays live after any of them.
+#[test]
+fn watchdog_trips_release_the_tenants_region_ids() {
+    let mut cfg = strict_tenant_config();
+    cfg.gpu.max_cycles = 2_000;
+    let mut sys = System::new(cfg);
+    let mut tenants = TenantTable::with_slices([(1u16, 5u16, 1u64)]);
+    let flag = sys.alloc(64).expect("buffer");
+    let spin = spin_kernel();
+    for job in 0..8 {
+        let err = sys
+            .launch_tenant(
+                &mut tenants,
+                TenantId(0),
+                spin.clone(),
+                1,
+                32,
+                &[Arg::Buffer(flag)],
+            )
+            .expect_err("the spin never ends");
+        assert!(
+            matches!(
+                err,
+                SystemError::Run(RunError::CycleBudgetExceeded { budget: 2_000, .. })
+            ),
+            "job {job}: {err:?}"
+        );
+        let live = tenants
+            .allocator_mut(TenantId(0))
+            .expect("tenant")
+            .live_count();
+        assert_eq!(live, 0, "job {job}");
+    }
 }
