@@ -6,7 +6,7 @@ use crate::analysis::{
     analyze_kernel, origin_size, protected_space, resolve_site, transfer, LaunchKnowledge,
 };
 use gpushield_isa::{
-    AddrExpr, BlockId, CheckPlan, Instr, Kernel, MemSpace, Operand, PtrClass, SiteCheck,
+    AddrExpr, BlockId, Cfg, CheckPlan, Instr, Kernel, MemSpace, Operand, PtrClass, SiteCheck,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -130,14 +130,43 @@ impl BoundsAnalysis {
 /// # Ok::<(), gpushield_isa::ValidateError>(())
 /// ```
 pub fn analyze(kernel: &Kernel, know: &LaunchKnowledge, cfg: AnalysisConfig) -> BoundsAnalysis {
-    let result = analyze_kernel(kernel, know);
-    let mut plan = CheckPlan::all_runtime();
-    let mut violations = Vec::new();
-    // Raw per-site decisions plus the origin of each dynamic site, for the
-    // pointer-class consolidation pass.
-    let mut site_origin: HashMap<(BlockId, usize), Origin> = HashMap::new();
-    let mut tentative: Vec<((BlockId, usize), SiteCheck)> = Vec::new();
+    classify(kernel, &site_facts(kernel, know), cfg, None)
+}
 
+/// What the interval fixpoint established about one protected site.
+#[derive(Debug, Clone, Copy)]
+enum SiteFact {
+    /// The base could not be traced to a region: a runtime check.
+    Unresolved,
+    /// Proven in bounds (Type 1).
+    InBounds(Origin),
+    /// Proven out of bounds: reported as a violation, and checked at
+    /// runtime.
+    OutOfBounds(Origin),
+    /// Neither: Type 3 when the configuration and the addressing method
+    /// allow it, else Type 2.
+    Unproven { origin: Origin, method: char },
+}
+
+/// The half of [`analyze`] that no [`AnalysisConfig`] affects: the interval
+/// fixpoint's verdict on every protected site. Compute it once per
+/// (kernel, launch knowledge) with [`site_facts`] and [`classify`] it under
+/// each configuration needed.
+#[derive(Debug)]
+pub struct SiteFacts {
+    /// Protected sites in program order.
+    sites: Vec<((BlockId, usize), SiteFact)>,
+    violations: Vec<StaticViolation>,
+    iterations: u32,
+}
+
+/// Runs the interval fixpoint on `kernel` under `know` and resolves every
+/// protected-space memory site: the configuration-independent half of
+/// [`analyze`].
+pub fn site_facts(kernel: &Kernel, know: &LaunchKnowledge) -> SiteFacts {
+    let result = analyze_kernel(kernel, know);
+    let mut sites = Vec::new();
+    let mut violations = Vec::new();
     for (bi, blk) in kernel.blocks().iter().enumerate() {
         let Some(entry) = &result.in_states[bi] else {
             continue; // unreachable block: never executes, nothing to check
@@ -151,15 +180,18 @@ pub fn analyze(kernel: &Kernel, know: &LaunchKnowledge, cfg: AnalysisConfig) -> 
             {
                 if protected_space(*space) {
                     let site = (BlockId(bi as u32), ii);
-                    let resolved = resolve_site(instr, &st, kernel, know);
-                    let decision = match resolved {
+                    let fact = match resolve_site(instr, &st, kernel, know) {
+                        None => SiteFact::Unresolved,
                         Some(sa) => {
-                            site_origin.insert(site, sa.origin);
+                            let unproven = SiteFact::Unproven {
+                                origin: sa.origin,
+                                method: sa.method,
+                            };
                             match origin_size(sa.origin, kernel, know) {
                                 Some(size) => {
                                     let limit = i128::from(size) - i128::from(width.bytes());
                                     if sa.offset.within(0, limit) {
-                                        SiteCheck::Static
+                                        SiteFact::InBounds(sa.origin)
                                     } else if sa.offset.lo() > limit || sa.offset.hi() < 0 {
                                         violations.push(StaticViolation {
                                             site,
@@ -168,21 +200,59 @@ pub fn analyze(kernel: &Kernel, know: &LaunchKnowledge, cfg: AnalysisConfig) -> 
                                             offset_hi: sa.offset.hi(),
                                             size,
                                         });
-                                        SiteCheck::Runtime
+                                        SiteFact::OutOfBounds(sa.origin)
                                     } else {
-                                        maybe_type3(cfg, sa.method, sa.origin)
+                                        unproven
                                     }
                                 }
-                                None => maybe_type3(cfg, sa.method, sa.origin),
+                                None => unproven,
                             }
                         }
-                        None => SiteCheck::Runtime,
                     };
-                    tentative.push((site, decision));
+                    sites.push((site, fact));
                 }
             }
             transfer(instr, &mut st, &mut cmp_defs, kernel, know);
         }
+    }
+    SiteFacts {
+        sites,
+        violations,
+        iterations: result.iterations,
+    }
+}
+
+/// Classifies every site of `facts` under `cfg`, producing the
+/// Bounds-Analysis Table [`analyze`] would. `graph` is `kernel`'s CFG when
+/// the caller already has one; elision builds it otherwise.
+pub fn classify(
+    kernel: &Kernel,
+    facts: &SiteFacts,
+    cfg: AnalysisConfig,
+    graph: Option<&Cfg>,
+) -> BoundsAnalysis {
+    let mut plan = CheckPlan::all_runtime();
+    // Raw per-site decisions plus the origin of each dynamic site, for
+    // the pointer-class consolidation pass.
+    let mut site_origin: HashMap<(BlockId, usize), Origin> = HashMap::new();
+    let mut tentative: Vec<((BlockId, usize), SiteCheck)> = Vec::new();
+    for &(site, fact) in &facts.sites {
+        let decision = match fact {
+            SiteFact::Unresolved => SiteCheck::Runtime,
+            SiteFact::InBounds(origin) => {
+                site_origin.insert(site, origin);
+                SiteCheck::Static
+            }
+            SiteFact::OutOfBounds(origin) => {
+                site_origin.insert(site, origin);
+                SiteCheck::Runtime
+            }
+            SiteFact::Unproven { origin, method } => {
+                site_origin.insert(site, origin);
+                maybe_type3(cfg, method, origin)
+            }
+        };
+        tentative.push((site, decision));
     }
 
     // Consolidation: a pointer carries exactly one tag, so a region with
@@ -261,7 +331,10 @@ pub fn analyze(kernel: &Kernel, know: &LaunchKnowledge, cfg: AnalysisConfig) -> 
 
     let mut elided_sites = Vec::new();
     if cfg.enable_elision {
-        elided_sites = elide_redundant_checks(kernel, &mut plan);
+        elided_sites = match graph {
+            Some(g) => elide_redundant_checks(kernel, g, &mut plan),
+            None => elide_redundant_checks(kernel, &Cfg::build(kernel), &mut plan),
+        };
         sites_static += elided_sites.len();
         sites_runtime -= elided_sites.len();
     }
@@ -271,13 +344,13 @@ pub fn analyze(kernel: &Kernel, know: &LaunchKnowledge, cfg: AnalysisConfig) -> 
         plan,
         param_class,
         local_class,
-        violations,
+        violations: facts.violations.clone(),
         sites_static,
         sites_runtime,
         sites_type3,
         site_origins: site_origin,
         elided_sites,
-        fixpoint_iterations: result.iterations,
+        fixpoint_iterations: facts.iterations,
     }
 }
 
@@ -313,8 +386,11 @@ fn addr_mentions(addr: &AddrExpr, r: gpushield_isa::VReg) -> bool {
 /// "dominated by an identical-region check"; it is strictly more precise
 /// than a dominator-tree walk because a check on each arm of a diamond
 /// also covers the join.
-fn elide_redundant_checks(kernel: &Kernel, plan: &mut CheckPlan) -> Vec<(BlockId, usize)> {
-    let cfg = gpushield_isa::Cfg::build(kernel);
+fn elide_redundant_checks(
+    kernel: &Kernel,
+    cfg: &Cfg,
+    plan: &mut CheckPlan,
+) -> Vec<(BlockId, usize)> {
     let nblocks = kernel.blocks().len();
 
     // Per-block walk: from an entry state, computes the exit state and —

@@ -30,7 +30,9 @@ pub mod verify;
 pub use absval::{AbsVal, Origin};
 pub use affine::Aff;
 pub use analysis::{ArgInfo, LaunchKnowledge};
-pub use bat::{analyze, AnalysisConfig, BoundsAnalysis, StaticViolation};
+pub use bat::{
+    analyze, classify, site_facts, AnalysisConfig, BoundsAnalysis, SiteFacts, StaticViolation,
+};
 pub use interval::Interval;
 pub use relational::{discharge, prove_sites, LinExpr, SiteProof};
 pub use verify::{

@@ -18,7 +18,7 @@
 //!
 //! [`prove_sites`] runs the product fixpoint and emits one [`SiteProof`]
 //! per provable memory site: the proven per-site offset window (concrete
-//! and/or symbolic), the congruence fact, and the domain facts used. The
+//! and/or symbolic), its side-conditions and the congruence fact. The
 //! driver later *discharges* a certificate against the concrete argument
 //! values of a real launch ([`discharge`]): the symbolic window is
 //! evaluated, tightened by the congruence, and checked against the
@@ -33,6 +33,7 @@ use crate::interval::{Interval, NEG_INF, POS_INF};
 use gpushield_isa::{
     AddrExpr, BinOp, BlockId, CmpOp, Instr, Kernel, Operand, ParamKind, Special, VReg,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -588,11 +589,11 @@ impl RelAbs {
         RelAbs::Num(RelVal::top())
     }
 
-    fn as_num(&self) -> RelVal {
+    fn as_num(&self) -> Cow<'_, RelVal> {
         match self {
-            RelAbs::Num(v) => v.clone(),
+            RelAbs::Num(v) => Cow::Borrowed(v),
             // A pointer's numeric value is unknown at analysis time.
-            RelAbs::Ptr(..) => RelVal::top(),
+            RelAbs::Ptr(..) => Cow::Owned(RelVal::top()),
         }
     }
 
@@ -624,9 +625,15 @@ struct RelState {
 
 type Fact = (CmpOp, Operand, Operand);
 
-fn eval(op: Operand, st: &RelState, kernel: &Kernel, know: &LaunchKnowledge) -> RelAbs {
-    match op {
-        Operand::Reg(VReg(r)) => st.regs[usize::from(r)].clone(),
+/// The abstract value of `op`; a register operand is borrowed from `st`.
+fn eval<'a>(
+    op: Operand,
+    st: &'a RelState,
+    kernel: &Kernel,
+    know: &LaunchKnowledge,
+) -> Cow<'a, RelAbs> {
+    let v = match op {
+        Operand::Reg(VReg(r)) => return Cow::Borrowed(&st.regs[usize::from(r)]),
         Operand::Imm(i) => RelAbs::Num(RelVal::constant(i128::from(i))),
         Operand::Param(p) => match kernel.params()[usize::from(p)].kind() {
             ParamKind::Buffer { .. } => RelAbs::Ptr(Origin::Param(p), RelVal::constant(0)),
@@ -652,7 +659,8 @@ fn eval(op: Operand, st: &RelState, kernel: &Kernel, know: &LaunchKnowledge) -> 
             Special::GridDim => RelVal::constant(i128::from(know.grid)),
             Special::LaneId => RelVal::from_aff(Aff::uniform(Interval::range(0, 63))),
         }),
-    }
+    };
+    Cow::Owned(v)
 }
 
 /// Binary transfer on the numeric product value.
@@ -737,18 +745,46 @@ fn rel_bin(op: BinOp, x: &RelVal, y: &RelVal, tids: &Interval, ctaids: &Interval
         _ => None,
     };
 
-    // Conditionally-valid symbolic window. Each rule combines the
-    // operands' window views and records, as side-conditions, whatever
-    // sign facts its monotonicity argument needs — `discharge` evaluates
-    // those against the launch's concrete scalars before trusting the
-    // window, and an inconsistent window (lo > hi) is rejected there.
+    // The exact symbolic value subsumes any window, so a window is only
+    // built for values without one.
+    let win = if sym.is_some() {
+        SymWin::default()
+    } else {
+        bin_window(op, x, y, (x_const, y_const), tids, ctaids, &aff)
+    };
+
+    RelVal {
+        aff,
+        cong,
+        sym: sym.filter(|s| s.as_const().is_none() || x.sym.is_some() && y.sym.is_some()),
+        win,
+    }
+}
+
+/// The conditionally-valid symbolic window of `x op y` for a result whose
+/// affine form is `aff`; `consts` are the operands' constant values.
+fn bin_window(
+    op: BinOp,
+    x: &RelVal,
+    y: &RelVal,
+    consts: (Option<i128>, Option<i128>),
+    tids: &Interval,
+    ctaids: &Interval,
+    aff: &Aff,
+) -> SymWin {
+    let (x_const, y_const) = consts;
+    // Each rule combines the operands' window views and records, as
+    // side-conditions, whatever sign facts its monotonicity argument
+    // needs — `discharge` evaluates those against the launch's concrete
+    // scalars before trusting the window, and an inconsistent window
+    // (lo > hi) is rejected there.
     let (xlo, xhi, xconds) = x.wview(tids, ctaids);
     let (ylo, yhi, yconds) = y.wview(tids, ctaids);
     let xlo_nonneg = xlo
         .as_ref()
         .and_then(LinExpr::as_const)
         .is_some_and(|c| c >= 0);
-    let win = (|| -> Option<SymWin> {
+    let mut win = (|| -> Option<SymWin> {
         let pair = |a: &Option<LinExpr>,
                     b: &Option<LinExpr>,
                     f: fn(&LinExpr, &LinExpr) -> Option<LinExpr>| match (a, b) {
@@ -925,14 +961,8 @@ fn rel_bin(op: BinOp, x: &RelVal, y: &RelVal, tids: &Interval, ctaids: &Interval
     .unwrap_or_default();
 
     // Keep only window components that improve on the concrete interval
-    // (constant windows duplicating the affine bounds are noise); the
-    // exact symbolic value subsumes any window.
+    // (constant windows duplicating the affine bounds are noise).
     let rconc = aff.concretize(tids, ctaids);
-    let mut win = if sym.is_some() {
-        SymWin::default()
-    } else {
-        win
-    };
     win.lo = win.lo.filter(|e| match e.as_const() {
         Some(c) => c > rconc.lo(),
         None => true,
@@ -944,13 +974,7 @@ fn rel_bin(op: BinOp, x: &RelVal, y: &RelVal, tids: &Interval, ctaids: &Interval
     if win.is_empty() {
         win = SymWin::default();
     }
-
-    RelVal {
-        aff,
-        cong,
-        sym: sym.filter(|s| s.as_const().is_none() || x.sym.is_some() && y.sym.is_some()),
-        win,
-    }
+    win
 }
 
 /// A multiplication factor a window is scaled by: a known constant or a
@@ -1000,12 +1024,11 @@ fn transfer(
     let (tids, ctaids) = (st.tid, st.ctaid);
     match instr {
         Instr::Mov { dst, src } => {
-            let v = eval(*src, st, kernel, know);
+            let v = eval(*src, st, kernel, know).into_owned();
             write(st, cmp_defs, *dst, v);
         }
         Instr::Un { op, dst, a } => {
-            let av = eval(*a, st, kernel, know);
-            let v = match av {
+            let v = match &*eval(*a, st, kernel, know) {
                 RelAbs::Num(x) => RelAbs::Num(RelVal::from_aff(aff_un(*op, x.aff))),
                 RelAbs::Ptr(..) => RelAbs::top(),
             };
@@ -1060,9 +1083,9 @@ fn meet_bound(op: CmpOp, x: Interval, bound: &Interval) -> Option<Interval> {
 fn refine_edge(st: &mut RelState, fact: Fact, kernel: &Kernel, know: &LaunchKnowledge) -> bool {
     let (op, a, b) = fact;
     for (lhs, rhs, op) in [(a, b, op), (b, a, swap(op))] {
-        let rhs_v = eval(rhs, st, kernel, know).as_num();
+        let rhs_v = eval(rhs, st, kernel, know).as_num().into_owned();
         let rhs_conc = rhs_v.conc(&st.tid, &st.ctaid);
-        let lhs_v = eval(lhs, st, kernel, know).as_num();
+        let lhs_v = eval(lhs, st, kernel, know).as_num().into_owned();
 
         // 1. Feasible tid/ctaid ranges, exactly like the race pass.
         if rhs_v.aff.is_uniform() {
@@ -1201,11 +1224,10 @@ fn analyze_rel(kernel: &Kernel, know: &LaunchKnowledge) -> Vec<Option<RelState>>
             }
             _ => {}
         }
-        for (succ, fact) in edges {
-            let mut out = st.clone();
+        let mut propagate = |succ: usize, fact: Option<Fact>, mut out: RelState| {
             if let Some(f) = fact {
                 if !refine_edge(&mut out, f, kernel, know) {
-                    continue;
+                    return;
                 }
             }
             let changed = match &in_states[succ] {
@@ -1240,6 +1262,15 @@ fn analyze_rel(kernel: &Kernel, know: &LaunchKnowledge) -> Vec<Option<RelState>>
                 visits[succ] += 1;
                 work.push(succ);
             }
+        };
+        // Every edge but the last refines a copy of the out-state; the
+        // last one takes it.
+        let last = edges.pop();
+        for (succ, fact) in edges {
+            propagate(succ, fact, st.clone());
+        }
+        if let Some((succ, fact)) = last {
+            propagate(succ, fact, st);
         }
     }
     in_states
@@ -1281,8 +1312,6 @@ pub struct SiteProof {
     pub conds: Vec<LinExpr>,
     /// Offset congruence `(m, r)` with `m > 1`, when proven.
     pub align: Option<(u64, u64)>,
-    /// Human-readable domain facts the proof rests on.
-    pub facts: Vec<String>,
 }
 
 /// Runs the relational prover and emits a [`SiteProof`] for every
@@ -1298,18 +1327,28 @@ pub fn prove_sites(kernel: &Kernel, know: &LaunchKnowledge) -> Vec<SiteProof> {
     let mut proofs = Vec::new();
     for (bi, blk) in kernel.blocks().iter().enumerate() {
         let Some(entry) = &states[bi] else { continue };
+        // Only the states at protected sites are read, so the walk stops
+        // at the block's last one (and skips a block without any).
+        let site_width = |instr: &Instr| match instr {
+            Instr::Ld { space, width, .. }
+            | Instr::St { space, width, .. }
+            | Instr::AtomAdd { space, width, .. }
+                if protected_space(*space) =>
+            {
+                Some(width.bytes())
+            }
+            _ => None,
+        };
+        let Some(last) = blk.instrs().iter().rposition(|i| site_width(i).is_some()) else {
+            continue;
+        };
         let mut st = entry.clone();
         let mut cmp_defs = HashMap::new();
-        for (ii, instr) in blk.instrs().iter().enumerate() {
-            if let Instr::Ld { space, width, .. }
-            | Instr::St { space, width, .. }
-            | Instr::AtomAdd { space, width, .. } = instr
-            {
-                if protected_space(*space) {
-                    let site = (BlockId(bi as u32), ii);
-                    if let Some(p) = prove_one(site, instr, &st, kernel, know, width.bytes()) {
-                        proofs.push(p);
-                    }
+        for (ii, instr) in blk.instrs()[..=last].iter().enumerate() {
+            if let Some(width) = site_width(instr) {
+                let site = (BlockId(bi as u32), ii);
+                if let Some(p) = prove_one(site, instr, &st, kernel, know, width) {
+                    proofs.push(p);
                 }
             }
             transfer(instr, &mut st, &mut cmp_defs, kernel, know);
@@ -1331,18 +1370,18 @@ fn resolve_rel(
     };
     let (tids, ctaids) = (st.tid, st.ctaid);
     match addr {
-        AddrExpr::BaseOffset { base, offset } => match eval(*base, st, kernel, know) {
+        AddrExpr::BaseOffset { base, offset } => match &*eval(*base, st, kernel, know) {
             RelAbs::Ptr(o, boff) => {
-                let off = eval(*offset, st, kernel, know).as_num();
-                Some((o, rel_bin(BinOp::Add, &boff, &off, &tids, &ctaids)))
+                let off = eval(*offset, st, kernel, know);
+                Some((*o, rel_bin(BinOp::Add, boff, &off.as_num(), &tids, &ctaids)))
             }
             _ => None,
         },
         AddrExpr::BindingTable { bti, offset } => Some((
             Origin::Param(*bti),
-            eval(*offset, st, kernel, know).as_num(),
+            eval(*offset, st, kernel, know).as_num().into_owned(),
         )),
-        AddrExpr::Flat { addr } => match eval(*addr, st, kernel, know) {
+        AddrExpr::Flat { addr } => match eval(*addr, st, kernel, know).into_owned() {
             RelAbs::Ptr(o, off) => Some((o, off)),
             _ => None,
         },
@@ -1380,21 +1419,7 @@ fn prove_one(
     if conc.hi() >= POS_INF && hi_sym.is_none() {
         return None; // no upper bound of any kind
     }
-    let mut facts = vec![format!("affine: off = {}", off.aff)];
-    if let Some(e) = &lo_sym {
-        facts.push(format!("floor: off >= {e}"));
-    }
-    if let Some(e) = &hi_sym {
-        facts.push(format!("guard: off <= {e}"));
-    }
-    for c in &conds {
-        facts.push(format!("valid when: {c} >= 0"));
-    }
     let align = (off.cong.m > 1).then_some((off.cong.m as u64, off.cong.r as u64));
-    if let Some((m, r)) = align {
-        facts.push(format!("cong: off ≡ {r} (mod {m})"));
-    }
-    facts.push(format!("feasible: tid ∈ {}, ctaid ∈ {}", st.tid, st.ctaid));
     Some(SiteProof {
         site,
         origin,
@@ -1405,7 +1430,6 @@ fn prove_one(
         hi_sym,
         conds,
         align,
-        facts,
     })
 }
 

@@ -151,6 +151,7 @@ mod tests {
             cfg: &cfg,
             idoms: &idoms,
             ipdoms: &ipdoms,
+            facts: &crate::site_facts(kernel, &know),
         })
     }
 

@@ -7,11 +7,11 @@
 //! registers. This pass only *reports* those sites, so a registry sweep
 //! shows where the paper's §5.3 static classification leaves checks on the
 //! table. Findings are [`Severity::Info`] — elision is an optimisation
-//! opportunity, never a defect — and the elision run here is separate from
-//! the manager's breakdown computation, keeping the pass self-contained.
+//! opportunity, never a defect. The pass classifies the manager's shared
+//! [`crate::SiteFacts`] with Type 3 off, so it adds no fixpoint of its own.
 
 use super::{Diagnostic, Pass, PassContext, Severity};
-use crate::bat::{analyze, AnalysisConfig};
+use crate::bat::{classify, AnalysisConfig};
 
 /// The redundant-check pass (`"elide"`).
 pub struct RedundantCheckPass;
@@ -22,13 +22,14 @@ impl Pass for RedundantCheckPass {
     }
 
     fn run(&self, ctx: &PassContext<'_>) -> Vec<Diagnostic> {
-        let bat = analyze(
+        let bat = classify(
             ctx.kernel,
-            ctx.know,
+            ctx.facts,
             AnalysisConfig {
                 enable_elision: true,
                 ..AnalysisConfig::default()
             },
+            Some(ctx.cfg),
         );
         bat.elided_sites
             .iter()
@@ -70,6 +71,7 @@ mod tests {
             cfg: &cfg,
             idoms: &idoms,
             ipdoms: &ipdoms,
+            facts: &crate::site_facts(kernel, know),
         })
     }
 

@@ -9,7 +9,8 @@
 //! and returns structured, machine-readable [`Diagnostic`]s.
 //!
 //! Passes are pure functions of a [`PassContext`] (kernel + launch
-//! knowledge + precomputed CFG and dominator trees). The
+//! knowledge + precomputed CFG, dominator trees and the bounds analysis's
+//! [`SiteFacts`], whose interval fixpoint runs once per verify). The
 //! [`PassManager`] owns the pass list and aggregates results into a
 //! [`VerifyReport`] that also carries the per-kernel Type 1/2/3 check
 //! breakdown of paper Fig. 16, so one sweep over the workload registry
@@ -41,7 +42,7 @@ pub use elide::RedundantCheckPass;
 pub use race::SharedRacePass;
 
 use crate::analysis::LaunchKnowledge;
-use crate::bat::{analyze, AnalysisConfig};
+use crate::bat::{classify, site_facts, AnalysisConfig, SiteFacts};
 use gpushield_isa::{BlockId, Cfg, Kernel};
 use std::fmt;
 
@@ -122,6 +123,9 @@ pub struct PassContext<'a> {
     pub idoms: &'a [Option<BlockId>],
     /// Immediate post-dominators (`None` = only the virtual exit).
     pub ipdoms: &'a [Option<BlockId>],
+    /// The bounds analysis's interval fixpoint and resolved sites, shared
+    /// by every pass and the check breakdown.
+    pub facts: &'a SiteFacts,
 }
 
 /// One verifier pass.
@@ -221,12 +225,14 @@ impl PassManager {
         let cfg = Cfg::build(kernel);
         let idoms = cfg.immediate_dominators();
         let ipdoms = cfg.immediate_post_dominators();
+        let facts = site_facts(kernel, know);
         let ctx = PassContext {
             kernel,
             know,
             cfg: &cfg,
             idoms: &idoms,
             ipdoms: &ipdoms,
+            facts: &facts,
         };
         let mut diagnostics = Vec::new();
         let mut profile = PassProfile::default();
@@ -243,13 +249,14 @@ impl PassManager {
         // Classify with every static decision enabled — the breakdown is
         // the paper's full Fig. 16 taxonomy, independent of which options
         // a particular driver configuration turns on at launch.
-        let bat = analyze(
+        let bat = classify(
             kernel,
-            know,
+            &facts,
             AnalysisConfig {
                 enable_type3: true,
                 enable_elision: true,
             },
+            Some(&cfg),
         );
         let breakdown = CheckBreakdown {
             // `analyze` folds elided sites into its static count; report

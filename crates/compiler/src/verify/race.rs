@@ -564,6 +564,7 @@ mod tests {
             cfg: &cfg,
             idoms: &idoms,
             ipdoms: &ipdoms,
+            facts: &crate::site_facts(kernel, &know),
         })
     }
 

@@ -5,11 +5,11 @@ use crate::cipher::encrypt_id;
 use crate::rbt::{write_entry, BoundsEntry, RBT_BYTES, RBT_ENTRIES};
 use crate::tenant::RegionIdAllocator;
 use gpushield_compiler::{
-    analyze, discharge, prove_sites, AnalysisConfig, ArgInfo, BoundsAnalysis, LaunchKnowledge,
-    Origin,
+    classify, discharge, prove_sites, site_facts, AnalysisConfig, ArgInfo, BoundsAnalysis,
+    LaunchKnowledge, Origin,
 };
 use gpushield_isa::{
-    CheckPlan, Instr, Kernel, ParamKind, PtrClass, SiteCert, SiteCheck, TaggedPtr,
+    Cfg, CheckPlan, Instr, Kernel, ParamKind, PtrClass, SiteCert, SiteCheck, TaggedPtr,
 };
 use gpushield_mem::{AllocPolicy, Allocation, MemFault, VirtualMemorySpace};
 use gpushield_runtime::rng::StdRng;
@@ -662,13 +662,17 @@ impl Driver {
         };
         let mut bat = if self.cfg.enable_static_analysis {
             self.stats.bat_analyses += 1;
-            let mut b = analyze(
+            // The fixpoint runs once; a Type 3 fallback only reclassifies.
+            let facts = site_facts(&kernel, &knowledge);
+            let graph = self.cfg.enable_elision.then(|| Cfg::build(&kernel));
+            let mut b = classify(
                 &kernel,
-                &knowledge,
+                &facts,
                 AnalysisConfig {
                     enable_type3: self.cfg.enable_type3,
                     enable_elision: self.cfg.enable_elision,
                 },
+                graph.as_ref(),
             );
             // Type 3 needs power-of-two padded allocations; if any chosen
             // buffer is not compatible, fall back to RBT checking.
@@ -684,13 +688,14 @@ impl Driver {
                         }
                 });
                 if !compatible {
-                    b = analyze(
+                    b = classify(
                         &kernel,
-                        &knowledge,
+                        &facts,
                         AnalysisConfig {
                             enable_type3: false,
                             enable_elision: self.cfg.enable_elision,
                         },
+                        graph.as_ref(),
                     );
                 }
             }

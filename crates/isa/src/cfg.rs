@@ -8,7 +8,6 @@
 
 use crate::instr::BlockId;
 use crate::kernel::Kernel;
-use std::collections::HashMap;
 
 /// Control-flow graph of a kernel, with a virtual exit node so kernels with
 /// multiple `Ret` blocks still have a single post-dominator root.
@@ -263,25 +262,22 @@ impl Cfg {
 /// branch, the block where diverged lanes re-join.
 #[derive(Debug, Clone)]
 pub struct ReconvergenceTable {
-    ipdom: HashMap<BlockId, Option<BlockId>>,
+    /// Immediate post-dominator of each block, indexed by block id.
+    ipdom: Vec<Option<BlockId>>,
 }
 
 impl ReconvergenceTable {
     /// Computes the table for `kernel`.
     pub fn build(kernel: &Kernel) -> Self {
-        let cfg = Cfg::build(kernel);
-        let ipdoms = cfg.immediate_post_dominators();
-        let mut ipdom = HashMap::new();
-        for (i, d) in ipdoms.iter().enumerate() {
-            ipdom.insert(BlockId(i as u32), *d);
+        ReconvergenceTable {
+            ipdom: Cfg::build(kernel).immediate_post_dominators(),
         }
-        ReconvergenceTable { ipdom }
     }
 
     /// The reconvergence block for a branch in `block`; `None` means lanes
     /// only re-join at kernel exit.
     pub fn reconvergence_point(&self, block: BlockId) -> Option<BlockId> {
-        self.ipdom.get(&block).copied().flatten()
+        self.ipdom.get(block.0 as usize).copied().flatten()
     }
 }
 

@@ -56,13 +56,17 @@ impl fmt::Display for CacheStats {
     }
 }
 
+/// One tag slot. The replacement clock advances before every allocation,
+/// so a resident line's stamp is at least 1 and `stamp == 0` marks an
+/// empty slot.
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
-    valid: bool,
-    /// LRU timestamp or FIFO insertion order.
+    /// LRU timestamp or FIFO insertion order; 0 = invalid.
     stamp: u64,
 }
+
+const EMPTY: Line = Line { tag: 0, stamp: 0 };
 
 /// A set-associative cache of address tags.
 ///
@@ -79,9 +83,12 @@ struct Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// All lines in one flat slab, `ways` consecutive slots per set — a
-    /// single allocation per cache, reused across runs by
-    /// [`Cache::reset`], and one cache line walk per set scan.
+    /// All lines in one flat slab, `ways` consecutive slots per set. The
+    /// whole capacity is reserved once, but lines are written only up to
+    /// the end of the highest set touched so far; every set beyond
+    /// `lines.len() / ways` is empty. Building, flushing or resetting a
+    /// large cache therefore writes nothing, and a short run pays only
+    /// for the sets it uses.
     lines: Vec<Line>,
     nsets: usize,
     line_bytes: u64,
@@ -110,14 +117,7 @@ impl Cache {
             "cache lines not divisible into sets"
         );
         Cache {
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    stamp: 0,
-                };
-                nsets * ways
-            ],
+            lines: Vec::with_capacity(nsets * ways),
             nsets,
             line_bytes,
             ways,
@@ -141,49 +141,60 @@ impl Cache {
         addr / self.line_bytes / self.nsets as u64
     }
 
-    fn set(&self, set_idx: usize) -> &[Line] {
-        &self.lines[set_idx * self.ways..(set_idx + 1) * self.ways]
+    /// The slots of set `set_idx`, initialising the slab up to the end of
+    /// that set on its first touch.
+    fn set_mut(&mut self, set_idx: usize) -> &mut [Line] {
+        let end = (set_idx + 1) * self.ways;
+        if end > self.lines.len() {
+            self.grow(end);
+        }
+        &mut self.lines[end - self.ways..end]
     }
 
-    fn set_mut(&mut self, set_idx: usize) -> &mut [Line] {
-        let ways = self.ways;
-        &mut self.lines[set_idx * ways..(set_idx + 1) * ways]
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, end: usize) {
+        // A clone carries only the initialised lines; reserve the rest
+        // exactly once rather than letting `resize` double past it.
+        self.lines
+            .reserve_exact(self.nsets * self.ways - self.lines.len());
+        self.lines.resize(end, EMPTY);
+    }
+
+    /// Writes `tag` into the victim slot of `set` — the first empty slot,
+    /// else the least stamp (first slot on ties) — and returns whether a
+    /// resident line was displaced.
+    fn allocate(set: &mut [Line], tag: u64, tick: u64) -> bool {
+        // A strict `<` keeps the first of equal stamps, so empty slots
+        // (stamp 0) fill in slot order.
+        let (victim, _) = set.iter().enumerate().fold((0, u64::MAX), |best, (i, l)| {
+            if l.stamp < best.1 {
+                (i, l.stamp)
+            } else {
+                best
+            }
+        });
+        let displaced = set[victim].stamp != 0;
+        set[victim] = Line { tag, stamp: tick };
+        displaced
     }
 
     /// Looks up `addr`, allocating the line on miss. Returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let policy = self.policy;
-        let set_idx = self.set_of(addr);
+        let lru = self.policy == Replacement::Lru;
         let tag = self.tag_of(addr);
-        let hit = {
-            let set = self.set_mut(set_idx);
-            if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-                if policy == Replacement::Lru {
-                    line.stamp = tick;
-                }
-                true
-            } else {
-                false
+        let set = self.set_mut(self.set_of(addr));
+        if let Some(line) = set.iter_mut().find(|l| l.stamp != 0 && l.tag == tag) {
+            if lru {
+                line.stamp = tick;
             }
-        };
-        if hit {
             self.stats.hits += 1;
             return true;
         }
+        let displaced = Self::allocate(set, tag, tick);
         self.stats.misses += 1;
-        let set = self.set_mut(set_idx);
-        // Invalid slots rank as stamp 0, so they fill first (in slot
-        // order), exactly like the old grow-then-evict behaviour.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.stamp } else { 0 })
-            .expect("non-empty set");
-        let displaced = victim.valid;
-        victim.tag = tag;
-        victim.valid = true;
-        victim.stamp = tick;
         if displaced {
             self.stats.evictions += 1;
         }
@@ -197,53 +208,34 @@ impl Cache {
     pub fn probe(&self, addr: u64) -> bool {
         let set_idx = self.set_of(addr);
         let tag = self.tag_of(addr);
-        self.set(set_idx).iter().any(|l| l.valid && l.tag == tag)
+        self.lines
+            .get(set_idx * self.ways..(set_idx + 1) * self.ways)
+            .is_some_and(|set| set.iter().any(|l| l.stamp != 0 && l.tag == tag))
     }
 
     /// Inserts the line containing `addr` without counting an access.
     pub fn fill(&mut self, addr: u64) {
         self.tick += 1;
         let tick = self.tick;
-        let set_idx = self.set_of(addr);
         let tag = self.tag_of(addr);
-        let set = self.set_mut(set_idx);
-        if set.iter().any(|l| l.valid && l.tag == tag) {
+        let set = self.set_mut(self.set_of(addr));
+        if set.iter().any(|l| l.stamp != 0 && l.tag == tag) {
             return;
         }
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.stamp } else { 0 })
-            .expect("non-empty set");
-        let displaced = victim.valid;
-        victim.tag = tag;
-        victim.valid = true;
-        victim.stamp = tick;
-        if displaced {
+        if Self::allocate(set, tag, tick) {
             self.stats.evictions += 1;
         }
     }
 
     /// Invalidates everything (kernel termination / context switch flush).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        self.lines.clear();
     }
 
     /// Returns the cache to its freshly constructed state: every line
     /// empty, the replacement clock at zero and the statistics cleared.
-    /// Every line and statistic changes only together with the clock, so
-    /// a cache untouched since construction or the last reset returns at
-    /// once.
     pub fn reset(&mut self) {
-        if self.tick == 0 {
-            return;
-        }
-        self.lines.fill(Line {
-            tag: 0,
-            valid: false,
-            stamp: 0,
-        });
+        self.lines.clear();
         self.tick = 0;
         self.stats = CacheStats::default();
     }
@@ -364,6 +356,166 @@ mod tests {
         assert!(!c.probe(0));
         c.fill(0);
         assert!(c.probe(0));
+    }
+
+    /// Deterministic splitmix64 stream for the reference test.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The eager tag array the lazy slab replaced: every line written at
+    /// construction, an explicit valid bit, and flush/reset rewriting
+    /// every line.
+    struct RefCache {
+        lines: Vec<(u64, bool, u64)>,
+        nsets: usize,
+        line_bytes: u64,
+        ways: usize,
+        policy: Replacement,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl RefCache {
+        fn new(size_bytes: u64, line_bytes: u64, ways: usize, policy: Replacement) -> Self {
+            let lines = (size_bytes / line_bytes) as usize;
+            let ways = if ways == 0 { lines } else { ways };
+            RefCache {
+                lines: vec![(0, false, 0); lines],
+                nsets: lines / ways,
+                line_bytes,
+                ways,
+                policy,
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&mut self, addr: u64) -> (usize, u64) {
+            let line = addr / self.line_bytes;
+            let set = (line % self.nsets as u64) as usize;
+            (set * self.ways, line / self.nsets as u64)
+        }
+
+        fn find(&mut self, addr: u64) -> (usize, u64, Option<usize>) {
+            let (base, tag) = self.set(addr);
+            let hit = (base..base + self.ways).find(|&i| self.lines[i].1 && self.lines[i].0 == tag);
+            (base, tag, hit)
+        }
+
+        fn allocate(&mut self, base: usize, tag: u64) {
+            let mut victim = base;
+            for i in base..base + self.ways {
+                let rank = |l: (u64, bool, u64)| if l.1 { l.2 } else { 0 };
+                if rank(self.lines[i]) < rank(self.lines[victim]) {
+                    victim = i;
+                }
+            }
+            if self.lines[victim].1 {
+                self.stats.evictions += 1;
+            }
+            self.lines[victim] = (tag, true, self.tick);
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.tick += 1;
+            match self.find(addr) {
+                (_, _, Some(i)) => {
+                    if self.policy == Replacement::Lru {
+                        self.lines[i].2 = self.tick;
+                    }
+                    self.stats.hits += 1;
+                    true
+                }
+                (base, tag, None) => {
+                    self.stats.misses += 1;
+                    self.allocate(base, tag);
+                    false
+                }
+            }
+        }
+
+        fn fill(&mut self, addr: u64) {
+            self.tick += 1;
+            if let (base, tag, None) = self.find(addr) {
+                self.allocate(base, tag);
+            }
+        }
+
+        fn probe(&mut self, addr: u64) -> bool {
+            self.find(addr).2.is_some()
+        }
+
+        fn flush(&mut self) {
+            for l in &mut self.lines {
+                l.1 = false;
+            }
+        }
+
+        fn reset(&mut self) {
+            self.lines.fill((0, false, 0));
+            self.tick = 0;
+            self.stats = CacheStats::default();
+        }
+    }
+
+    #[test]
+    fn lazy_slab_matches_the_eager_reference() {
+        // (size, line, ways): direct-mapped, set-associative with sparse
+        // sets, and fully associative — each under LRU and FIFO.
+        let shapes = [(2048, 64, 1), (4096, 32, 2), (1024, 128, 0)];
+        let policies = [Replacement::Lru, Replacement::Fifo];
+        let mut rng = Mix(0x0CAC_4E5E);
+        for seq in 0..2000u64 {
+            let (size, line, ways) = shapes[(seq % 3) as usize];
+            let policy = policies[((seq / 3) % 2) as usize];
+            let mut lazy = Cache::new(size, line, ways, policy);
+            let mut eager = RefCache::new(size, line, ways, policy);
+            // Addresses span three capacities, so sets fill, conflict and
+            // evict, and some sets stay untouched for a while.
+            let span = 3 * size;
+            for step in 0..48 {
+                let addr = rng.below(span);
+                let ctx = format!("seq {seq} step {step} addr {addr:#x}");
+                match rng.below(20) {
+                    0..=9 => assert_eq!(lazy.access(addr), eager.access(addr), "access {ctx}"),
+                    10..=13 => {
+                        lazy.fill(addr);
+                        eager.fill(addr);
+                    }
+                    14..=17 => assert_eq!(lazy.probe(addr), eager.probe(addr), "probe {ctx}"),
+                    18 => {
+                        lazy.flush();
+                        eager.flush();
+                    }
+                    _ => {
+                        lazy.reset();
+                        eager.reset();
+                    }
+                }
+                assert_eq!(lazy.stats(), eager.stats, "stats {ctx}");
+            }
+            // Every line the reference holds must answer a probe the same.
+            for a in (0..span).step_by(line as usize) {
+                assert_eq!(
+                    lazy.probe(a),
+                    eager.probe(a),
+                    "final probe seq {seq} {a:#x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,16 +21,18 @@ echo "== panic-surface gate (driver/sim/mem unwrap+expect ceiling)"
 # conversion to a structured error or a deliberate ceiling bump here.
 panic_sites=$(grep -rEo '\.unwrap\(\)|\.expect\(' \
     crates/driver/src crates/sim/src crates/mem/src | wc -l)
-# 131 = 137 + 3 remaining invariant assertions in sim/par.rs (live PCs,
+# 129 = 137 + 3 remaining invariant assertions in sim/par.rs (live PCs,
 # resident workgroups, forkable guards) - 6 expects the serial engine's
 # LSU dropped when both engines moved onto the shared lane data path
 # - 3 more (live PC, resident workgroup, atomic addend) that went with
 # the serial engine itself, once audited and fault-injected runs moved
-# onto the cycle-quantum engine; every checked-translation and
-# decoded-operand expect is now a typed MemFault abort or a defensive
-# skip, so a lane straddling into an unmapped page or a metadata
-# mapping changing mid-run degrades gracefully instead of panicking.
-panic_ceiling=131
+# onto the cycle-quantum engine - 2 "non-empty set" expects in the
+# cache's victim choice, which now scans the set by index; every
+# checked-translation and decoded-operand expect is now a typed MemFault
+# abort or a defensive skip, so a lane straddling into an unmapped page
+# or a metadata mapping changing mid-run degrades gracefully instead of
+# panicking.
+panic_ceiling=129
 if [[ "$panic_sites" -gt "$panic_ceiling" ]]; then
     echo "panic surface grew: $panic_sites unwrap/expect sites in" \
          "driver+sim+mem (ceiling $panic_ceiling)" >&2
@@ -109,24 +111,28 @@ if [[ "${CI_PERF:-1}" == "1" ]]; then
     # 225 seeded specimens spanning all three check types; the scoreboard
     # must be byte-identical at any --jobs fan-out and any --sim-threads
     # sharding, and the trend gate fails on any per-class detection-rate
-    # regression or schema drift against the committed BENCH_detection.json.
+    # regression or schema drift against the committed BENCH_detection.json,
+    # and it must reproduce the committed results/ byte for byte.
     ./target/release/experiments fuzz_scoreboard "$out" --jobs 1
     mv "$out/fuzz_scoreboard.txt" "$out/fuzz_scoreboard.j1.txt"
     ./target/release/experiments fuzz_scoreboard "$out" --jobs 4
     cmp "$out/fuzz_scoreboard.j1.txt" "$out/fuzz_scoreboard.txt"
     ./target/release/experiments fuzz_scoreboard "$out" --jobs 4 --sim-threads 7
     cmp "$out/fuzz_scoreboard.j1.txt" "$out/fuzz_scoreboard.txt"
+    cmp results/fuzz_scoreboard.txt "$out/fuzz_scoreboard.txt"
 
     echo "== static-precision exhibit determinism (CI_PERF=0 to skip)"
     # Classification, stall delta and certificate audit must be
-    # byte-identical at any --jobs fan-out and --sim-threads sharding;
-    # zero audit violations is asserted on the rendered text.
+    # byte-identical at any --jobs fan-out and --sim-threads sharding and
+    # to the committed results/; zero audit violations is asserted on the
+    # rendered text.
     ./target/release/experiments static_precision "$out" --jobs 1
     mv "$out/static_precision.txt" "$out/static_precision.j1.txt"
     ./target/release/experiments static_precision "$out" --jobs 4
     cmp "$out/static_precision.j1.txt" "$out/static_precision.txt"
     ./target/release/experiments static_precision "$out" --jobs 4 --sim-threads 7
     cmp "$out/static_precision.j1.txt" "$out/static_precision.txt"
+    cmp results/static_precision.txt "$out/static_precision.txt"
     grep -q ' 0 violations' "$out/static_precision.txt"
 
     echo "== flight-recorder forensics matrix (CI_PERF=0 to skip)"
