@@ -5,10 +5,10 @@
 //! (the cycle-budget watchdog converts injected livelocks into
 //! `RunError::CycleBudgetExceeded`).
 
-use crate::runner::fan_out;
+use crate::runner::{self, fan_out};
 use gpushield::{
-    Arg, BcuConfig, BufferHandle, DriverConfig, FaultKind, FaultPlan, GpuConfig, RunError, System,
-    SystemConfig, SystemError, ViolationKind,
+    Arg, BcuConfig, BufferHandle, DriverConfig, FaultKind, FaultPlan, GpuConfig, InjectionRecord,
+    RunError, RunReport, System, SystemConfig, SystemError, ViolationKind,
 };
 use gpushield_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
 use gpushield_runtime::rng::derive_seed;
@@ -131,12 +131,42 @@ fn read_words(sys: &System, buf: BufferHandle, words: u64) -> Vec<u64> {
 
 /// One trial of the sweep.
 #[derive(Debug, Clone, Copy)]
-struct Trial {
-    kind: FaultKind,
-    precise_faults: bool,
-    count: usize,
-    seed: u64,
+pub struct Trial {
+    /// The injected fault kind.
+    pub kind: FaultKind,
+    /// Precise fault (`true`) or imprecise squash (§5.5.2).
+    pub precise_faults: bool,
+    /// Faults scheduled.
+    pub count: usize,
+    /// Scenario seed; seed 3 runs the spin workload.
+    pub seed: u64,
 }
+
+/// Every trial of the sweep, in submission order: fault kind ×
+/// protection mode × fault count × seeded scenario.
+pub fn trials() -> Vec<Trial> {
+    let mut trials = Vec::new();
+    for kind in FaultKind::ALL {
+        for precise_faults in MODES {
+            for count in COUNTS {
+                for seed in SEEDS {
+                    trials.push(Trial {
+                        kind,
+                        precise_faults,
+                        count,
+                        seed,
+                    });
+                }
+            }
+        }
+    }
+    trials
+}
+
+const COUNTS: [usize; 2] = [1, 4];
+const SEEDS: [u64; 4] = [0, 1, 2, 3];
+/// Precise fault vs imprecise squash (§5.5.2).
+const MODES: [bool; 2] = [true, false];
 
 /// Per-trial result: classification plus how many scheduled faults fired
 /// and how many corrupted something.
@@ -172,42 +202,80 @@ fn classify_aborted(sys: &System) -> Outcome {
     }
 }
 
-fn run_trial(t: Trial) -> TrialResult {
-    // Seeds 0–2 run the diffable store workload; seed 3 runs the
-    // watchdog-exercising spin workload. Each (scenario, count) cell draws
-    // its fault plan from a labelled child stream of the scenario seed, so
-    // plans can never collide with each other or with any other consumer
-    // of the same experiment seed.
-    let spin = t.seed == 3;
-    let plan_seed = derive_seed(t.seed, &format!("fault-plan/{}", t.count));
-    let (kernel, grid, block, words, window) = if spin {
-        (spin_kernel(), 1u32, 32u32, 8u64, 5u64)
-    } else {
-        (linear_kernel(), 4u32, 32u32, 128u64, 4u64)
-    };
+/// A trial's fault-injected launch and the system it ran on.
+pub struct Injected {
+    /// The system after the launch.
+    pub sys: System,
+    /// The workload's output buffer.
+    pub buf: BufferHandle,
+    /// Words the workload's output spans.
+    pub words: u64,
+    /// The run report and injection log, or the host-level error.
+    pub result: Result<(RunReport, Vec<InjectionRecord>), SystemError>,
+}
 
+/// The trial's workload: `(kernel, grid, block, output words, fault
+/// window)`. Seeds 0–2 run the diffable store workload; seed 3 runs the
+/// watchdog-exercising spin workload.
+fn workload(t: Trial) -> (Arc<Kernel>, u32, u32, u64, u64) {
+    if t.seed == 3 {
+        (spin_kernel(), 1, 32, 8, 5)
+    } else {
+        (linear_kernel(), 4, 32, 128, 4)
+    }
+}
+
+/// A fresh trial system with the workload's buffer allocated (and the
+/// spin workload's exit flag set).
+fn trial_system(t: Trial, sim_threads: usize, words: u64) -> (System, BufferHandle) {
+    let mut cfg = sys_config(t.precise_faults);
+    cfg.gpu.sim_threads = sim_threads;
+    let mut sys = System::new(cfg);
+    let buf = sys.alloc(words * 4).expect("alloc");
+    if t.seed == 3 {
+        sys.write_buffer(buf, 0, &1u32.to_le_bytes());
+    }
+    (sys, buf)
+}
+
+/// Runs trial `t`'s fault-injected launch on `sim_threads` engine
+/// workers. Each (scenario, count) cell draws its fault plan from a
+/// labelled child stream of the scenario seed, so plans can never collide
+/// with each other or with any other consumer of the same experiment
+/// seed.
+pub fn inject(t: Trial, sim_threads: usize) -> Injected {
+    let (kernel, grid, block, words, window) = workload(t);
+    let (mut sys, buf) = trial_system(t, sim_threads, words);
+    let plan_seed = derive_seed(t.seed, &format!("fault-plan/{}", t.count));
+    let plan = FaultPlan::generate(plan_seed, &[t.kind], t.count, window);
+    let result = sys.launch_with_faults(kernel, grid, block, &[Arg::Buffer(buf)], plan);
+    Injected {
+        sys,
+        buf,
+        words,
+        result,
+    }
+}
+
+fn run_trial(t: Trial) -> TrialResult {
     // Golden reference: same config, same workload, no injection.
     let golden = {
-        let mut sys = System::new(sys_config(t.precise_faults));
-        let buf = sys.alloc(words * 4).expect("alloc");
-        if spin {
-            sys.write_buffer(buf, 0, &1u32.to_le_bytes());
-        }
+        let (kernel, grid, block, words, _) = workload(t);
+        let (mut sys, buf) = trial_system(t, runner::sim_threads(), words);
         let r = sys
-            .launch(kernel.clone(), grid, block, &[Arg::Buffer(buf)])
+            .launch(kernel, grid, block, &[Arg::Buffer(buf)])
             .expect("golden launch");
         assert!(r.completed(), "golden run must complete");
         read_words(&sys, buf, words)
     };
 
-    let mut sys = System::new(sys_config(t.precise_faults));
-    let buf = sys.alloc(words * 4).expect("alloc");
-    if spin {
-        sys.write_buffer(buf, 0, &1u32.to_le_bytes());
-    }
-    let plan = FaultPlan::generate(plan_seed, &[t.kind], t.count, window);
-    let scheduled = plan.len();
-    match sys.launch_with_faults(kernel, grid, block, &[Arg::Buffer(buf)], plan) {
+    let Injected {
+        sys,
+        buf,
+        words,
+        result,
+    } = inject(t, runner::sim_threads());
+    match result {
         Ok((report, injected)) => {
             let fired = injected.len();
             let applied = injected.iter().filter(|r| r.applied).count();
@@ -222,20 +290,23 @@ fn run_trial(t: Trial) -> TrialResult {
                 applied,
             }
         }
-        Err(SystemError::Run(
-            RunError::CycleBudgetExceeded { .. } | RunError::HeapDeadlock { .. },
-        )) => TrialResult {
-            outcome: Outcome::Hang,
-            fired: scheduled,
-            applied: scheduled,
-        },
-        // Any other host-level refusal still counts as a spurious rejection
-        // of a benign workload.
-        Err(_) => TrialResult {
-            outcome: Outcome::FalseFault,
-            fired: scheduled,
-            applied: scheduled,
-        },
+        Err(e) => {
+            // Every scheduled fault counts as fired and applied.
+            let scheduled = t.count;
+            let outcome = match e {
+                SystemError::Run(
+                    RunError::CycleBudgetExceeded { .. } | RunError::HeapDeadlock { .. },
+                ) => Outcome::Hang,
+                // Any other host-level refusal still counts as a spurious
+                // rejection of a benign workload.
+                _ => Outcome::FalseFault,
+            };
+            TrialResult {
+                outcome,
+                fired: scheduled,
+                applied: scheduled,
+            }
+        }
     }
 }
 
@@ -243,25 +314,7 @@ fn run_trial(t: Trial) -> TrialResult {
 /// scenario, fanned over `jobs` workers with submission-order results, so
 /// the rendered matrix is byte-identical at any worker count.
 pub fn fault_resilience(jobs: usize) -> String {
-    const COUNTS: [usize; 2] = [1, 4];
-    const SEEDS: [u64; 4] = [0, 1, 2, 3];
-    let modes = [true, false]; // precise fault vs imprecise squash (§5.5.2)
-
-    let mut trials = Vec::new();
-    for kind in FaultKind::ALL {
-        for &precise_faults in &modes {
-            for &count in &COUNTS {
-                for &seed in &SEEDS {
-                    trials.push(Trial {
-                        kind,
-                        precise_faults,
-                        count,
-                        seed,
-                    });
-                }
-            }
-        }
-    }
+    let trials = trials();
     let tasks: Vec<_> = trials
         .iter()
         .map(|t| {
@@ -278,7 +331,7 @@ pub fn fault_resilience(jobs: usize) -> String {
          ({} fault kinds x {} protection modes x counts {:?} x {} seeded scenarios;\n \
          watchdog budget {} cycles; every trial classified, zero panics)\n",
         FaultKind::ALL.len(),
-        modes.len(),
+        MODES.len(),
         COUNTS,
         SEEDS.len(),
         max_cycles()
@@ -293,7 +346,7 @@ pub fn fault_resilience(jobs: usize) -> String {
     let mut fired_total = 0usize;
     let mut applied_total = 0usize;
     for kind in FaultKind::ALL {
-        for &precise_faults in &modes {
+        for precise_faults in MODES {
             let mut tally = [0usize; 5];
             for (t, r) in trials.iter().zip(&results) {
                 if t.kind == kind && t.precise_faults == precise_faults {

@@ -27,11 +27,17 @@
 //! A long serving session pins the engine state a `Gpu` keeps between
 //! runs and the RBTs the driver reuses between launches: 2,000 tenant
 //! jobs on one `System` fold into one fingerprint at one and two workers.
+//!
+//! Every trial of the fault-resilience sweep pins the fault-injected
+//! launch path: each trial's launch result (report and injection log, or
+//! error), violation log and final output words fold into one
+//! fingerprint, the same at one and seven workers.
 
 use gpushield::{
     Arg, BcuConfig, BufferHandle, DriverConfig, GpuConfig, System, SystemConfig, TenantId,
     TenantTable,
 };
+use gpushield_bench::experiments::resilience::{self, Injected};
 use gpushield_bench::runner::{config, Protection, Target};
 use gpushield_fuzzgen::{corpus, BugClass, Specimen, CORPUS_SEED, PER_CLASS};
 use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand, TaggedPtr};
@@ -489,5 +495,42 @@ fn a_long_serving_session_matches_the_pinned_fingerprint() {
         got, [SERVING_PIN; 2],
         "serving session fingerprints at sim_threads 1 and 2: 0x{:016x} 0x{:016x}",
         got[0], got[1]
+    );
+}
+
+/// Fingerprint of every fault-resilience trial, the same at one and
+/// seven workers.
+const FAULT_TRIALS_PIN: u64 = 0x54ee_9a53_cd45_405e;
+
+/// Folds one fault-injected trial's launch result, violation log and
+/// final output words.
+fn fault_trial_print(t: resilience::Trial, sim_threads: usize) -> u64 {
+    let Injected {
+        sys,
+        buf,
+        words,
+        result,
+    } = resilience::inject(t, sim_threads);
+    let mut fp = Fnv::new();
+    fp.eat(format!("{result:?}").as_bytes());
+    fp.eat(format!("{:?}", sys.violations()).as_bytes());
+    for i in 0..words {
+        fp.eat(&sys.read_uint(buf, i * 4, 4).to_le_bytes());
+    }
+    fp.0
+}
+
+#[test]
+fn every_fault_resilience_trial_matches_the_pinned_fingerprint() {
+    let mut fp = Fnv::new();
+    for t in resilience::trials() {
+        let one = fault_trial_print(t, 1);
+        assert_eq!(one, fault_trial_print(t, 7), "{t:?}: sim_threads 1 vs 7");
+        fp.eat(&one.to_le_bytes());
+    }
+    assert_eq!(
+        fp.0, FAULT_TRIALS_PIN,
+        "fault-trial fingerprint: 0x{:016x}",
+        fp.0
     );
 }
