@@ -1,6 +1,9 @@
 //! Adapter running workload host programs on a [`System`].
 
-use gpushield::{Arg, BufferHandle, MemGuard, Registry, System, SystemConfig, Trace};
+use gpushield::{
+    Arg, BufferHandle, ConcurrentKernel, LaunchSpec, MemGuard, Registry, System, SystemConfig,
+    Trace,
+};
 use gpushield_isa::Kernel;
 use gpushield_sim::RunReport;
 use gpushield_workloads::{BufId, HostApi, WArg};
@@ -45,11 +48,10 @@ impl SystemHost {
         }
     }
 
-    /// Attaches a telemetry registry: every later launch runs through
-    /// [`System::launch_instrumented`], publishing scheduler, memory and
-    /// driver metrics into the registry. Attaching a
-    /// [`Registry::disabled`] registry keeps the instrumented code path
-    /// but records nothing. External-guard launches ignore the registry.
+    /// Attaches a telemetry registry: every later launch publishes
+    /// scheduler, memory and driver metrics into it (see
+    /// [`LaunchSpec::registry`]). Attaching a [`Registry::disabled`]
+    /// registry keeps the instrumented code path but records nothing.
     pub fn attach_registry(&mut self, registry: Registry) {
         self.registry = Some(registry);
     }
@@ -60,9 +62,8 @@ impl SystemHost {
         self.registry.take()
     }
 
-    /// Attaches an execution trace recorder. Only effective together with
-    /// [`SystemHost::attach_registry`]: instrumented launches append their
-    /// events to this trace (subject to its capacity bound).
+    /// Attaches an execution trace recorder: every later launch appends
+    /// its events to this trace (subject to its capacity bound).
     pub fn attach_trace(&mut self, trace: Trace) {
         self.trace = Some(trace);
     }
@@ -171,28 +172,16 @@ impl HostApi for SystemHost {
 
     fn launch(&mut self, kernel: &Arc<Kernel>, grid: u32, block: u32, args: &[WArg]) {
         let mapped = self.map_args(args);
-        let report = match (self.guard.as_mut(), self.registry.as_mut()) {
-            (Some(g), _) => self
-                .sys
-                .launch_with_guard(kernel.clone(), grid, block, &mapped, g.as_mut())
-                .expect("workload launch"),
-            (None, Some(reg)) => self
-                .sys
-                .launch_instrumented(
-                    kernel.clone(),
-                    grid,
-                    block,
-                    &mapped,
-                    reg,
-                    self.trace.as_mut(),
-                )
-                .expect("workload launch"),
-            (None, None) => self
-                .sys
-                .launch(kernel.clone(), grid, block, &mapped)
-                .expect("workload launch"),
-        };
-        self.reports.push(report);
+        let launched = self
+            .sys
+            .submit(LaunchSpec {
+                guard: self.guard.as_deref_mut().map(|g| g as _),
+                registry: self.registry.as_mut(),
+                trace: self.trace.as_mut(),
+                ..LaunchSpec::new(&[ConcurrentKernel::new(kernel.clone(), grid, block, &mapped)])
+            })
+            .expect("workload launch");
+        self.reports.push(launched.report);
     }
 }
 

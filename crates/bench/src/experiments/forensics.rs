@@ -14,7 +14,9 @@
 
 use crate::fuzzsweep;
 use crate::runner::{self, fan_out};
-use gpushield::{Arg, BufferHandle, FaultKind, FaultPlan, ObserveMode, System};
+use gpushield::{
+    Arg, BufferHandle, ConcurrentKernel, FaultKind, FaultPlan, LaunchSpec, ObserveMode, System,
+};
 use gpushield_fuzzgen::{Expected, Specimen};
 use gpushield_runtime::rng::derive_seed;
 use std::fmt::Write as _;
@@ -102,7 +104,15 @@ fn replay_fault(kind: FaultKind, spin: bool) -> String {
     }
     let plan_seed = derive_seed(u64::from(spin), &format!("forensics-fault/{}", kind.name()));
     let plan = FaultPlan::generate(plan_seed, &[kind], FAULT_COUNT, window);
-    let _ = sys.launch_with_faults(kernel, grid, block, &[Arg::Buffer(buf)], plan);
+    let _ = sys.submit(LaunchSpec {
+        faults: Some(plan),
+        ..LaunchSpec::new(&[ConcurrentKernel::new(
+            kernel,
+            grid,
+            block,
+            &[Arg::Buffer(buf)],
+        )])
+    });
 
     let mut out = String::new();
     let _ = writeln!(

@@ -2,7 +2,7 @@
 
 use crate::adapter::SystemHost;
 use crate::runner::{config, fan_out, geomean, Protection, Target};
-use gpushield::{ConcurrentKernel, MultiKernelMode};
+use gpushield::{ConcurrentKernel, LaunchSpec, MultiKernelMode};
 use gpushield_workloads::{fig18_names, representative};
 use std::fmt::Write as _;
 
@@ -17,24 +17,19 @@ fn run_pair(a: &str, b: &str, mode: MultiKernelMode, shield: bool) -> u64 {
     let rb = representative(b).expect("fig18 rep");
     let args_a = ra.bind(&mut host);
     let args_b = rb.bind(&mut host);
-    let kernels = vec![
-        ConcurrentKernel {
-            kernel: ra.kernel.clone(),
-            grid: ra.grid,
-            block: ra.block,
-            args: host.map_args(&args_a),
-        },
-        ConcurrentKernel {
-            kernel: rb.kernel.clone(),
-            grid: rb.grid,
-            block: rb.block,
-            args: host.map_args(&args_b),
-        },
+    let (args_a, args_b) = (host.map_args(&args_a), host.map_args(&args_b));
+    let kernels = [
+        ConcurrentKernel::new(ra.kernel.clone(), ra.grid, ra.block, &args_a),
+        ConcurrentKernel::new(rb.kernel.clone(), rb.grid, rb.block, &args_b),
     ];
     let report = host
         .system_mut()
-        .launch_concurrent(kernels, mode)
-        .expect("pair launch");
+        .submit(LaunchSpec {
+            mode,
+            ..LaunchSpec::new(&kernels)
+        })
+        .expect("pair launch")
+        .report;
     assert!(report.completed(), "pair {a}+{b} aborted");
     report.cycles
 }

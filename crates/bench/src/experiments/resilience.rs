@@ -7,8 +7,9 @@
 
 use crate::runner::{self, fan_out};
 use gpushield::{
-    Arg, BcuConfig, BufferHandle, DriverConfig, FaultKind, FaultPlan, GpuConfig, InjectionRecord,
-    RunError, RunReport, System, SystemConfig, SystemError, ViolationKind,
+    Arg, BcuConfig, BufferHandle, ConcurrentKernel, DriverConfig, FaultKind, FaultPlan, GpuConfig,
+    InjectionRecord, LaunchSpec, RunError, RunReport, System, SystemConfig, SystemError,
+    ViolationKind,
 };
 use gpushield_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
 use gpushield_runtime::rng::derive_seed;
@@ -248,7 +249,17 @@ pub fn inject(t: Trial, sim_threads: usize) -> Injected {
     let (mut sys, buf) = trial_system(t, sim_threads, words);
     let plan_seed = derive_seed(t.seed, &format!("fault-plan/{}", t.count));
     let plan = FaultPlan::generate(plan_seed, &[t.kind], t.count, window);
-    let result = sys.launch_with_faults(kernel, grid, block, &[Arg::Buffer(buf)], plan);
+    let result = sys
+        .submit(LaunchSpec {
+            faults: Some(plan),
+            ..LaunchSpec::new(&[ConcurrentKernel::new(
+                kernel,
+                grid,
+                block,
+                &[Arg::Buffer(buf)],
+            )])
+        })
+        .map(|l| (l.report, l.injections));
     Injected {
         sys,
         buf,

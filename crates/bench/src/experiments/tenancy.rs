@@ -10,8 +10,8 @@
 use crate::runner::fan_out;
 use crate::serving::{self, JobKind, Outcome, ServingConfig, ServingSummary};
 use gpushield::{
-    Arg, BcuConfig, ConcurrentKernel, DriverConfig, GpuConfig, MultiKernelMode, System,
-    SystemConfig, TenantId, TenantTable,
+    Arg, BcuConfig, ConcurrentKernel, DriverConfig, GpuConfig, LaunchSpec, System, SystemConfig,
+    TenantId, TenantTable,
 };
 use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
 use std::fmt::Write as _;
@@ -265,25 +265,30 @@ fn scenario_contention() -> Section {
         seed: 0x6057_5E1D,
     });
     let mut tenants = TenantTable::with_slices([(1u16, 65u16, 1u64), (65, 129, 1)]);
-    let mut kernels = Vec::new();
-    for (t, name) in [(0usize, "tenant0_quad"), (1, "tenant1_quad")] {
-        // One word per global thread (grid x block) in each buffer.
-        let args: Vec<Arg> = (0..4)
-            .map(|_| Arg::Buffer(sys.alloc(2 * 32 * 4).expect("buffer")))
-            .collect();
-        kernels.push((
-            TenantId(t as u16),
-            ConcurrentKernel {
-                kernel: multibuf_kernel(name),
-                grid: 2,
-                block: 32,
-                args,
-            },
-        ));
-    }
-    let (report, violations) = sys
-        .launch_tenant_concurrent(&mut tenants, kernels, MultiKernelMode::IntraCore)
+    // One word per global thread (grid x block) in each buffer.
+    let args: Vec<Vec<Arg>> = (0..2)
+        .map(|_| {
+            (0..4)
+                .map(|_| Arg::Buffer(sys.alloc(2 * 32 * 4).expect("buffer")))
+                .collect()
+        })
+        .collect();
+    let kernels: Vec<ConcurrentKernel> = ["tenant0_quad", "tenant1_quad"]
+        .into_iter()
+        .zip(&args)
+        .enumerate()
+        .map(|(t, (name, args))| ConcurrentKernel {
+            tenant: Some(TenantId(t as u16)),
+            ..ConcurrentKernel::new(multibuf_kernel(name), 2, 32, args)
+        })
+        .collect();
+    let launched = sys
+        .submit(LaunchSpec {
+            tenants: Some(&mut tenants),
+            ..LaunchSpec::new(&kernels)
+        })
         .expect("co-located launch");
+    let (report, violations) = (launched.report, launched.violations);
     let bcu = sys.bcu_stats();
     let mut text = String::new();
     let _ = writeln!(

@@ -11,8 +11,6 @@ pub mod schema;
 pub mod serving;
 pub mod verifysweep;
 
-pub mod microbench;
-
 pub use adapter::SystemHost;
 pub use runner::{
     config, config_fingerprint, fan_out, geomean, run_workload, Protection, Target, WorkloadRun,

@@ -52,7 +52,7 @@ pub use gpushield_driver::{
 pub use gpushield_sim::{
     CheckPath, FaultKind, FaultPlan, FaultSession, FaultSpec, FaultTargets, Gpu, GpuConfig,
     InjectionRecord, KernelLaunch, LaunchReport, MemGuard, MultiKernelMode, ObservedRange,
-    RunError, RunReport, StallAttribution, Trace, TraceEvent, TraceKind,
+    RunError, RunOpts, RunReport, StallAttribution, Trace, TraceEvent, TraceKind,
 };
 pub use gpushield_telemetry::flight::{FlightEvent, FlightRecord, FlightRecorder};
 pub use gpushield_telemetry::{chrome::ChromeTrace, MetricId, Registry};
@@ -63,6 +63,7 @@ use gpushield_isa::Kernel;
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How much the always-on flight recorder retains (see
@@ -186,11 +187,17 @@ impl From<RunError> for SystemError {
     }
 }
 
-/// A prepared, shielded launch awaiting retirement: its RBT and region IDs.
-type Held = (ShieldSetup, Vec<u16>);
+/// A prepared kernel awaiting retirement: its tenant, its RBT (when
+/// shielded) and its region IDs.
+struct Held {
+    tenant: Option<TenantId>,
+    shield: Option<ShieldSetup>,
+    region_ids: Vec<u16>,
+}
 
-/// A description of one kernel in a concurrent multi-kernel launch.
-pub struct ConcurrentKernel {
+/// One kernel of a launch.
+#[derive(Clone)]
+pub struct ConcurrentKernel<'a> {
     /// The kernel.
     pub kernel: Arc<Kernel>,
     /// Workgroups.
@@ -198,7 +205,92 @@ pub struct ConcurrentKernel {
     /// Workitems per workgroup.
     pub block: u32,
     /// Arguments.
-    pub args: Vec<Arg>,
+    pub args: &'a [Arg],
+    /// The tenant the kernel runs for: its region IDs come from the
+    /// tenant's slice of [`LaunchSpec::tenants`] instead of the global
+    /// random pool, and its violations and cycles are charged to the
+    /// tenant. `None` runs it outside any tenant.
+    pub tenant: Option<TenantId>,
+}
+
+impl<'a> ConcurrentKernel<'a> {
+    /// `kernel` over `grid` workgroups of `block` workitems, outside any
+    /// tenant.
+    pub fn new(kernel: Arc<Kernel>, grid: u32, block: u32, args: &'a [Arg]) -> Self {
+        ConcurrentKernel {
+            kernel,
+            grid,
+            block,
+            args,
+            tenant: None,
+        }
+    }
+}
+
+/// One launch through [`System::submit`]: the kernels, run concurrently
+/// (§6.2), and every optional part of the launch flow.
+/// [`LaunchSpec::new`] leaves every option off.
+pub struct LaunchSpec<'a> {
+    /// The kernels; each gets its own RBT.
+    pub kernels: &'a [ConcurrentKernel<'a>],
+    /// The tenant table tenant kernels draw region IDs from and are
+    /// accounted in. A kernel naming a tenant without a table fails with
+    /// [`DriverError::UnknownTenant`].
+    pub tenants: Option<&'a mut TenantTable>,
+    /// How the kernels share the cores.
+    pub mode: MultiKernelMode,
+    /// Deterministic fault-injection plan corrupting the protection
+    /// substrate mid-run (see [`FaultPlan`]). Its injectable RBT-entry
+    /// addresses are every prepared kernel's own region IDs, so the plan
+    /// attacks exactly the metadata protecting this launch.
+    pub faults: Option<FaultPlan>,
+    /// Record every site's attempted-address extremes into the reports'
+    /// `observed_ranges` for the soundness audit against
+    /// [`Launched::site_claims`].
+    pub audit: bool,
+    /// A guard consulted instead of the BCU (the software-baseline cost
+    /// models); the BCU is then not attached.
+    pub guard: Option<&'a mut dyn MemGuard>,
+    /// Telemetry registry: the run's scheduler, stall, cache/TLB/DRAM
+    /// statistics, the driver's metadata-cost gauges and the flight
+    /// recorder's counters are published into it. The recorder is not fed
+    /// in-run on such a launch.
+    pub registry: Option<&'a mut Registry>,
+    /// Execution trace (see [`Trace`]), e.g. for Chrome export.
+    pub trace: Option<&'a mut Trace>,
+}
+
+impl<'a> LaunchSpec<'a> {
+    /// Launches `kernels` with every option off.
+    pub fn new(kernels: &'a [ConcurrentKernel<'a>]) -> Self {
+        LaunchSpec {
+            kernels,
+            tenants: None,
+            mode: MultiKernelMode::default(),
+            faults: None,
+            audit: false,
+            guard: None,
+            registry: None,
+            trace: None,
+        }
+    }
+}
+
+/// What one [`System::submit`] produced.
+#[derive(Debug)]
+pub struct Launched {
+    /// The run report.
+    pub report: RunReport,
+    /// This launch's entries in [`System::violations`] (the BCU's log is
+    /// cumulative).
+    pub violations: Range<usize>,
+    /// Every injected fault that came due (empty without a fault plan).
+    pub injections: Vec<InjectionRecord>,
+    /// The driver's static [`SiteClaim`]s for every kernel, in kernel
+    /// order. Each statically elided (Type 1) or size-embedded (Type 3)
+    /// site whose observed addresses escape its declared window is a
+    /// soundness violation of the BAT.
+    pub site_claims: Vec<SiteClaim>,
 }
 
 /// The assembled GPUShield system: driver + compiler + BCU + GPU.
@@ -214,6 +306,11 @@ pub struct System {
     seen_region_ids: HashSet<u16>,
     /// Monotone buffer counter for `BufferAlloc` events.
     buffer_seq: u32,
+    /// The prepared kernels of the launch in flight (kept between launches
+    /// for its capacity).
+    held: Vec<Held>,
+    /// The launch descriptors of the launch in flight (likewise).
+    launches: Vec<KernelLaunch>,
 }
 
 impl System {
@@ -230,6 +327,8 @@ impl System {
             flight: None,
             seen_region_ids: HashSet::new(),
             buffer_seq: 0,
+            held: Vec::new(),
+            launches: Vec::new(),
             cfg,
         }
     }
@@ -392,53 +491,199 @@ impl System {
         }
     }
 
-    /// Prepares one launch (see [`Driver::prepare_launch_scoped`]) and,
-    /// when it is shielded, records its RBT in `held` for
-    /// [`System::retiring`] to retire.
-    fn prepare(
-        &mut self,
-        held: &mut Vec<Held>,
-        kernel: Arc<Kernel>,
-        grid: u32,
-        block: u32,
-        args: &[Arg],
-        scope: Option<&mut RegionIdAllocator>,
-    ) -> Result<PreparedLaunch, DriverError> {
-        let prepared = self
-            .driver
-            .prepare_launch_scoped(kernel, grid, block, args, scope)?;
-        if let Some(setup) = prepared.shield {
-            held.push((setup, prepared.region_ids.clone()));
-        }
-        Ok(prepared)
-    }
-
-    /// Runs one launch path, then retires every launch it prepared
-    /// through [`System::prepare`] (see [`Driver::retire_launch`]) on
-    /// every exit, `body`'s errors included. The RBT is per kernel
-    /// (§5.4), so its life ends when the kernel's run does. A retirement
-    /// failure surfaces only when `body` succeeded.
-    fn retiring<T>(
-        &mut self,
-        body: impl FnOnce(&mut Self, &mut Vec<Held>) -> Result<T, SystemError>,
-    ) -> Result<T, SystemError> {
-        let mut held = Vec::new();
-        let result = body(self, &mut held);
-        let mut retired = Ok(());
-        for (setup, ids) in &held {
-            retired = retired.and(self.driver.retire_launch(*setup, ids));
-        }
-        let out = result?;
-        retired?;
-        Ok(out)
-    }
-
-    /// Launches one kernel and runs it to completion.
+    /// Runs one launch through the whole flow (§5.4, §6.2): prepares every
+    /// kernel (region IDs, RBT, BAT), registers it with the BCU unless an
+    /// external guard is given, records the preparation, runs the kernels
+    /// concurrently, and charges each tenant kernel's violations and
+    /// cycles to its tenant. Every kernel's RBT is retired when the run
+    /// ends, on every exit (the RBT is per kernel, §5.4).
     ///
     /// # Errors
     ///
     /// Host-level failures only; an in-kernel bounds violation or memory
-    /// fault aborts the launch and is reported in the [`RunReport`].
+    /// fault aborts the launch and is reported in the [`RunReport`]. That
+    /// includes [`RunError::CycleBudgetExceeded`] when an injected fault
+    /// hangs the kernel past the watchdog budget,
+    /// [`DriverError::RegionIdsExhausted`] when a tenant's slice cannot
+    /// cover its kernel (counted against the tenant as a rejection) and
+    /// [`DriverError::UnknownTenant`] for a tenant outside the table. A
+    /// failed launch returns its tenant kernels' IDs to their slices before
+    /// the error propagates. A retirement failure surfaces only when the
+    /// launch succeeded.
+    pub fn submit(&mut self, mut spec: LaunchSpec<'_>) -> Result<Launched, SystemError> {
+        let mut held = std::mem::take(&mut self.held);
+        let mut launches = std::mem::take(&mut self.launches);
+        let result = self.run_spec(&mut spec, &mut held, &mut launches);
+        launches.clear();
+        self.launches = launches;
+        let mut cleanup = Ok(());
+        for h in held.drain(..) {
+            // A failed launch returns its tenant kernels' IDs to their
+            // slices; a finished one already did in `complete_launch`.
+            let unfinished = h.tenant.filter(|_| result.is_err());
+            if let (Some(t), Some(table)) = (unfinished, spec.tenants.as_deref_mut()) {
+                cleanup = cleanup.and(
+                    table
+                        .allocator_mut(t)
+                        .and_then(|a| a.release(&h.region_ids)),
+                );
+            }
+            if let Some(setup) = h.shield {
+                cleanup = cleanup.and(self.driver.retire_launch(setup, &h.region_ids));
+            }
+        }
+        self.held = held;
+        let out = result?;
+        cleanup?;
+        Ok(out)
+    }
+
+    /// The launch body behind [`System::submit`]; every kernel it prepares
+    /// lands in `held` for `submit` to retire.
+    fn run_spec(
+        &mut self,
+        spec: &mut LaunchSpec<'_>,
+        held: &mut Vec<Held>,
+        launches: &mut Vec<KernelLaunch>,
+    ) -> Result<Launched, SystemError> {
+        let mut site_claims = Vec::new();
+        for k in spec.kernels {
+            let scope = match (k.tenant, spec.tenants.as_deref_mut()) {
+                (None, _) => None,
+                (Some(t), Some(table)) => Some(table.allocator_mut(t)?),
+                (Some(t), None) => return Err(DriverError::UnknownTenant { id: t.0 }.into()),
+            };
+            let prepared = match self.driver.prepare_launch_scoped(
+                k.kernel.clone(),
+                k.grid,
+                k.block,
+                k.args,
+                scope,
+            ) {
+                Ok(p) => p,
+                Err(e) => {
+                    if let (Some(t), Some(table)) = (k.tenant, spec.tenants.as_deref_mut()) {
+                        table.record_rejection(t)?;
+                        if let Some(f) = self.flight.as_mut() {
+                            f.note(FlightEvent::TenantReject { tenant: t.0 });
+                        }
+                    }
+                    return Err(e.into());
+                }
+            };
+            let kernel_id = prepared.launch.kernel_id;
+            if spec.guard.is_none() {
+                self.attach_shield(prepared.shield, &prepared.region_ids);
+            }
+            if let (Some(t), Some(f)) = (k.tenant, self.flight.as_mut()) {
+                f.note(FlightEvent::TenantAdmit {
+                    tenant: t.0,
+                    kernel_id,
+                });
+            }
+            self.note_prepared(&prepared);
+            let PreparedLaunch {
+                launch,
+                shield,
+                bat,
+                region_ids,
+                site_claims: claims,
+            } = prepared;
+            held.push(Held {
+                tenant: k.tenant,
+                shield,
+                region_ids,
+            });
+            launches.push(launch);
+            self.last_bat = bat;
+            // A one-kernel launch moves its claims instead of copying them.
+            if site_claims.is_empty() {
+                site_claims = claims;
+            } else {
+                site_claims.extend(claims);
+            }
+            if let (Some(t), Some(table)) = (k.tenant, spec.tenants.as_deref_mut()) {
+                table.record_launch(t, kernel_id)?;
+            }
+        }
+        let mut session = spec.faults.take().map(|plan| {
+            let rbt_entries = held
+                .iter()
+                .filter_map(|h| Some((h.shield?.rbt_base, &h.region_ids)))
+                .flat_map(|(base, ids)| {
+                    ids.iter()
+                        .map(move |&id| (base + u64::from(id) * RBT_ENTRY_BYTES, RBT_ENTRY_BYTES))
+                })
+                .collect();
+            FaultSession::new(plan, FaultTargets { rbt_entries })
+        });
+
+        let logged_before = self.violations().len();
+        let guard: Option<&mut dyn MemGuard> = match spec.guard.as_deref_mut() {
+            Some(g) => Some(g),
+            None => self.bcu.as_mut().map(|b| b as _),
+        };
+        // See `LaunchSpec::registry`: an instrumented launch does not feed
+        // the recorder in-run.
+        let flight = match spec.registry {
+            Some(_) => None,
+            None => self.flight.as_mut(),
+        };
+        let opts = RunOpts {
+            mode: spec.mode,
+            trace: spec.trace.as_deref_mut(),
+            registry: spec.registry.as_deref_mut(),
+            flight,
+            fault: session.as_mut(),
+            observed_ranges: spec.audit,
+        };
+        let report = self
+            .gpu
+            .run_with(self.driver.vm_mut(), launches, guard, opts)?;
+
+        let violations = logged_before..self.violations().len();
+        if let Some(table) = spec.tenants.as_deref_mut() {
+            for v in &self.violations()[violations.clone()] {
+                if let Some(owner) = table.owner_of_kernel(v.kernel_id) {
+                    table.note_violation(owner)?;
+                }
+            }
+            for h in held.iter() {
+                if let Some(t) = h.tenant {
+                    table.stats_mut(t)?.cycles_consumed += report.cycles;
+                    table.complete_launch(t, &h.region_ids)?;
+                }
+            }
+        }
+        if let Some(reg) = spec.registry.as_deref_mut() {
+            self.driver.publish_telemetry(reg);
+        }
+        if let Some(f) = self.flight.as_mut() {
+            f.advance_epoch(report.cycles);
+            for h in held.iter().filter(|h| h.tenant.is_some()) {
+                for &id in &h.region_ids {
+                    f.note(FlightEvent::RegionFree { id });
+                }
+            }
+            if let Some(reg) = spec.registry.as_deref_mut() {
+                f.publish(reg);
+            }
+        }
+        Ok(Launched {
+            report,
+            violations,
+            injections: session.map(|s| s.injected().to_vec()).unwrap_or_default(),
+            site_claims,
+        })
+    }
+
+    /// Launches one kernel and runs it to completion: [`System::submit`]
+    /// with every option off. Kept for perfbench until it moves onto
+    /// `submit`.
+    ///
+    /// # Errors
+    ///
+    /// As [`System::submit`].
     pub fn launch(
         &mut self,
         kernel: Arc<Kernel>,
@@ -446,44 +691,20 @@ impl System {
         block: u32,
         args: &[Arg],
     ) -> Result<RunReport, SystemError> {
-        self.retiring(|sys, held| {
-            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
-            sys.attach_shield(prepared.shield, &prepared.region_ids);
-            sys.note_prepared(&prepared);
-            sys.last_bat = prepared.bat;
-            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-            let report = match sys.flight.as_mut() {
-                Some(f) => {
-                    sys.gpu
-                        .run_observed(sys.driver.vm_mut(), &[prepared.launch], guard, f)?
-                }
-                None => sys
-                    .gpu
-                    .run(sys.driver.vm_mut(), &[prepared.launch], guard)?,
-            };
-            if let Some(f) = sys.flight.as_mut() {
-                f.advance_epoch(report.cycles);
-            }
-            Ok(report)
-        })
+        self.submit(LaunchSpec::new(&[ConcurrentKernel::new(
+            kernel, grid, block, args,
+        )]))
+        .map(|l| l.report)
     }
 
-    /// Launches one kernel on behalf of tenant `t`: region IDs come from
-    /// the tenant's disjoint allocator slice (not the global random pool),
-    /// the launch's kernel ID is recorded for attribution, and any
-    /// violations the run logs are charged to the owning tenant before the
-    /// IDs are released back for recycling. Returns the run report plus
-    /// the violations raised by *this* launch (the BCU's log is
-    /// cumulative; the slice here is per-launch).
+    /// Launches one kernel on behalf of tenant `t` (see
+    /// [`ConcurrentKernel::tenant`]) and returns the run report plus the
+    /// violations raised by *this* launch. Kept for perfbench until it
+    /// moves onto [`System::submit`].
     ///
     /// # Errors
     ///
-    /// As [`System::launch`], plus [`DriverError::RegionIdsExhausted`]
-    /// when the tenant's slice cannot cover the launch (counted against
-    /// the tenant as a rejection) and [`DriverError::UnknownTenant`] for
-    /// an ID outside the table. A launch the engine fails (for example
-    /// [`RunError::CycleBudgetExceeded`]) releases its IDs before the
-    /// error propagates.
+    /// As [`System::submit`].
     pub fn launch_tenant(
         &mut self,
         tenants: &mut TenantTable,
@@ -493,230 +714,24 @@ impl System {
         block: u32,
         args: &[Arg],
     ) -> Result<(RunReport, Vec<ViolationRecord>), SystemError> {
-        self.retiring(|sys, held| {
-            let scope = tenants.allocator_mut(t)?;
-            let prepared = match sys.prepare(held, kernel, grid, block, args, Some(scope)) {
-                Ok(p) => p,
-                Err(e) => {
-                    tenants.record_rejection(t)?;
-                    if let Some(f) = sys.flight.as_mut() {
-                        f.note(FlightEvent::TenantReject { tenant: t.0 });
-                    }
-                    return Err(e.into());
-                }
-            };
-            tenants.record_launch(t, prepared.launch.kernel_id)?;
-            sys.attach_shield(prepared.shield, &prepared.region_ids);
-            if let Some(f) = sys.flight.as_mut() {
-                f.note(FlightEvent::TenantAdmit {
-                    tenant: t.0,
-                    kernel_id: prepared.launch.kernel_id,
-                });
-            }
-            sys.note_prepared(&prepared);
-            sys.last_bat = prepared.bat;
-            let logged_before = sys.bcu.as_ref().map(|b| b.violations().len());
-            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-            let run = match sys.flight.as_mut() {
-                Some(f) => sys
-                    .gpu
-                    .run_observed(sys.driver.vm_mut(), &[prepared.launch], guard, f),
-                None => sys.gpu.run(sys.driver.vm_mut(), &[prepared.launch], guard),
-            };
-            let report = match run {
-                Ok(report) => report,
-                Err(e) => {
-                    // An engine error (a watchdog trip, a deadlock) ends
-                    // the launch too: its IDs go back to the slice.
-                    tenants.allocator_mut(t)?.release(&prepared.region_ids)?;
-                    return Err(e.into());
-                }
-            };
-            let new_violations: Vec<ViolationRecord> = match (sys.bcu.as_ref(), logged_before) {
-                (Some(b), Some(n)) => b.violations()[n..].to_vec(),
-                _ => Vec::new(),
-            };
-            for v in &new_violations {
-                if let Some(owner) = tenants.owner_of_kernel(v.kernel_id) {
-                    tenants.note_violation(owner)?;
-                }
-            }
-            tenants.stats_mut(t)?.cycles_consumed += report.cycles;
-            tenants.complete_launch(t, &prepared.region_ids)?;
-            if let Some(f) = sys.flight.as_mut() {
-                f.advance_epoch(report.cycles);
-                for &id in &prepared.region_ids {
-                    f.note(FlightEvent::RegionFree { id });
-                }
-            }
-            Ok((report, new_violations))
+        self.submit(LaunchSpec {
+            tenants: Some(tenants),
+            ..LaunchSpec::new(&[ConcurrentKernel {
+                tenant: Some(t),
+                ..ConcurrentKernel::new(kernel, grid, block, args)
+            }])
         })
+        .map(|l| (l.report, self.violations()[l.violations].to_vec()))
     }
 
-    /// Launches several kernels concurrently on behalf of their tenants
-    /// (§6.2 co-location under isolation domains): each kernel's region
-    /// IDs come from its own tenant's slice, kernel IDs are recorded for
-    /// attribution, and the co-resident kernels contend for the per-core
-    /// RCaches under their distinct kernel-ID tags (see
-    /// [`BcuStats::cross_kernel_evictions`]). The whole run's cycles are
-    /// charged to every participating tenant (they co-occupied the GPU).
-    /// Each kernel gets its own RBT.
+    /// Launches one kernel with soundness-audit recording
+    /// ([`LaunchSpec::audit`]) and returns the run report plus the
+    /// driver's static [`SiteClaim`]s for this launch. Kept for perfbench
+    /// until it moves onto [`System::submit`].
     ///
     /// # Errors
     ///
-    /// As [`System::launch_tenant`]; on a mid-batch preparation failure
-    /// or an engine failure the IDs of already-prepared kernels are
-    /// returned to their allocators before the error propagates.
-    pub fn launch_tenant_concurrent(
-        &mut self,
-        tenants: &mut TenantTable,
-        kernels: Vec<(TenantId, ConcurrentKernel)>,
-        mode: MultiKernelMode,
-    ) -> Result<(RunReport, Vec<ViolationRecord>), SystemError> {
-        self.retiring(|sys, held| {
-            let mut launches = Vec::with_capacity(kernels.len());
-            let mut owners: Vec<(TenantId, Vec<u16>)> = Vec::with_capacity(kernels.len());
-            for (t, k) in kernels {
-                let scope = tenants.allocator_mut(t)?;
-                let prepared =
-                    match sys.prepare(held, k.kernel, k.grid, k.block, &k.args, Some(scope)) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            tenants.record_rejection(t)?;
-                            if let Some(f) = sys.flight.as_mut() {
-                                f.note(FlightEvent::TenantReject { tenant: t.0 });
-                            }
-                            for (pt, ids) in &owners {
-                                tenants.allocator_mut(*pt)?.release(ids)?;
-                            }
-                            return Err(e.into());
-                        }
-                    };
-                tenants.record_launch(t, prepared.launch.kernel_id)?;
-                sys.attach_shield(prepared.shield, &prepared.region_ids);
-                if let Some(f) = sys.flight.as_mut() {
-                    f.note(FlightEvent::TenantAdmit {
-                        tenant: t.0,
-                        kernel_id: prepared.launch.kernel_id,
-                    });
-                }
-                sys.note_prepared(&prepared);
-                owners.push((t, prepared.region_ids.clone()));
-                launches.push(prepared.launch);
-            }
-            let logged_before = sys.bcu.as_ref().map(|b| b.violations().len());
-            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-            // The observed engine path runs the default fine-grained sharing
-            // mode; an explicit InterCore request keeps the unobserved path
-            // (launch-prep and admission events are still recorded).
-            let run = match sys.flight.as_mut() {
-                Some(f) if mode == MultiKernelMode::IntraCore => {
-                    sys.gpu
-                        .run_observed(sys.driver.vm_mut(), &launches, guard, f)
-                }
-                _ => sys
-                    .gpu
-                    .run_multi(sys.driver.vm_mut(), &launches, mode, guard),
-            };
-            let report = match run {
-                Ok(report) => report,
-                Err(e) => {
-                    for (t, ids) in &owners {
-                        tenants.allocator_mut(*t)?.release(ids)?;
-                    }
-                    return Err(e.into());
-                }
-            };
-            let new_violations: Vec<ViolationRecord> = match (sys.bcu.as_ref(), logged_before) {
-                (Some(b), Some(n)) => b.violations()[n..].to_vec(),
-                _ => Vec::new(),
-            };
-            for v in &new_violations {
-                if let Some(owner) = tenants.owner_of_kernel(v.kernel_id) {
-                    tenants.note_violation(owner)?;
-                }
-            }
-            for (t, ids) in &owners {
-                tenants.stats_mut(*t)?.cycles_consumed += report.cycles;
-                tenants.complete_launch(*t, ids)?;
-            }
-            if let Some(f) = sys.flight.as_mut() {
-                f.advance_epoch(report.cycles);
-                for (_, ids) in &owners {
-                    for &id in ids {
-                        f.note(FlightEvent::RegionFree { id });
-                    }
-                }
-            }
-            Ok((report, new_violations))
-        })
-    }
-
-    /// Launches one kernel under a deterministic fault-injection plan
-    /// corrupting the protection substrate mid-run (see
-    /// [`FaultPlan`]). The injectable RBT-entry addresses are derived from
-    /// the launch's own region IDs, so the plan attacks exactly the
-    /// metadata protecting this kernel. Returns the run report plus the
-    /// record of every fault that came due.
-    ///
-    /// # Errors
-    ///
-    /// As [`System::launch`] — including [`RunError::CycleBudgetExceeded`]
-    /// when an injected fault hangs the kernel past the configured
-    /// watchdog budget.
-    pub fn launch_with_faults(
-        &mut self,
-        kernel: Arc<Kernel>,
-        grid: u32,
-        block: u32,
-        args: &[Arg],
-        plan: FaultPlan,
-    ) -> Result<(RunReport, Vec<InjectionRecord>), SystemError> {
-        self.retiring(|sys, held| {
-            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
-            let mut targets = FaultTargets::default();
-            if let Some(setup) = prepared.shield {
-                targets.rbt_entries = prepared
-                    .region_ids
-                    .iter()
-                    .map(|id| {
-                        (
-                            setup.rbt_base + u64::from(*id) * RBT_ENTRY_BYTES,
-                            RBT_ENTRY_BYTES,
-                        )
-                    })
-                    .collect();
-            }
-            sys.attach_shield(prepared.shield, &prepared.region_ids);
-            sys.note_prepared(&prepared);
-            sys.last_bat = prepared.bat;
-            let mut session = FaultSession::new(plan, targets);
-            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-            let report = sys.gpu.run_faulted(
-                sys.driver.vm_mut(),
-                &[prepared.launch],
-                guard,
-                &mut session,
-                sys.flight.as_mut(),
-            )?;
-            if let Some(f) = sys.flight.as_mut() {
-                f.advance_epoch(report.cycles);
-            }
-            Ok((report, session.injected().to_vec()))
-        })
-    }
-
-    /// Launches one kernel with soundness-audit recording: runs under
-    /// [`Gpu::run_recorded`] and returns, alongside the run report, the
-    /// driver's static [`SiteClaim`]s for this launch. The caller can then
-    /// compare each claim's declared window against the matching
-    /// [`ObservedRange`] in the report — any statically elided (Type 1) or
-    /// size-embedded (Type 3) site whose observed addresses escape the
-    /// declared window is a soundness violation of the BAT.
-    ///
-    /// # Errors
-    ///
-    /// As [`System::launch`].
+    /// As [`System::submit`].
     pub fn launch_audited(
         &mut self,
         kernel: Arc<Kernel>,
@@ -724,159 +739,11 @@ impl System {
         block: u32,
         args: &[Arg],
     ) -> Result<(RunReport, Vec<SiteClaim>), SystemError> {
-        self.retiring(|sys, held| {
-            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
-            sys.attach_shield(prepared.shield, &prepared.region_ids);
-            sys.note_prepared(&prepared);
-            sys.last_bat = prepared.bat;
-            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-            let report = sys
-                .gpu
-                .run_recorded(sys.driver.vm_mut(), &[prepared.launch], guard)?;
-            if let Some(f) = sys.flight.as_mut() {
-                f.advance_epoch(report.cycles);
-            }
-            Ok((report, prepared.site_claims))
+        self.submit(LaunchSpec {
+            audit: true,
+            ..LaunchSpec::new(&[ConcurrentKernel::new(kernel, grid, block, args)])
         })
-    }
-
-    /// Launches one kernel with execution tracing (see [`Trace`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`System::launch`].
-    pub fn launch_traced(
-        &mut self,
-        kernel: Arc<Kernel>,
-        grid: u32,
-        block: u32,
-        args: &[Arg],
-        trace: &mut Trace,
-    ) -> Result<RunReport, SystemError> {
-        self.retiring(|sys, held| {
-            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
-            sys.attach_shield(prepared.shield, &prepared.region_ids);
-            sys.note_prepared(&prepared);
-            sys.last_bat = prepared.bat;
-            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-            let report =
-                sys.gpu
-                    .run_traced(sys.driver.vm_mut(), &[prepared.launch], guard, trace)?;
-            if let Some(f) = sys.flight.as_mut() {
-                f.advance_epoch(report.cycles);
-            }
-            Ok(report)
-        })
-    }
-
-    /// Launches one kernel with full telemetry: scheduler occupancy series,
-    /// stall-attribution counters, cache/TLB/DRAM statistics and driver
-    /// metadata-cost gauges are published into `registry`, and the
-    /// execution is optionally recorded into `trace` for Chrome export.
-    /// With a [`Registry::disabled`] registry the run behaves exactly like
-    /// [`System::launch`] apart from one branch per scheduler slot.
-    ///
-    /// # Errors
-    ///
-    /// As [`System::launch`].
-    pub fn launch_instrumented(
-        &mut self,
-        kernel: Arc<Kernel>,
-        grid: u32,
-        block: u32,
-        args: &[Arg],
-        registry: &mut Registry,
-        trace: Option<&mut Trace>,
-    ) -> Result<RunReport, SystemError> {
-        self.retiring(|sys, held| {
-            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
-            sys.attach_shield(prepared.shield, &prepared.region_ids);
-            sys.note_prepared(&prepared);
-            sys.last_bat = prepared.bat;
-            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-            let report = sys.gpu.run_instrumented(
-                sys.driver.vm_mut(),
-                &[prepared.launch],
-                guard,
-                registry,
-                trace,
-            )?;
-            sys.driver.publish_telemetry(registry);
-            if let Some(f) = sys.flight.as_mut() {
-                f.advance_epoch(report.cycles);
-                f.publish(registry);
-            }
-            Ok(report)
-        })
-    }
-
-    /// Launches several kernels concurrently (§6.2) under `mode`.
-    ///
-    /// # Errors
-    ///
-    /// As [`System::launch`].
-    pub fn launch_concurrent(
-        &mut self,
-        kernels: Vec<ConcurrentKernel>,
-        mode: MultiKernelMode,
-    ) -> Result<RunReport, SystemError> {
-        self.retiring(|sys, held| {
-            let mut launches = Vec::with_capacity(kernels.len());
-            for k in kernels {
-                let prepared = sys.prepare(held, k.kernel, k.grid, k.block, &k.args, None)?;
-                sys.attach_shield(prepared.shield, &prepared.region_ids);
-                sys.note_prepared(&prepared);
-                launches.push(prepared.launch);
-            }
-            let guard = sys.bcu.as_mut().map(|b| b as &mut dyn MemGuard);
-            let report = match sys.flight.as_mut() {
-                Some(f) if mode == MultiKernelMode::IntraCore => {
-                    sys.gpu
-                        .run_observed(sys.driver.vm_mut(), &launches, guard, f)?
-                }
-                _ => sys
-                    .gpu
-                    .run_multi(sys.driver.vm_mut(), &launches, mode, guard)?,
-            };
-            if let Some(f) = sys.flight.as_mut() {
-                f.advance_epoch(report.cycles);
-            }
-            Ok(report)
-        })
-    }
-
-    /// Launches one kernel under an external guard (used by the
-    /// software-baseline cost models instead of the BCU).
-    ///
-    /// # Errors
-    ///
-    /// As [`System::launch`].
-    pub fn launch_with_guard(
-        &mut self,
-        kernel: Arc<Kernel>,
-        grid: u32,
-        block: u32,
-        args: &[Arg],
-        guard: &mut dyn MemGuard,
-    ) -> Result<RunReport, SystemError> {
-        self.retiring(|sys, held| {
-            let prepared = sys.prepare(held, kernel, grid, block, args, None)?;
-            sys.note_prepared(&prepared);
-            sys.last_bat = prepared.bat;
-            let report = match sys.flight.as_mut() {
-                Some(f) => {
-                    sys.gpu
-                        .run_observed(sys.driver.vm_mut(), &[prepared.launch], Some(guard), f)?
-                }
-                None => sys
-                    .gpu
-                    .run(sys.driver.vm_mut(), &[prepared.launch], Some(guard))?,
-            };
-            if let Some(f) = sys.flight.as_mut() {
-                f.advance_epoch(report.cycles);
-            }
-            Ok(report)
-        })
+        .map(|l| (l.report, l.site_claims))
     }
 
     /// BCU statistics (zeroed when the shield is off).
@@ -1119,31 +986,44 @@ mod tests {
     }
 
     #[test]
+    fn inter_core_concurrent_launch_keeps_the_flight_recorder() {
+        for mode in [MultiKernelMode::IntraCore, MultiKernelMode::InterCore] {
+            let mut sys = System::new(SystemConfig::nvidia_protected());
+            sys.enable_observation(ObserveMode::Full);
+            let a = [Arg::Buffer(sys.alloc(128 * 4).unwrap())];
+            let b = [Arg::Buffer(sys.alloc(128 * 4).unwrap())];
+            let kernels = [
+                ConcurrentKernel::new(iota(), 8, 32, &a),
+                ConcurrentKernel::new(iota(), 8, 32, &b),
+            ];
+            let l = sys
+                .submit(LaunchSpec {
+                    mode,
+                    ..LaunchSpec::new(&kernels)
+                })
+                .unwrap();
+            assert!(!l.report.completed());
+            let pm = sys
+                .post_mortem()
+                .unwrap_or_else(|| panic!("{mode:?}: no post-mortem"));
+            assert_eq!(pm.trigger, "kernel_abort", "{mode:?}");
+        }
+    }
+
+    #[test]
     fn concurrent_kernels_both_complete() {
         let mut sys = System::new(SystemConfig::intel_protected());
         let b1 = sys.alloc(256 * 4).unwrap();
         let b2 = sys.alloc(256 * 4).unwrap();
-        let report = sys
-            .launch_concurrent(
-                vec![
-                    ConcurrentKernel {
-                        kernel: iota(),
-                        grid: 8,
-                        block: 32,
-                        args: vec![Arg::Buffer(b1)],
-                    },
-                    ConcurrentKernel {
-                        kernel: iota(),
-                        grid: 8,
-                        block: 32,
-                        args: vec![Arg::Buffer(b2)],
-                    },
-                ],
-                MultiKernelMode::IntraCore,
-            )
+        let (a1, a2) = ([Arg::Buffer(b1)], [Arg::Buffer(b2)]);
+        let l = sys
+            .submit(LaunchSpec::new(&[
+                ConcurrentKernel::new(iota(), 8, 32, &a1),
+                ConcurrentKernel::new(iota(), 8, 32, &a2),
+            ]))
             .unwrap();
-        assert!(report.completed());
-        assert_eq!(report.launches.len(), 2);
+        assert!(l.report.completed());
+        assert_eq!(l.report.launches.len(), 2);
         assert_eq!(sys.read_uint(b1, 255 * 4, 4), 255);
         assert_eq!(sys.read_uint(b2, 255 * 4, 4), 255);
     }

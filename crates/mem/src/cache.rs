@@ -91,7 +91,12 @@ pub struct Cache {
     /// for the sets it uses.
     lines: Vec<Line>,
     nsets: usize,
-    line_bytes: u64,
+    /// `log2(line_bytes)`: an address's line is `addr >> line_shift`.
+    line_shift: u32,
+    /// `nsets - 1`: a line's set is `line & set_mask`.
+    set_mask: u64,
+    /// `log2(line_bytes * nsets)`: an address's tag is `addr >> tag_shift`.
+    tag_shift: u32,
     ways: usize,
     policy: Replacement,
     tick: u64,
@@ -104,7 +109,9 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if sizes are zero or not divisible into whole sets.
+    /// Panics if sizes are zero or not divisible into whole sets, or if
+    /// the line size or the set count is not a power of two (set and tag
+    /// are then a mask and a shift of the address).
     pub fn new(size_bytes: u64, line_bytes: u64, ways: usize, policy: Replacement) -> Self {
         assert!(size_bytes > 0 && line_bytes > 0, "zero-size cache");
         let lines = size_bytes / line_bytes;
@@ -116,10 +123,17 @@ impl Cache {
             lines as usize,
             "cache lines not divisible into sets"
         );
+        assert!(
+            line_bytes.is_power_of_two() && nsets.is_power_of_two(),
+            "line size {line_bytes} and set count {nsets} must be powers of two"
+        );
+        let line_shift = line_bytes.trailing_zeros();
         Cache {
             lines: Vec::with_capacity(nsets * ways),
             nsets,
-            line_bytes,
+            line_shift,
+            set_mask: nsets as u64 - 1,
+            tag_shift: line_shift + nsets.trailing_zeros(),
             ways,
             policy,
             tick: 0,
@@ -134,11 +148,11 @@ impl Cache {
     }
 
     fn set_of(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes) % self.nsets as u64) as usize
+        ((addr >> self.line_shift) & self.set_mask) as usize
     }
 
     fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes / self.nsets as u64
+        addr >> self.tag_shift
     }
 
     /// The slots of set `set_idx`, initialising the slab up to the end of
@@ -252,7 +266,7 @@ impl Cache {
 
     /// The line size in bytes.
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_shift
     }
 }
 
@@ -469,6 +483,12 @@ mod tests {
             self.tick = 0;
             self.stats = CacheStats::default();
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn a_set_count_that_is_not_a_power_of_two_is_rejected() {
+        Cache::new(3 * 128, 128, 1, Replacement::Lru);
     }
 
     #[test]

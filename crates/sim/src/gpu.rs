@@ -319,7 +319,7 @@ struct LaunchState {
     aborted: bool,
     report: LaunchReport,
     /// Per-site attempted-address extremes, populated only under
-    /// [`Gpu::run_recorded`] (`None` keeps the default hot path
+    /// [`RunOpts::observed_ranges`] (`None` keeps the default hot path
     /// allocation-free).
     observed: Option<HashMap<(gpushield_isa::BlockId, usize), (u64, u64)>>,
 }
@@ -367,8 +367,9 @@ impl Gpu {
         &self.cfg
     }
 
-    /// Runs `launches` to completion concurrently in
-    /// [`MultiKernelMode::IntraCore`] and returns the run report.
+    /// Runs `launches` to completion concurrently under `opts` and returns
+    /// the run report. This is the one run entry; `opts` chooses the
+    /// sharing mode and the optional outputs (see [`RunOpts`]).
     ///
     /// `guard` is the bounds-checking mechanism consulted on every memory
     /// access; `None` simulates an unprotected GPU.
@@ -377,148 +378,82 @@ impl Gpu {
     ///
     /// See [`RunError`]. In-kernel faults (illegal accesses, bounds
     /// violations) do *not* produce an `Err`; they abort the offending
-    /// launch and surface in its [`LaunchReport`].
+    /// launch and surface in its [`LaunchReport`]. An injected hang trips
+    /// the `max_cycles` watchdog as [`RunError::CycleBudgetExceeded`].
+    pub fn run_with(
+        &mut self,
+        vm: &mut VirtualMemorySpace,
+        launches: &[KernelLaunch],
+        guard: Option<&mut dyn MemGuard>,
+        mut opts: RunOpts<'_>,
+    ) -> Result<RunReport, RunError> {
+        self.shared.begin_run();
+        let mut registry = opts.registry.take();
+        let opts = RunOpts {
+            registry: registry.as_deref_mut(),
+            ..opts
+        };
+        let report = par::run_engine(
+            &self.cfg,
+            vm,
+            &mut self.shared,
+            &mut self.arena,
+            launches,
+            guard,
+            opts,
+        )?;
+        if let Some(reg) = registry {
+            stats::publish_run_report(reg, &report);
+            gpushield_mem::publish_dram_channels(reg, "mem.dram", self.shared.dram());
+        }
+        Ok(report)
+    }
+
+    /// [`Gpu::run_with`] with every option off. Kept for perfbench until
+    /// it moves onto `run_with`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Gpu::run_with`].
     pub fn run(
         &mut self,
         vm: &mut VirtualMemorySpace,
         launches: &[KernelLaunch],
         guard: Option<&mut dyn MemGuard>,
     ) -> Result<RunReport, RunError> {
-        self.run_multi(vm, launches, MultiKernelMode::IntraCore, guard)
+        self.run_with(vm, launches, guard, RunOpts::default())
     }
 
-    /// Runs `launches` with an explicit multi-kernel sharing mode.
+    /// [`Gpu::run_with`] recording [`RunOpts::observed_ranges`]. Kept for
+    /// perfbench until it moves onto `run_with`.
     ///
     /// # Errors
     ///
-    /// See [`Gpu::run`].
-    pub fn run_multi(
-        &mut self,
-        vm: &mut VirtualMemorySpace,
-        launches: &[KernelLaunch],
-        mode: MultiKernelMode,
-        guard: Option<&mut dyn MemGuard>,
-    ) -> Result<RunReport, RunError> {
-        self.run_with(vm, launches, mode, guard, par::Sinks::default())
-    }
-
-    /// Like [`Gpu::run`], additionally recording structured flight events
-    /// (kernel lifecycle, check verdicts, aborts, watchdog trips) into
-    /// `flight`. Events are buffered per core and drained in canonical
-    /// `(cycle, core, seq)` order, so the recorded stream is identical
-    /// for every `sim_threads` setting.
-    ///
-    /// # Errors
-    ///
-    /// See [`Gpu::run`].
-    pub fn run_observed(
-        &mut self,
-        vm: &mut VirtualMemorySpace,
-        launches: &[KernelLaunch],
-        guard: Option<&mut dyn MemGuard>,
-        flight: &mut FlightRecorder,
-    ) -> Result<RunReport, RunError> {
-        let sinks = par::Sinks {
-            flight: Some(flight),
-            ..par::Sinks::default()
-        };
-        self.run_with(vm, launches, MultiKernelMode::IntraCore, guard, sinks)
-    }
-
-    /// Like [`Gpu::run`], recording dispatch/memory/barrier/retire events
-    /// into `trace` (bounded by the trace's capacity).
-    ///
-    /// # Errors
-    ///
-    /// See [`Gpu::run`].
-    pub fn run_traced(
-        &mut self,
-        vm: &mut VirtualMemorySpace,
-        launches: &[KernelLaunch],
-        guard: Option<&mut dyn MemGuard>,
-        trace: &mut Trace,
-    ) -> Result<RunReport, RunError> {
-        let sinks = par::Sinks {
-            trace: Some(trace),
-            ..par::Sinks::default()
-        };
-        self.run_with(vm, launches, MultiKernelMode::IntraCore, guard, sinks)
-    }
-
-    /// Like [`Gpu::run`], additionally recording, for every static memory
-    /// instruction outside shared memory, the lowest and highest byte
-    /// address any lane *attempted* to access (captured after address
-    /// generation, before the bounds-check verdict; each core keeps its
-    /// own extremes and the quantum drain merges them by min/max). The
-    /// extremes surface in each [`LaunchReport`]'s `observed_ranges`,
-    /// sorted by site; everything else in the report is what [`Gpu::run`]
-    /// would return.
-    ///
-    /// This is the measurement side of the BAT soundness audit: replaying a
-    /// workload under `run_recorded` and comparing the observed ranges
-    /// against the driver's static claims detects any elided or
-    /// size-embedded check whose declared window the kernel escaped.
-    ///
-    /// # Errors
-    ///
-    /// See [`Gpu::run`].
+    /// See [`Gpu::run_with`].
     pub fn run_recorded(
         &mut self,
         vm: &mut VirtualMemorySpace,
         launches: &[KernelLaunch],
         guard: Option<&mut dyn MemGuard>,
     ) -> Result<RunReport, RunError> {
-        let sinks = par::Sinks {
-            observed_ranges: true,
-            ..par::Sinks::default()
-        };
-        self.run_with(vm, launches, MultiKernelMode::IntraCore, guard, sinks)
+        self.run_with(
+            vm,
+            launches,
+            guard,
+            RunOpts {
+                observed_ranges: true,
+                ..RunOpts::default()
+            },
+        )
     }
 
-    /// Like [`Gpu::run`], but with a deterministic fault-injection session
-    /// (see [`crate::fault`]) corrupting protection metadata mid-run. The
-    /// session's injection log survives the call. The run simulates every
-    /// core on one engine worker with the whole guard (unforked), so the
-    /// session's access counter advances in one canonical order; with an
-    /// empty plan the simulated timing and memory are those of
-    /// [`Gpu::run`].
+    /// [`Gpu::run_with`] publishing into `registry` and, with `trace`,
+    /// recording the event stream. Kept for perfbench until it moves onto
+    /// `run_with`.
     ///
     /// # Errors
     ///
-    /// See [`Gpu::run`]; additionally [`RunError::CycleBudgetExceeded`]
-    /// when an injected hang trips the `max_cycles` watchdog.
-    pub fn run_faulted(
-        &mut self,
-        vm: &mut VirtualMemorySpace,
-        launches: &[KernelLaunch],
-        guard: Option<&mut dyn MemGuard>,
-        session: &mut FaultSession,
-        flight: Option<&mut FlightRecorder>,
-    ) -> Result<RunReport, RunError> {
-        let sinks = par::Sinks {
-            flight,
-            fault: Some(session),
-            ..par::Sinks::default()
-        };
-        self.run_with(vm, launches, MultiKernelMode::IntraCore, guard, sinks)
-    }
-
-    /// Like [`Gpu::run`], publishing the full telemetry of the run into
-    /// `registry`: scheduler counters and stride-sampled occupancy series
-    /// while running, then launch totals, per-path stall attribution
-    /// (`sim.stall.*`), the hot-path profile (`sim.profile.*` gauges) and
-    /// memory-hierarchy statistics (`mem.*`, including per-channel DRAM
-    /// occupancy) at completion. With `trace`, additionally records the
-    /// bounded event stream exactly as [`Gpu::run_traced`] does — the two
-    /// feeds together are what the Chrome-trace exporter consumes.
-    ///
-    /// Passing a [`Registry::disabled`] registry is behaviourally and
-    /// allocation-identical to [`Gpu::run`]: every hook degenerates to one
-    /// early-returning branch.
-    ///
-    /// # Errors
-    ///
-    /// See [`Gpu::run`].
+    /// See [`Gpu::run_with`].
     pub fn run_instrumented(
         &mut self,
         vm: &mut VirtualMemorySpace,
@@ -527,39 +462,56 @@ impl Gpu {
         registry: &mut Registry,
         trace: Option<&mut Trace>,
     ) -> Result<RunReport, RunError> {
-        let sinks = par::Sinks {
-            trace,
-            registry: registry.enabled().then_some(&mut *registry),
-            ..par::Sinks::default()
-        };
-        let report = self.run_with(vm, launches, MultiKernelMode::IntraCore, guard, sinks)?;
-        stats::publish_run_report(registry, &report);
-        gpushield_mem::publish_dram_channels(registry, "mem.dram", self.shared.dram());
-        Ok(report)
-    }
-
-    /// Starts a run on the shared memory system and hands it to the
-    /// engine with `sinks`.
-    fn run_with(
-        &mut self,
-        vm: &mut VirtualMemorySpace,
-        launches: &[KernelLaunch],
-        mode: MultiKernelMode,
-        guard: Option<&mut dyn MemGuard>,
-        sinks: par::Sinks<'_>,
-    ) -> Result<RunReport, RunError> {
-        self.shared.begin_run();
-        par::run_engine(
-            &self.cfg,
+        self.run_with(
             vm,
-            &mut self.shared,
-            &mut self.arena,
             launches,
-            mode,
             guard,
-            sinks,
+            RunOpts {
+                registry: Some(registry),
+                trace,
+                ..RunOpts::default()
+            },
         )
     }
+}
+
+/// How one [`Gpu::run_with`] runs and what it records besides the report;
+/// the default runs [`MultiKernelMode::IntraCore`] and records nothing.
+#[derive(Default)]
+pub struct RunOpts<'t> {
+    /// How concurrent launches share the cores.
+    pub mode: MultiKernelMode,
+    /// Bounded dispatch/memory/barrier/retire event stream (subject to the
+    /// trace's capacity).
+    pub trace: Option<&'t mut Trace>,
+    /// Telemetry registry: scheduler counters and stride-sampled occupancy
+    /// series while running, then launch totals, per-path stall
+    /// attribution (`sim.stall.*`), the hot-path profile (`sim.profile.*`)
+    /// and memory-hierarchy statistics (`mem.*`, including per-channel DRAM
+    /// occupancy) at completion. A [`Registry::disabled`] registry is
+    /// behaviourally and allocation-identical to none: every hook
+    /// degenerates to one early-returning branch.
+    pub registry: Option<&'t mut Registry>,
+    /// Structured flight events (kernel lifecycle, check verdicts, aborts,
+    /// watchdog trips). Events are buffered per core and drained in
+    /// canonical `(cycle, core, seq)` order, so the recorded stream is
+    /// identical for every `sim_threads` setting.
+    pub flight: Option<&'t mut FlightRecorder>,
+    /// Deterministic fault-injection session (see [`crate::fault`])
+    /// corrupting protection metadata mid-run; its injection log survives
+    /// the run. The run then simulates every core on one engine worker with
+    /// the whole guard (unforked), so the session's access counter advances
+    /// in one canonical order; with an empty plan the simulated timing and
+    /// memory are those of a run without a session.
+    pub fault: Option<&'t mut FaultSession>,
+    /// Record, for every static memory instruction outside shared memory,
+    /// the lowest and highest byte address any lane *attempted* to access
+    /// (after address generation, before the bounds-check verdict; each
+    /// core keeps its own extremes and the quantum drain merges them). The
+    /// extremes surface in each [`LaunchReport`]'s `observed_ranges`,
+    /// sorted by site; everything else in the report is unchanged. This is
+    /// the measurement side of the BAT soundness audit.
+    pub observed_ranges: bool,
 }
 
 /// Validates the launches and builds their per-run bookkeeping.
@@ -973,7 +925,11 @@ mod tests {
             let report = if faulted {
                 let mut session =
                     FaultSession::new(crate::FaultPlan::empty(), crate::FaultTargets::default());
-                let r = gpu.run_faulted(&mut vm, &launches, None, &mut session, None)?;
+                let opts = RunOpts {
+                    fault: Some(&mut session),
+                    ..RunOpts::default()
+                };
+                let r = gpu.run_with(&mut vm, &launches, None, opts)?;
                 // Every global access (the load and the atomic of each
                 // of the 16 four-lane warps) advances the session's
                 // counter.
@@ -1032,9 +988,11 @@ mod tests {
         let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(2, 16))
             .arg(TaggedPtr::unprotected(buf.va).raw());
         let mut trace = crate::trace::Trace::new(10_000);
-        let report = gpu
-            .run_traced(&mut vm, &[launch], None, &mut trace)
-            .unwrap();
+        let opts = RunOpts {
+            trace: Some(&mut trace),
+            ..RunOpts::default()
+        };
+        let report = gpu.run_with(&mut vm, &[launch], None, opts).unwrap();
         assert!(report.completed());
         let events = trace.events();
         assert!(!trace.truncated());
@@ -1078,9 +1036,11 @@ mod tests {
             .arg(TaggedPtr::unprotected(b1.va).raw());
         let l2 = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(16, 16))
             .arg(TaggedPtr::unprotected(b2.va).raw());
-        let report = gpu
-            .run_multi(&mut vm, &[l1, l2], MultiKernelMode::InterCore, None)
-            .unwrap();
+        let opts = RunOpts {
+            mode: MultiKernelMode::InterCore,
+            ..RunOpts::default()
+        };
+        let report = gpu.run_with(&mut vm, &[l1, l2], None, opts).unwrap();
         assert!(report.completed());
         assert_eq!(vm.read_uint(b1.va + 4 * 255, 4).unwrap(), 255);
         assert_eq!(vm.read_uint(b2.va + 4 * 255, 4).unwrap(), 255);
@@ -1158,9 +1118,11 @@ mod extra_tests {
         let launch = KernelLaunch::new(store_kernel(), LaunchConfig::new(2, 8))
             .arg(TaggedPtr::unprotected(buf.va).raw());
         let mut trace = crate::trace::Trace::new(64);
-        let r = gpu
-            .run_traced(&mut vm, &[launch], None, &mut trace)
-            .unwrap();
+        let opts = RunOpts {
+            trace: Some(&mut trace),
+            ..RunOpts::default()
+        };
+        let r = gpu.run_with(&mut vm, &[launch], None, opts).unwrap();
         assert!(r.completed());
         let cores: std::collections::HashSet<usize> = trace
             .events()

@@ -17,7 +17,7 @@
 //! ```
 //! use gpushield_isa::{KernelBuilder, MemSpace, MemWidth, Operand, TaggedPtr};
 //! use gpushield_mem::{AllocPolicy, VirtualMemorySpace};
-//! use gpushield_sim::{Gpu, GpuConfig, KernelLaunch, LaunchConfig};
+//! use gpushield_sim::{Gpu, GpuConfig, KernelLaunch, LaunchConfig, RunOpts};
 //! use std::sync::Arc;
 //!
 //! // out[i] = 3 * i
@@ -36,7 +36,7 @@
 //! let mut gpu = Gpu::new(GpuConfig::nvidia());
 //! let launch = KernelLaunch::new(kernel, LaunchConfig::new(2, 32))
 //!     .arg(TaggedPtr::unprotected(buf.va).raw());
-//! let report = gpu.run(&mut vm, &mut [launch], None)?;
+//! let report = gpu.run_with(&mut vm, &[launch], None, RunOpts::default())?;
 //! assert!(report.cycles > 0);
 //! assert_eq!(vm.read_uint(buf.va + 40, 4)?, 30);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -56,7 +56,7 @@ mod warp;
 
 pub use config::GpuConfig;
 pub use fault::{FaultKind, FaultPlan, FaultSession, FaultSpec, FaultTargets, InjectionRecord};
-pub use gpu::{Gpu, MultiKernelMode, RunError};
+pub use gpu::{Gpu, MultiKernelMode, RunError, RunOpts};
 pub use guard::{CheckPath, CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
 pub use launch::{CheckPlan, HeapDesc, KernelLaunch, LaunchConfig, SiteCheck};
 pub use stats::{

@@ -1,4 +1,4 @@
-//! The deterministic cycle-quantum engine behind every `Gpu::run_*`.
+//! The deterministic cycle-quantum engine behind `Gpu::run_with`.
 //!
 //! [`run_engine`] advances the GPU in fixed *quanta* of [`QUANTUM`]
 //! simulated cycles. Inside a quantum, every SIMT core is advanced
@@ -43,7 +43,7 @@
 
 use super::{
     build_launch_states, gather_lane_vas, lane_data_path, Core, GpuConfig, HeapRun, LaunchState,
-    MultiKernelMode, ResidentWg, RunError,
+    MultiKernelMode, ResidentWg, RunError, RunOpts,
 };
 use crate::fault::{self, FaultSession};
 use crate::guard::{CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
@@ -361,23 +361,6 @@ impl<'t> Tele<'t> {
             visible_stall,
         }
     }
-}
-
-/// The optional outputs of one run; the default records nothing.
-#[derive(Default)]
-pub(super) struct Sinks<'t> {
-    /// Bounded dispatch/memory/barrier/retire event stream.
-    pub(super) trace: Option<&'t mut Trace>,
-    /// Telemetry registry (enabled registries only).
-    pub(super) registry: Option<&'t mut Registry>,
-    /// Structured flight events.
-    pub(super) flight: Option<&'t mut FlightRecorder>,
-    /// Fault-injection session; the run then consults the whole guard on
-    /// one worker.
-    pub(super) fault: Option<&'t mut FaultSession>,
-    /// Record each site's attempted-address extremes into the launch
-    /// reports' `observed_ranges`.
-    pub(super) observed_ranges: bool,
 }
 
 /// The event sinks the driver thread feeds: at dispatch, at the drain and
@@ -1041,26 +1024,25 @@ fn exec_shared_phase(
     acc.mem_instructions += 1;
 }
 
-/// Runs `launches` to completion on the cycle-quantum engine, feeding
-/// `sinks`. The entry point behind every `Gpu::run_*`.
-#[allow(clippy::too_many_arguments)]
+/// Runs `launches` to completion on the cycle-quantum engine under
+/// `opts`. The engine behind [`Gpu::run_with`](super::Gpu::run_with).
 pub(super) fn run_engine(
     cfg: &GpuConfig,
     vm: &mut VirtualMemorySpace,
     shared: &mut SharedMemorySystem,
     arena: &mut Arena,
     launches: &[KernelLaunch],
-    mode: MultiKernelMode,
     mut guard: Option<&mut dyn MemGuard>,
-    sinks: Sinks<'_>,
+    opts: RunOpts<'_>,
 ) -> Result<RunReport, RunError> {
-    let Sinks {
+    let RunOpts {
+        mode,
         trace,
         registry,
         flight,
         fault,
         observed_ranges,
-    } = sinks;
+    } = opts;
     let mut ls = build_launch_states(cfg, launches)?;
     if observed_ranges {
         for l in &mut ls {
@@ -1172,7 +1154,9 @@ pub(super) fn run_engine(
         let mut max_skew: u64 = 0;
         let mut feeds = Feeds {
             trace,
-            tele: registry.map(|reg| Tele::new(reg, n)),
+            tele: registry
+                .filter(|reg| reg.enabled())
+                .map(|reg| Tele::new(reg, n)),
             flight,
         };
         loop {

@@ -47,7 +47,7 @@ impl fmt::Display for AbortReason {
 }
 
 /// The extreme addresses one static memory instruction *attempted* to
-/// touch during a recorded run (see [`crate::Gpu::run_recorded`]), over
+/// touch during a recorded run (see [`crate::RunOpts::observed_ranges`]), over
 /// every core and so independent of the engine's worker count.
 ///
 /// Ranges are captured after address generation but before the bounds
@@ -99,7 +99,7 @@ pub struct LaunchReport {
     /// Early-termination reason, if any.
     pub abort: Option<AbortReason>,
     /// Per-site observed address extremes, sorted by site. Empty unless the
-    /// run was started via [`crate::Gpu::run_recorded`] (which changes
+    /// run recorded [`crate::RunOpts::observed_ranges`] (which changes
     /// nothing else in the report).
     pub observed_ranges: Vec<ObservedRange>,
     /// Per-path bounds-check counts and visible stall cycles (the Fig. 13

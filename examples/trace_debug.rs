@@ -6,7 +6,7 @@
 //! cargo run --release --example trace_debug
 //! ```
 
-use gpushield::{Arg, System, SystemConfig, Trace, TraceKind};
+use gpushield::{Arg, ConcurrentKernel, LaunchSpec, System, SystemConfig, Trace, TraceKind};
 use gpushield_isa::{KernelBuilder, MemSpace, MemWidth, Operand};
 use std::error::Error;
 use std::sync::Arc;
@@ -33,7 +33,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut sys = System::new(SystemConfig::nvidia_protected());
     let buf = sys.alloc(128 * 4)?;
     let mut trace = Trace::new(4096);
-    let report = sys.launch_traced(kernel, 2, 64, &[Arg::Buffer(buf)], &mut trace)?;
+    let report = sys
+        .submit(LaunchSpec {
+            trace: Some(&mut trace),
+            ..LaunchSpec::new(&[ConcurrentKernel::new(kernel, 2, 64, &[Arg::Buffer(buf)])])
+        })?
+        .report;
     assert!(report.completed());
     assert_eq!(
         sys.read_uint(buf, 0, 4),
@@ -73,7 +78,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     let bad = Arc::new(bad.finish()?);
     let small = sys.alloc(64)?;
     let mut trace = Trace::new(256);
-    let report = sys.launch_traced(bad, 1, 1, &[Arg::Buffer(small)], &mut trace)?;
+    let report = sys
+        .submit(LaunchSpec {
+            trace: Some(&mut trace),
+            ..LaunchSpec::new(&[ConcurrentKernel::new(bad, 1, 1, &[Arg::Buffer(small)])])
+        })?
+        .report;
     assert!(!report.completed());
     println!("\n== violating launch ==");
     for e in trace.events() {

@@ -74,6 +74,18 @@ trap 'rm -rf "$out"' EXIT
 test -s "$out/fig1.txt"
 test -s "$out/fig1.json"
 
+echo "== every committed result reproduces byte for byte"
+# Each exhibit is rerun from fresh simulations and its rendered text
+# compared with the committed results/ copy, as is the Chrome trace of
+# one workload; this pins every launch path an exhibit takes (concurrent,
+# external-guard, fault-injected, audited, instrumented and traced).
+./target/release/experiments all "$out/all" --jobs 2
+for f in results/*.txt; do
+    cmp "$f" "$out/all/$(basename "$f")"
+done
+./target/release/profile --trace vectoradd --out "$out/trace_vectoradd.json"
+cmp results/trace_vectoradd.json "$out/trace_vectoradd.json"
+
 echo "== telemetry schema gate"
 # The registry key set is the machine-readable surface downstream tooling
 # parses; the fixture pins the names (values are free to drift). A

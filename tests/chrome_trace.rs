@@ -2,7 +2,7 @@
 //! writes must be valid JSON carrying the viewer's required keys (`ph`,
 //! `ts`, `pid`, `tid`, `name`) on every event.
 
-use gpushield::{Arg, Registry, System, SystemConfig, Trace};
+use gpushield::{Arg, ConcurrentKernel, LaunchSpec, Registry, System, SystemConfig, Trace};
 use gpushield_isa::{KernelBuilder, MemSpace, MemWidth, Operand};
 use gpushield_runtime::report::Json;
 use std::sync::Arc;
@@ -24,15 +24,13 @@ fn chrome_export_carries_required_keys_on_every_event() {
     let mut reg = Registry::new();
     let mut trace = Trace::new(4096);
     let report = sys
-        .launch_instrumented(
-            iota(),
-            8,
-            32,
-            &[Arg::Buffer(buf)],
-            &mut reg,
-            Some(&mut trace),
-        )
-        .expect("launch");
+        .submit(LaunchSpec {
+            registry: Some(&mut reg),
+            trace: Some(&mut trace),
+            ..LaunchSpec::new(&[ConcurrentKernel::new(iota(), 8, 32, &[Arg::Buffer(buf)])])
+        })
+        .expect("launch")
+        .report;
     assert!(report.completed());
     assert!(!trace.events().is_empty(), "the run produced trace events");
 
@@ -84,15 +82,13 @@ fn instrumented_launch_populates_registry_and_trace_together() {
     let mut reg = Registry::new();
     let mut trace = Trace::new(64);
     let report = sys
-        .launch_instrumented(
-            iota(),
-            8,
-            32,
-            &[Arg::Buffer(buf)],
-            &mut reg,
-            Some(&mut trace),
-        )
-        .expect("launch");
+        .submit(LaunchSpec {
+            registry: Some(&mut reg),
+            trace: Some(&mut trace),
+            ..LaunchSpec::new(&[ConcurrentKernel::new(iota(), 8, 32, &[Arg::Buffer(buf)])])
+        })
+        .expect("launch")
+        .report;
     assert!(report.completed());
     // Both feeds saw the same run.
     assert_eq!(

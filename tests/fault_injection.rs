@@ -5,8 +5,8 @@
 //! from a plain launch.
 
 use gpushield::{
-    Arg, DriverConfig, DriverError, FaultKind, FaultPlan, GpuConfig, RunError, System,
-    SystemConfig, SystemError,
+    Arg, ConcurrentKernel, DriverConfig, DriverError, FaultKind, FaultPlan, GpuConfig,
+    InjectionRecord, LaunchSpec, RunError, RunReport, System, SystemConfig, SystemError,
 };
 use gpushield_isa::{CmpOp, Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
 use gpushield_runtime::pool;
@@ -19,6 +19,23 @@ fn shielded_config() -> SystemConfig {
         ..cfg.driver
     };
     cfg
+}
+
+/// Launches one kernel under `plan`, returning the report and the
+/// injection log.
+fn launch_with_faults(
+    sys: &mut System,
+    kernel: Arc<Kernel>,
+    grid: u32,
+    block: u32,
+    args: &[Arg],
+    plan: FaultPlan,
+) -> Result<(RunReport, Vec<InjectionRecord>), SystemError> {
+    sys.submit(LaunchSpec {
+        faults: Some(plan),
+        ..LaunchSpec::new(&[ConcurrentKernel::new(kernel, grid, block, args)])
+    })
+    .map(|l| (l.report, l.injections))
 }
 
 /// `out[tid] = tid` — the benign store workload.
@@ -58,7 +75,7 @@ fn injected_run_fingerprint(seed: u64) -> String {
     let mut sys = System::new(shielded_config());
     let buf = sys.alloc(128 * 4).expect("alloc");
     let plan = FaultPlan::generate(seed, &FaultKind::ALL, 3, 4);
-    let outcome = sys.launch_with_faults(store_kernel(), 4, 32, &[Arg::Buffer(buf)], plan);
+    let outcome = launch_with_faults(&mut sys, store_kernel(), 4, 32, &[Arg::Buffer(buf)], plan);
     let mut out = String::new();
     match outcome {
         Ok((report, injected)) => {
@@ -154,15 +171,15 @@ fn empty_plan_matches_a_plain_launch() {
         let mut sys = System::new(shielded_config());
         let buf = sys.alloc(128 * 4).expect("alloc");
         let report = if with_faults {
-            let (r, injected) = sys
-                .launch_with_faults(
-                    store_kernel(),
-                    4,
-                    32,
-                    &[Arg::Buffer(buf)],
-                    FaultPlan::empty(),
-                )
-                .expect("launch");
+            let (r, injected) = launch_with_faults(
+                &mut sys,
+                store_kernel(),
+                4,
+                32,
+                &[Arg::Buffer(buf)],
+                FaultPlan::empty(),
+            )
+            .expect("launch");
             assert!(injected.is_empty());
             r
         } else {

@@ -120,7 +120,7 @@ fn all_access_widths_round_trip() {
 
 #[test]
 fn three_concurrent_kernels_share_the_gpu() {
-    use gpushield::{ConcurrentKernel, MultiKernelMode};
+    use gpushield::{ConcurrentKernel, LaunchSpec};
     fn iota() -> Arc<gpushield_isa::Kernel> {
         let mut b = KernelBuilder::new("iota3");
         let out = b.param_buffer("out", false);
@@ -132,18 +132,12 @@ fn three_concurrent_kernels_share_the_gpu() {
     }
     let mut sys = System::new(SystemConfig::nvidia_protected());
     let bufs: Vec<_> = (0..3).map(|_| sys.alloc(128 * 4).unwrap()).collect();
-    let kernels = bufs
+    let args: Vec<[Arg; 1]> = bufs.iter().map(|b| [Arg::Buffer(*b)]).collect();
+    let kernels: Vec<ConcurrentKernel> = args
         .iter()
-        .map(|b| ConcurrentKernel {
-            kernel: iota(),
-            grid: 4,
-            block: 32,
-            args: vec![Arg::Buffer(*b)],
-        })
+        .map(|a| ConcurrentKernel::new(iota(), 4, 32, a))
         .collect();
-    let r = sys
-        .launch_concurrent(kernels, MultiKernelMode::IntraCore)
-        .unwrap();
+    let r = sys.submit(LaunchSpec::new(&kernels)).unwrap().report;
     assert!(r.completed());
     assert_eq!(r.launches.len(), 3);
     for b in bufs {

@@ -10,7 +10,9 @@
 //! the park-and-drain paths (device malloc, global atomics) and the
 //! quantum-granular abort path.
 
-use gpushield::{Arg, FaultKind, FaultPlan, Registry, System, SystemConfig};
+use gpushield::{
+    Arg, ConcurrentKernel, FaultKind, FaultPlan, LaunchSpec, Registry, System, SystemConfig,
+};
 use gpushield_bench::adapter::SystemHost;
 use gpushield_bench::runner::{config, Protection, Target};
 use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
@@ -109,13 +111,17 @@ fn faulted_sessions_are_identical_at_every_worker_count() {
     let run = |sim_threads: usize| -> String {
         let mut sys = protected_system(sim_threads);
         let a = sys.alloc(8 * 32 * 4).unwrap();
-        let res = sys.launch_with_faults(
-            faulted_store_kernel(),
-            8,
-            32,
-            &[Arg::Buffer(a)],
-            FaultPlan::generate(7, &FaultKind::ALL, 3, 64),
-        );
+        let res = sys
+            .submit(LaunchSpec {
+                faults: Some(FaultPlan::generate(7, &FaultKind::ALL, 3, 64)),
+                ..LaunchSpec::new(&[ConcurrentKernel::new(
+                    faulted_store_kernel(),
+                    8,
+                    32,
+                    &[Arg::Buffer(a)],
+                )])
+            })
+            .map(|l| (l.report, l.injections));
         let words: Vec<u64> = (0..16).map(|i| sys.read_uint(a, i * 4, 4)).collect();
         format!("{res:#?}\n{:#?}\n{words:?}", sys.violations())
     };

@@ -9,8 +9,8 @@
 //! session maps no new device memory once its first launches are done.
 
 use gpushield::{
-    Arg, BcuConfig, ConcurrentKernel, DriverConfig, DriverError, GpuConfig, MultiKernelMode,
-    RunError, System, SystemConfig, SystemError, TenantId, TenantTable,
+    Arg, BcuConfig, ConcurrentKernel, DriverConfig, DriverError, GpuConfig, LaunchSpec, RunError,
+    System, SystemConfig, SystemError, TenantId, TenantTable,
 };
 use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand, PtrClass, TaggedPtr};
 use std::error::Error;
@@ -207,21 +207,19 @@ fn concurrent_tenant_kernels_hold_distinct_rbts() -> Result<(), Box<dyn Error>> 
     let mut tenants = TenantTable::with_slices((0..3u16).map(|t| (1 + 16 * t, 17 + 16 * t, 1)));
     let bufs = [sys.alloc(128)?, sys.alloc(128)?, sys.alloc(128)?];
     let kernel = iota_kernel()?;
+    let args = bufs.map(|b| [Arg::Buffer(b)]);
     let mut batch = |sys: &mut System, n: usize| -> Result<(), Box<dyn Error>> {
-        let kernels = (0..n)
-            .map(|t| {
-                let k = ConcurrentKernel {
-                    kernel: kernel.clone(),
-                    grid: 1,
-                    block: 32,
-                    args: vec![Arg::Buffer(bufs[t])],
-                };
-                (TenantId(t as u16), k)
+        let kernels: Vec<ConcurrentKernel> = (0..n)
+            .map(|t| ConcurrentKernel {
+                tenant: Some(TenantId(t as u16)),
+                ..ConcurrentKernel::new(kernel.clone(), 1, 32, &args[t])
             })
             .collect();
-        let (report, violations) =
-            sys.launch_tenant_concurrent(&mut tenants, kernels, MultiKernelMode::IntraCore)?;
-        assert!(report.completed() && violations.is_empty());
+        let launched = sys.submit(LaunchSpec {
+            tenants: Some(&mut tenants),
+            ..LaunchSpec::new(&kernels)
+        })?;
+        assert!(launched.report.completed() && launched.violations.is_empty());
         Ok(())
     };
     batch(&mut sys, 2)?;
