@@ -439,6 +439,21 @@ pub(crate) fn protected_space(space: MemSpace) -> bool {
     )
 }
 
+/// The access width in bytes when `instr` is a protected memory site (a
+/// load, store or atomic in a protected space); `None` otherwise.
+pub(crate) fn protected_site_width(instr: &Instr) -> Option<u64> {
+    match instr {
+        Instr::Ld { space, width, .. }
+        | Instr::St { space, width, .. }
+        | Instr::AtomAdd { space, width, .. }
+            if protected_space(*space) =>
+        {
+            Some(width.bytes())
+        }
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

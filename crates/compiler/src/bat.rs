@@ -3,7 +3,8 @@
 
 use crate::absval::Origin;
 use crate::analysis::{
-    analyze_kernel, origin_size, protected_space, resolve_site, transfer, LaunchKnowledge,
+    analyze_kernel, origin_size, protected_site_width, protected_space, resolve_site, transfer,
+    LaunchKnowledge,
 };
 use gpushield_isa::{
     AddrExpr, BlockId, Cfg, CheckPlan, Instr, Kernel, MemSpace, Operand, PtrClass, SiteCheck,
@@ -171,46 +172,50 @@ pub fn site_facts(kernel: &Kernel, know: &LaunchKnowledge) -> SiteFacts {
         let Some(entry) = &result.in_states[bi] else {
             continue; // unreachable block: never executes, nothing to check
         };
+        // Only the states at protected sites are read, so the walk stops
+        // at the block's last one (and skips a block without any).
+        let Some(last) = blk
+            .instrs()
+            .iter()
+            .rposition(|i| protected_site_width(i).is_some())
+        else {
+            continue;
+        };
         let mut st = entry.clone();
         let mut cmp_defs = HashMap::new();
-        for (ii, instr) in blk.instrs().iter().enumerate() {
-            if let Instr::Ld { space, width, .. }
-            | Instr::St { space, width, .. }
-            | Instr::AtomAdd { space, width, .. } = instr
-            {
-                if protected_space(*space) {
-                    let site = (BlockId(bi as u32), ii);
-                    let fact = match resolve_site(instr, &st, kernel, know) {
-                        None => SiteFact::Unresolved,
-                        Some(sa) => {
-                            let unproven = SiteFact::Unproven {
-                                origin: sa.origin,
-                                method: sa.method,
-                            };
-                            match origin_size(sa.origin, kernel, know) {
-                                Some(size) => {
-                                    let limit = i128::from(size) - i128::from(width.bytes());
-                                    if sa.offset.within(0, limit) {
-                                        SiteFact::InBounds(sa.origin)
-                                    } else if sa.offset.lo() > limit || sa.offset.hi() < 0 {
-                                        violations.push(StaticViolation {
-                                            site,
-                                            origin: sa.origin,
-                                            offset_lo: sa.offset.lo(),
-                                            offset_hi: sa.offset.hi(),
-                                            size,
-                                        });
-                                        SiteFact::OutOfBounds(sa.origin)
-                                    } else {
-                                        unproven
-                                    }
+        for (ii, instr) in blk.instrs()[..=last].iter().enumerate() {
+            if let Some(width) = protected_site_width(instr) {
+                let site = (BlockId(bi as u32), ii);
+                let fact = match resolve_site(instr, &st, kernel, know) {
+                    None => SiteFact::Unresolved,
+                    Some(sa) => {
+                        let unproven = SiteFact::Unproven {
+                            origin: sa.origin,
+                            method: sa.method,
+                        };
+                        match origin_size(sa.origin, kernel, know) {
+                            Some(size) => {
+                                let limit = i128::from(size) - i128::from(width);
+                                if sa.offset.within(0, limit) {
+                                    SiteFact::InBounds(sa.origin)
+                                } else if sa.offset.lo() > limit || sa.offset.hi() < 0 {
+                                    violations.push(StaticViolation {
+                                        site,
+                                        origin: sa.origin,
+                                        offset_lo: sa.offset.lo(),
+                                        offset_hi: sa.offset.hi(),
+                                        size,
+                                    });
+                                    SiteFact::OutOfBounds(sa.origin)
+                                } else {
+                                    unproven
                                 }
-                                None => unproven,
                             }
+                            None => unproven,
                         }
-                    };
-                    sites.push((site, fact));
-                }
+                    }
+                };
+                sites.push((site, fact));
             }
             transfer(instr, &mut st, &mut cmp_defs, kernel, know);
         }

@@ -28,7 +28,7 @@
 
 use crate::absval::Origin;
 use crate::affine::{aff_bin, aff_un, negate, swap, Aff};
-use crate::analysis::{origin_size, protected_space, ArgInfo, LaunchKnowledge};
+use crate::analysis::{origin_size, protected_site_width, ArgInfo, LaunchKnowledge};
 use crate::interval::{Interval, NEG_INF, POS_INF};
 use gpushield_isa::{
     AddrExpr, BinOp, BlockId, CmpOp, Instr, Kernel, Operand, ParamKind, Special, VReg,
@@ -1329,23 +1329,17 @@ pub fn prove_sites(kernel: &Kernel, know: &LaunchKnowledge) -> Vec<SiteProof> {
         let Some(entry) = &states[bi] else { continue };
         // Only the states at protected sites are read, so the walk stops
         // at the block's last one (and skips a block without any).
-        let site_width = |instr: &Instr| match instr {
-            Instr::Ld { space, width, .. }
-            | Instr::St { space, width, .. }
-            | Instr::AtomAdd { space, width, .. }
-                if protected_space(*space) =>
-            {
-                Some(width.bytes())
-            }
-            _ => None,
-        };
-        let Some(last) = blk.instrs().iter().rposition(|i| site_width(i).is_some()) else {
+        let Some(last) = blk
+            .instrs()
+            .iter()
+            .rposition(|i| protected_site_width(i).is_some())
+        else {
             continue;
         };
         let mut st = entry.clone();
         let mut cmp_defs = HashMap::new();
         for (ii, instr) in blk.instrs()[..=last].iter().enumerate() {
-            if let Some(width) = site_width(instr) {
+            if let Some(width) = protected_site_width(instr) {
                 let site = (BlockId(bi as u32), ii);
                 if let Some(p) = prove_one(site, instr, &st, kernel, know, width) {
                     proofs.push(p);

@@ -228,9 +228,12 @@ struct Core {
     /// reason as `regs_used`.
     shared_used: u64,
     /// Conservative lower bound on the earliest cycle any resident warp can
-    /// issue. The scheduler skips the whole core while `cycle` is below it;
-    /// every `ready_at` write and barrier release lowers it, and a failed
-    /// warp pick recomputes it exactly.
+    /// issue; `u64::MAX` while the core holds no warp, so an idle core
+    /// sleeps. The scheduler skips the whole core while `cycle` is below
+    /// it; dispatch and the drain's parked operations lower it, and a
+    /// failed warp pick recomputes it exactly. The engine writes it only
+    /// together with the core's wake cell, which the driver reads to list
+    /// the cores due in a quantum.
     next_ready_at: u64,
     scratch: WarpScratch,
 }
@@ -246,7 +249,7 @@ impl Core {
             last_issued: None,
             regs_used: 0,
             shared_used: 0,
-            next_ready_at: 0,
+            next_ready_at: u64::MAX,
             scratch: WarpScratch::default(),
         }
     }
@@ -262,7 +265,7 @@ impl Core {
         self.last_issued = None;
         self.regs_used = 0;
         self.shared_used = 0;
-        self.next_ready_at = 0;
+        self.next_ready_at = u64::MAX;
         let WarpScratch {
             lane_vas,
             lane_sizes,
@@ -661,6 +664,92 @@ mod tests {
                 core.reset();
                 assert_eq!(format!("{core:?}"), fresh, "core {i}");
             }
+        }
+        Ok(())
+    }
+
+    /// `kernel` as `grid` workgroups of 32 threads writing a fresh buffer
+    /// on pages of its own, so launches on one `Gpu` share no L2 or L2-TLB
+    /// line.
+    fn launch_on_fresh_pages(
+        vm: &mut VirtualMemorySpace,
+        kernel: Arc<gpushield_isa::Kernel>,
+        grid: u32,
+    ) -> Result<KernelLaunch, Box<dyn Error>> {
+        let buf = vm.alloc(16 * 1024, AllocPolicy::Device512)?;
+        Ok(KernelLaunch::new(kernel, LaunchConfig::new(grid, 32))
+            .arg(TaggedPtr::unprotected(buf.va).raw()))
+    }
+
+    #[test]
+    fn idle_cores_cost_nothing_and_count_nothing() -> Result<(), Box<dyn Error>> {
+        let full = GpuConfig::nvidia();
+        let fresh = format!("{:?}", Core::new(&full));
+        for g in [1u32, 3] {
+            let mut runs = Vec::new();
+            for num_cores in [g as usize, full.num_cores] {
+                let mut gpu = Gpu::new(GpuConfig {
+                    num_cores,
+                    ..full.clone()
+                });
+                let mut vm = VirtualMemorySpace::new();
+                let launch = launch_on_fresh_pages(&mut vm, write_iota_kernel(), g)?;
+                let mut reg = Registry::new();
+                let opts = RunOpts {
+                    registry: Some(&mut reg),
+                    ..RunOpts::default()
+                };
+                let report = gpu.run_with(&mut vm, &[launch], None, opts)?;
+                assert!(report.completed());
+                let no_issue = reg.value("sim.sched.no_issue_slots");
+                assert!(no_issue.is_some_and(|v| v > 0), "g={g}: {no_issue:?}");
+                runs.push((format!("{report:?}"), no_issue));
+                for (i, core) in gpu.arena.cores_mut().iter().enumerate().skip(g as usize) {
+                    assert_eq!(format!("{core:?}"), fresh, "g={g}: idle core {i}");
+                }
+            }
+            assert_eq!(runs[0], runs[1], "g={g}: {g} vs 16 cores");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_partly_used_arena_runs_like_a_fresh_gpu() -> Result<(), Box<dyn Error>> {
+        let cfg = GpuConfig {
+            max_cycles: 20_000,
+            ..GpuConfig::nvidia()
+        };
+        // Every thread stores forever: the watchdog cuts the launch with
+        // workgroups resident and their L1s warm.
+        let hang = {
+            let mut b = KernelBuilder::new("hang");
+            let out = b.param_buffer("out", false);
+            let tid = b.global_thread_id();
+            let off = b.shl(tid, Operand::Imm(2));
+            b.while_loop(
+                |_| Operand::Imm(1),
+                |b| b.st(MemSpace::Global, MemWidth::W4, b.base_offset(out, off), tid),
+            );
+            b.ret();
+            Arc::new(b.finish()?)
+        };
+        let steps = [
+            (write_iota_kernel(), 16, "Ok("),
+            (write_iota_kernel(), 1, "Ok("),
+            (hang, 16, "Err(CycleBudgetExceeded"),
+            (write_iota_kernel(), 16, "Ok("),
+        ];
+        let mut vm = VirtualMemorySpace::new();
+        let mut reused = Gpu::new(cfg.clone());
+        for (step, (kernel, grid, outcome)) in steps.into_iter().enumerate() {
+            let mut run = |gpu: &mut Gpu| -> Result<String, Box<dyn Error>> {
+                let launch = launch_on_fresh_pages(&mut vm, kernel.clone(), grid)?;
+                let r = gpu.run_with(&mut vm, &[launch], None, RunOpts::default());
+                Ok(format!("{r:?}"))
+            };
+            let got = run(&mut reused)?;
+            assert_eq!(got, run(&mut Gpu::new(cfg.clone()))?, "step {step}");
+            assert!(got.starts_with(outcome), "step {step}: {got}");
         }
         Ok(())
     }

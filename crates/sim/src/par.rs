@@ -1,12 +1,14 @@
 //! The deterministic cycle-quantum engine behind `Gpu::run_with`.
 //!
 //! [`run_engine`] advances the GPU in fixed *quanta* of [`QUANTUM`]
-//! simulated cycles. Inside a quantum, every SIMT core is advanced
-//! independently — a crew of worker threads claims cores from a shared
-//! counter — against an **immutable snapshot** of the shared memory
-//! system: per-core L1/L1-TLB state mutates live (it is core-private),
-//! while L2/L2-TLB hits are *predicted* with side-effect-free probes and
-//! DRAM timing with a private per-core [`DramView`]. Every side effect
+//! simulated cycles. Inside a quantum, every *due* SIMT core — one whose
+//! next ready cycle falls inside the quantum; a core without warps
+//! sleeps — is advanced independently (a crew of worker threads claims
+//! cores from the driver's due list) against an **immutable snapshot** of
+//! the shared memory system: per-core L1/L1-TLB state mutates live (it
+//! is core-private), while L2/L2-TLB hits are *predicted* with
+//! side-effect-free probes and DRAM timing with a private per-core
+//! [`DramView`]. Every side effect
 //! that crosses core boundaries (L2/DRAM state, trace records, launch
 //! counters, observed ranges, aborts) is buffered in a per-core outbox
 //! with a `(cycle, core, seq)` key.
@@ -161,7 +163,9 @@ struct DrainKey {
 }
 
 /// Everything a core accumulates during one phase; cleared (capacity
-/// kept) by the drain, so steady-state quanta allocate nothing.
+/// kept) by the drain, so steady-state quanta allocate nothing. Only the
+/// advance phase writes an outbox and only due cores advance, so the
+/// drain collects exactly the outboxes of the quantum's due cores.
 #[derive(Default)]
 pub(super) struct Outbox {
     evs: Vec<QEv>,
@@ -177,9 +181,6 @@ pub(super) struct Outbox {
     /// Cycles with at least one issue this quantum — the per-core load
     /// signal behind `sim.parallel.*` skew telemetry.
     busy: u64,
-    /// The core advanced this quantum. Only the advance phase writes an
-    /// outbox, so the drain skips every outbox whose core did not.
-    advanced: bool,
     /// Attempted-address extremes per `(launch, site)` this quantum,
     /// kept under observed-range recording only; the drain merges them
     /// into the launches by min/max.
@@ -213,32 +214,58 @@ impl Outbox {
 }
 
 /// The engine's per-core state, owned by the [`super::Gpu`] and reset —
-/// not rebuilt — at the start of every run, so a run's set-up cost does
-/// not depend on how many cores the machine has. Built on the first run.
+/// not rebuilt — at the start of every run. Built on the first run.
+///
+/// A run touches only the cores it dispatches to: an undispatched core
+/// sleeps (`next_ready_at == u64::MAX`), is never due, and so never
+/// advances or writes its outbox. The arena records the dispatched cores
+/// in `used`, and the next run resets only those, so neither a run's
+/// set-up nor its quanta cost grows with the cores it leaves idle.
 #[derive(Default)]
 pub(super) struct Arena {
     cores: Vec<Core>,
     outs: Vec<Outbox>,
     dram_views: Vec<DramView>,
+    /// Each core's `next_ready_at`, written only together with it (see
+    /// [`CoreSlot::set_next_ready`]), so the driver lists the due cores
+    /// without taking any slot lock. `Relaxed` suffices: the crew
+    /// barrier orders every write before the listing that reads it.
+    wake: Vec<AtomicU64>,
+    /// The current quantum's due cores in ascending order (a prefix of
+    /// `due_len` entries, see [`list_due`]); the workers claim from it
+    /// and the drain collects only its outboxes.
+    due: Vec<AtomicUsize>,
+    /// Which cores received a workgroup in the current (or last) run.
+    used: Vec<bool>,
     /// The drain's sort buffer.
     keys: Vec<DrainKey>,
 }
 
 impl Arena {
-    /// Returns every core to its freshly constructed state and empties
-    /// every buffer for a run of `n_launches` launches.
+    /// Returns every core the last run dispatched to to its freshly
+    /// constructed state and empties its outbox; the other cores and
+    /// outboxes are still as reset, so their outboxes only resize their
+    /// per-launch accumulators for a run of `n_launches` launches.
     fn reset(&mut self, cfg: &GpuConfig, n_launches: usize) {
         let n = cfg.num_cores;
         if self.cores.len() != n {
             self.cores = (0..n).map(|_| Core::new(cfg)).collect();
             self.outs = (0..n).map(|_| Outbox::default()).collect();
             self.dram_views = vec![DramView::default(); n];
+            self.wake = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
+            self.due = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            self.used = vec![false; n];
         }
-        for core in &mut self.cores {
-            core.reset();
-        }
-        for out in &mut self.outs {
-            out.reset(n_launches);
+        for (i, used) in self.used.iter_mut().enumerate() {
+            if std::mem::take(used) {
+                self.cores[i].reset();
+                self.wake[i].store(u64::MAX, Ordering::Relaxed);
+                self.outs[i].reset(n_launches);
+            } else {
+                self.outs[i]
+                    .accs
+                    .resize_with(n_launches, LaunchAcc::default);
+            }
         }
         self.keys.clear();
     }
@@ -261,6 +288,17 @@ struct CoreSlot<'a, 'g> {
     out: &'a mut Outbox,
     shard: Option<Box<dyn CoreGuard + Send + 'g>>,
     dram_view: &'a mut DramView,
+    wake: &'a AtomicU64,
+}
+
+impl CoreSlot<'_, '_> {
+    /// Sets the core's next-ready cycle and its wake cell together — the
+    /// one way the engine writes either, since a stale cell would
+    /// silently leave a core out of the due list.
+    fn set_next_ready(&mut self, at: u64) {
+        self.core.next_ready_at = at;
+        self.wake.store(at, Ordering::Relaxed);
+    }
 }
 
 /// A guard that cannot fork, or that a fault session corrupts, shared
@@ -459,7 +497,6 @@ fn predict_data(shared: &SharedMemorySystem, dv: &mut DramView, pa: u64, now: u6
 /// Advances one core from `t0` to `t1`: the per-cycle issue loop,
 /// restricted to core-local state + the snapshot.
 fn advance_core(ctx: &PhaseCtx<'_, '_, '_, '_>, t0: u64, t1: u64, slot: &mut CoreSlot<'_, '_>) {
-    slot.out.advanced = true;
     let mut t = t0;
     while t < t1 {
         if slot.core.next_ready_at > t {
@@ -480,7 +517,7 @@ fn advance_core(ctx: &PhaseCtx<'_, '_, '_, '_>, t0: u64, t1: u64, slot: &mut Cor
                 }
                 None => {
                     slot.out.no_issue += 1;
-                    slot.core.next_ready_at = recompute_next_ready(slot.core);
+                    slot.set_next_ready(recompute_next_ready(slot.core));
                     break;
                 }
             }
@@ -560,18 +597,14 @@ fn exec_warp_phase(ctx: &PhaseCtx<'_, '_, '_, '_>, t: u64, slot: &mut CoreSlot<'
             out.accs[li].instructions += 1;
             retire_warp_phase(ctx, t, core, out, wi);
         }
-        SimpleOutcome::NeedsCore => {
-            let pc = core.warps[wi].pc().expect("NeedsCore implies a live pc");
-            let instr = ls.launch.kernel.block(pc.0).instrs()[pc.1];
-            match instr {
-                Instr::Bar => exec_barrier_phase(ctx, t, core, out, wi, li),
-                Instr::Malloc { .. } | Instr::Free { .. } => park_warp(out, t, core, wi),
-                Instr::Ld { .. } | Instr::St { .. } | Instr::AtomAdd { .. } => {
-                    exec_mem_phase(ctx, t, slot, wi, pc, instr);
-                }
-                _ => unreachable!("exec_simple handles all other instructions"),
+        SimpleOutcome::NeedsCore { pc, instr } => match instr {
+            Instr::Bar => exec_barrier_phase(ctx, t, core, out, wi, li),
+            Instr::Malloc { .. } | Instr::Free { .. } => park_warp(out, t, core, wi),
+            Instr::Ld { .. } | Instr::St { .. } | Instr::AtomAdd { .. } => {
+                exec_mem_phase(ctx, t, slot, wi, pc, instr);
             }
-        }
+            _ => unreachable!("exec_simple handles all other instructions"),
+        },
     }
 }
 
@@ -691,6 +724,7 @@ fn exec_mem_phase(
         out,
         shard,
         dram_view,
+        ..
     } = slot;
     let (core, out) = (&mut **core, &mut **out);
     let (is_store, addr, space, width, dst, src, is_atomic) = match instr {
@@ -1084,19 +1118,25 @@ pub(super) fn run_engine(
         cores,
         outs,
         dram_views,
+        wake,
+        due,
+        used,
         keys,
     } = arena;
+    let (wake, due): (&[AtomicU64], &[AtomicUsize]) = (wake, due);
     let mut forked = forked.map(Vec::into_iter);
     let slots: Vec<Mutex<CoreSlot<'_, '_>>> = cores
         .iter_mut()
         .zip(outs.iter_mut())
         .zip(dram_views.iter_mut())
-        .map(|((core, out), dram_view)| {
+        .zip(wake)
+        .map(|(((core, out), dram_view), wake)| {
             Mutex::new(CoreSlot {
                 core,
                 out,
                 shard: forked.as_mut().and_then(Iterator::next),
                 dram_view,
+                wake,
             })
         })
         .collect();
@@ -1105,6 +1145,7 @@ pub(super) fn run_engine(
     let shared_lk = RwLock::new(&mut *shared);
     let t0a = AtomicU64::new(0);
     let t1a = AtomicU64::new(0);
+    let due_len = AtomicUsize::new(0);
     let claim = AtomicUsize::new(0);
     let want_trace = trace.is_some();
     let want_flight = flight.is_some();
@@ -1112,17 +1153,14 @@ pub(super) fn run_engine(
     let work = |_w: usize| {
         let t0 = t0a.load(Ordering::Relaxed);
         let t1 = t1a.load(Ordering::Relaxed);
+        let len = due_len.load(Ordering::Relaxed);
         loop {
-            let i = claim.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
+            let k = claim.fetch_add(1, Ordering::Relaxed);
+            if k >= len {
                 break;
             }
+            let i = due[k].load(Ordering::Relaxed);
             let mut slot = lock_ok(slots[i].lock());
-            // A core whose next ready cycle lies past the quantum would
-            // not issue: leave it (and its outbox) untouched.
-            if slot.core.next_ready_at >= t1 {
-                continue;
-            }
             let lr = lock_ok(launches_lk.read());
             let sr = lock_ok(shared_lk.read());
             // DRAM only changes at the drain, so the view taken here is
@@ -1184,22 +1222,27 @@ pub(super) fn run_engine(
                     cycle,
                     &mut age_seq,
                     &mut rr_cursor,
+                    used,
                     &mut feeds.trace,
                 );
                 if lw.iter().all(|l| l.finished()) {
                     break;
                 }
             }
-            sample_occupancy(&mut feeds.tele, cycle, &slots);
+            sample_occupancy(&mut feeds.tele, cycle, &slots, used);
             let t1 = cycle.saturating_add(QUANTUM).min(cfg.max_cycles);
+            let len = list_due(wake, due, t1);
             t0a.store(cycle, Ordering::Relaxed);
             t1a.store(t1, Ordering::Relaxed);
+            due_len.store(len, Ordering::Relaxed);
             claim.store(0, Ordering::Relaxed);
             ctl.round();
             quanta += 1;
             let issued = drain(
                 cfg,
                 &slots,
+                &due[..len],
+                used,
                 &launches_lk,
                 &shared_lk,
                 vm,
@@ -1226,7 +1269,7 @@ pub(super) fn run_engine(
                 let mut alloc_blocked = false;
                 {
                     let lr = lock_ok(launches_lk.read());
-                    for slot in &slots {
+                    for slot in used_slots(&slots, used) {
                         let s = lock_ok(slot.lock());
                         for w in &s.core.warps {
                             if w.done || lr[w.launch_idx].aborted {
@@ -1328,6 +1371,29 @@ impl LaunchState {
     }
 }
 
+/// Lists in `due`, in ascending order, the cores whose next ready cycle
+/// lies before the quantum end `t1` — the only ones that can issue in
+/// the quantum — and returns how many there are.
+fn list_due(wake: &[AtomicU64], due: &[AtomicUsize], t1: u64) -> usize {
+    let mut len = 0;
+    for (i, w) in wake.iter().enumerate() {
+        if w.load(Ordering::Relaxed) < t1 {
+            due[len].store(i, Ordering::Relaxed);
+            len += 1;
+        }
+    }
+    len
+}
+
+/// The slots of the cores dispatched to in this run: every other core
+/// holds no warp.
+fn used_slots<'s, 'a, 'g>(
+    slots: &'s [Mutex<CoreSlot<'a, 'g>>],
+    used: &'s [bool],
+) -> impl Iterator<Item = &'s Mutex<CoreSlot<'a, 'g>>> {
+    slots.iter().zip(used).filter(|(_, &u)| u).map(|(s, _)| s)
+}
+
 fn launch_allowed_on_core(
     cfg: &GpuConfig,
     mode: MultiKernelMode,
@@ -1357,6 +1423,7 @@ fn try_dispatch(
     cycle: u64,
     age_seq: &mut u64,
     rr_cursor: &mut usize,
+    used: &mut [bool],
     trace: &mut Option<&mut Trace>,
 ) {
     // Fast path: nothing left to place.
@@ -1368,7 +1435,7 @@ fn try_dispatch(
     }
     loop {
         let mut any = false;
-        for core_idx in 0..slots.len() {
+        for (core_idx, used) in used.iter_mut().enumerate() {
             let nl = lw.len();
             for k in 0..nl {
                 let li = (*rr_cursor + k) % nl;
@@ -1379,6 +1446,7 @@ fn try_dispatch(
                     continue;
                 }
                 if dispatch_wg(cfg, slots, lw, cycle, age_seq, trace, core_idx, li) {
+                    *used = true;
                     *rr_cursor = (li + 1) % nl;
                     any = true;
                     break;
@@ -1443,7 +1511,6 @@ fn dispatch_wg(
     });
     core.regs_used += regs_needed;
     core.shared_used += shared_bytes;
-    core.next_ready_at = core.next_ready_at.min(cycle);
     for w in 0..needed_warps {
         let lanes = (block - w * cfg.warp_width).min(cfg.warp_width);
         let mut warp = Warp::new(li, wg, w, cfg.warp_width, lanes, num_regs, *age_seq);
@@ -1452,6 +1519,8 @@ fn dispatch_wg(
         core.warps.push(warp);
     }
     debug_assert!(core.warps_age_ordered());
+    let next_ready = core.next_ready_at.min(cycle);
+    slot.set_next_ready(next_ready);
     true
 }
 
@@ -1460,7 +1529,12 @@ fn dispatch_wg(
 /// sampling keys on "has the cycle reached the next stride boundary"
 /// rather than exact cycle equality — one point per crossed bucket,
 /// deterministic in simulated time.
-fn sample_occupancy(tele: &mut Option<Tele<'_>>, cycle: u64, slots: &[Mutex<CoreSlot<'_, '_>>]) {
+fn sample_occupancy(
+    tele: &mut Option<Tele<'_>>,
+    cycle: u64,
+    slots: &[Mutex<CoreSlot<'_, '_>>],
+    used: &[bool],
+) {
     let Some(t) = tele.as_mut() else {
         return;
     };
@@ -1471,7 +1545,7 @@ fn sample_occupancy(tele: &mut Option<Tele<'_>>, cycle: u64, slots: &[Mutex<Core
     t.next_sample = (cycle / stride + 1) * stride;
     let mut resident = 0u64;
     let mut ready = 0u64;
-    for slot in slots {
+    for slot in used_slots(slots, used) {
         let s = lock_ok(slot.lock());
         for w in &s.core.warps {
             if w.done {
@@ -1488,15 +1562,17 @@ fn sample_occupancy(tele: &mut Option<Tele<'_>>, cycle: u64, slots: &[Mutex<Core
 }
 
 /// The quantum drain, run serially by the driver thread. Pass 1 collects
-/// the outbox of every core that advanced (counters merge in core order,
-/// observed ranges by min/max; events gain their core in the sort key);
-/// pass 2 replays the events against the real shared system in canonical
-/// `(t, core, seq)` order. Returns the number of instructions issued
-/// across the quantum.
+/// the outbox of every `due` core — the ones that advanced — (counters
+/// merge in core order, observed ranges by min/max; events gain their
+/// core in the sort key); pass 2 replays the events against the real
+/// shared system in canonical `(t, core, seq)` order. Returns the number
+/// of instructions issued across the quantum.
 #[allow(clippy::too_many_arguments)]
 fn drain(
     cfg: &GpuConfig,
     slots: &[Mutex<CoreSlot<'_, '_>>],
+    due: &[AtomicUsize],
+    used: &[bool],
     launches_lk: &RwLock<Vec<LaunchState>>,
     shared_lk: &RwLock<&mut SharedMemorySystem>,
     vm: &VirtualMemorySpace,
@@ -1512,17 +1588,15 @@ fn drain(
     keys.clear();
     let mut issued_total = 0u64;
     let (mut busy_min, mut busy_max) = (u64::MAX, 0u64);
+    if due.len() < slots.len() {
+        // A core that did not advance was busy for zero cycles.
+        busy_min = 0;
+    }
     {
         let mut lw = lock_ok(launches_lk.write());
-        for (ci, slot) in slots.iter().enumerate() {
-            let mut s = lock_ok(slot.lock());
+        for ci in due.iter().map(|c| c.load(Ordering::Relaxed)) {
+            let mut s = lock_ok(slots[ci].lock());
             let out = &mut *s.out;
-            if !out.advanced {
-                // Nothing to collect; its busy count is zero.
-                busy_min = 0;
-                continue;
-            }
-            out.advanced = false;
             for q in out.evs.drain(..) {
                 keys.push(DrainKey {
                     t: q.t,
@@ -1608,6 +1682,7 @@ fn drain(
                     if !lw[li].aborted {
                         apply_abort(
                             slots,
+                            used,
                             &mut lw,
                             feeds,
                             whole,
@@ -1640,8 +1715,8 @@ fn drain(
                     if let Some(req) = pending {
                         if !lw[req.li].aborted {
                             apply_abort(
-                                slots, &mut lw, feeds, whole, req.li, req.wg, req.win, req.reason,
-                                k.t,
+                                slots, used, &mut lw, feeds, whole, req.li, req.wg, req.win,
+                                req.reason, k.t,
                             );
                         }
                     }
@@ -1805,8 +1880,9 @@ fn drain_malloc(
     }
     warp.ready_at = done_at;
     warp.advance_pc();
-    core.next_ready_at = core.next_ready_at.min(done_at);
     core.scratch = scratch;
+    let next_ready = core.next_ready_at.min(done_at);
+    sl.set_next_ready(next_ready);
     profile.malloc_issues += 1;
     lw[li].report.instructions += 1;
     Ok(())
@@ -2014,8 +2090,9 @@ fn drain_atom(
     let warp = &mut core.warps[wi];
     warp.ready_at = done_at + stall + atomic_serial;
     warp.advance_pc();
-    core.next_ready_at = core.next_ready_at.min(done_at + stall + atomic_serial);
     core.scratch = scratch;
+    let next_ready = core.next_ready_at.min(done_at + stall + atomic_serial);
+    sl.set_next_ready(next_ready);
     profile.mem_issues += 1;
     profile.lsu_transactions += n_txs;
     profile.bcu_stall_cycles += stall;
@@ -2036,6 +2113,7 @@ fn drain_atom(
 #[allow(clippy::too_many_arguments)]
 fn apply_abort(
     slots: &[Mutex<CoreSlot<'_, '_>>],
+    used: &[bool],
     lw: &mut [LaunchState],
     feeds: &mut Feeds<'_>,
     whole: Option<&WholeGuard<'_, '_>>,
@@ -2074,7 +2152,7 @@ fn apply_abort(
             },
         );
     }
-    for slot in slots {
+    for slot in used_slots(slots, used) {
         let mut s = lock_ok(slot.lock());
         let core = &mut s.core;
         core.warps.retain(|w| w.launch_idx != li);
@@ -2082,7 +2160,8 @@ fn apply_abort(
         core.last_issued = None;
         core.regs_used = core.regs_in_use(lw);
         core.shared_used = core.shared_in_use();
-        core.next_ready_at = recompute_next_ready(core);
+        let next_ready = recompute_next_ready(core);
+        s.set_next_ready(next_ready);
     }
     guard_kernel_end(slots, whole, kernel_id);
 }

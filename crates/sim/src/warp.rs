@@ -44,8 +44,13 @@ pub(crate) enum SimpleOutcome {
     /// Warp retired (all stack entries popped).
     Retired,
     /// A memory / barrier / heap instruction: the core must handle it (pc
-    /// has *not* been advanced).
-    NeedsCore,
+    /// has *not* been advanced). Carries the pc and the instruction there.
+    NeedsCore {
+        /// The `(block, index)` of the instruction.
+        pc: (BlockId, usize),
+        /// The instruction itself.
+        instr: Instr,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -368,7 +373,10 @@ impl Warp {
             | Instr::AtomAdd { .. }
             | Instr::Bar
             | Instr::Malloc { .. }
-            | Instr::Free { .. } => SimpleOutcome::NeedsCore,
+            | Instr::Free { .. } => SimpleOutcome::NeedsCore {
+                pc: (block, idx),
+                instr,
+            },
         }
     }
 }
@@ -518,7 +526,7 @@ mod tests {
             match w.exec_simple(kernel, &recon, &c) {
                 SimpleOutcome::Done => {}
                 SimpleOutcome::Retired => break,
-                SimpleOutcome::NeedsCore => panic!("test kernels must be ALU-only"),
+                SimpleOutcome::NeedsCore { .. } => panic!("test kernels must be ALU-only"),
             }
             fuel -= 1;
             assert!(fuel > 0, "kernel did not terminate");

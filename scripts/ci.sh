@@ -21,18 +21,20 @@ echo "== panic-surface gate (driver/sim/mem unwrap+expect ceiling)"
 # conversion to a structured error or a deliberate ceiling bump here.
 panic_sites=$(grep -rEo '\.unwrap\(\)|\.expect\(' \
     crates/driver/src crates/sim/src crates/mem/src | wc -l)
-# 129 = 137 + 3 remaining invariant assertions in sim/par.rs (live PCs,
-# resident workgroups, forkable guards) - 6 expects the serial engine's
-# LSU dropped when both engines moved onto the shared lane data path
-# - 3 more (live PC, resident workgroup, atomic addend) that went with
-# the serial engine itself, once audited and fault-injected runs moved
-# onto the cycle-quantum engine - 2 "non-empty set" expects in the
-# cache's victim choice, which now scans the set by index; every
+# 128 = 137 + 3 invariant assertions in sim/par.rs (live PCs, resident
+# workgroups, forkable guards) - 6 expects the serial engine's LSU
+# dropped when both engines moved onto the shared lane data path - 3
+# more (live PC, resident workgroup, atomic addend) that went with the
+# serial engine itself, once audited and fault-injected runs moved onto
+# the cycle-quantum engine - 2 "non-empty set" expects in the cache's
+# victim choice, which now scans the set by index - 1 live-PC expect in
+# the quantum engine's issue path, now that `SimpleOutcome::NeedsCore`
+# carries the pc and instruction `exec_simple` already read; every
 # checked-translation and decoded-operand expect is now a typed MemFault
 # abort or a defensive skip, so a lane straddling into an unmapped page
 # or a metadata mapping changing mid-run degrades gracefully instead of
 # panicking.
-panic_ceiling=129
+panic_ceiling=128
 if [[ "$panic_sites" -gt "$panic_ceiling" ]]; then
     echo "panic surface grew: $panic_sites unwrap/expect sites in" \
          "driver+sim+mem (ceiling $panic_ceiling)" >&2

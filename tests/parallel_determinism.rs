@@ -11,7 +11,8 @@
 //! quantum-granular abort path.
 
 use gpushield::{
-    Arg, ConcurrentKernel, FaultKind, FaultPlan, LaunchSpec, Registry, System, SystemConfig,
+    Arg, ConcurrentKernel, FaultKind, FaultPlan, LaunchSpec, MultiKernelMode, Registry, System,
+    SystemConfig,
 };
 use gpushield_bench::adapter::SystemHost;
 use gpushield_bench::runner::{config, Protection, Target};
@@ -182,5 +183,66 @@ fn park_and_drain_paths_are_identical_at_every_worker_count() {
     let base = run(WORKER_MATRIX[0]);
     for &n in &WORKER_MATRIX[1..] {
         assert_eq!(base, run(n), "park/drain drift at sim_threads={n}");
+    }
+}
+
+/// Launches that leave most cores idle: one and three workgroups, and two
+/// kernels partitioning the cores (`InterCore`) with workgroup counts
+/// that fill neither half. The idle cores sleep and are never visited, so
+/// the scheduler's telemetry — `no_issue_slots`, the busy-cycle skew and
+/// every per-core busy gauge — must still be identical at every worker
+/// count.
+#[test]
+fn sparse_launches_are_identical_at_every_worker_count() {
+    type Case = (&'static str, &'static [u32], MultiKernelMode);
+    const CASES: [Case; 3] = [
+        ("one workgroup", &[1], MultiKernelMode::IntraCore),
+        ("three workgroups", &[3], MultiKernelMode::IntraCore),
+        (
+            "two kernels, InterCore",
+            &[3, 5],
+            MultiKernelMode::InterCore,
+        ),
+    ];
+    let run = |grids: &[u32], mode: MultiKernelMode, sim_threads: usize| -> String {
+        let mut sys = protected_system(sim_threads);
+        let bufs: Vec<_> = grids
+            .iter()
+            .map(|&g| sys.alloc(u64::from(g) * 32 * 4).unwrap())
+            .collect();
+        let args: Vec<[Arg; 1]> = bufs.iter().map(|&b| [Arg::Buffer(b)]).collect();
+        let kernels: Vec<ConcurrentKernel<'_>> = grids
+            .iter()
+            .zip(&args)
+            .map(|(&g, a)| ConcurrentKernel::new(faulted_store_kernel(), g, 32, a))
+            .collect();
+        let mut reg = Registry::new();
+        let r = sys
+            .submit(LaunchSpec {
+                mode,
+                registry: Some(&mut reg),
+                ..LaunchSpec::new(&kernels)
+            })
+            .unwrap()
+            .report;
+        assert!(r.completed(), "benign kernels must complete");
+        for name in [
+            "sim.sched.no_issue_slots",
+            "sim.parallel.max_skew_cycles",
+            "sim.parallel.cluster.15.busy_cycles",
+        ] {
+            assert!(reg.value(name).is_some(), "{name} published");
+        }
+        format!("{r:#?}\n{}", reg.render_json())
+    };
+    for (what, grids, mode) in CASES {
+        let base = run(grids, mode, WORKER_MATRIX[0]);
+        for &n in &WORKER_MATRIX[1..] {
+            assert_eq!(
+                base,
+                run(grids, mode, n),
+                "{what}: drift at sim_threads={n}"
+            );
+        }
     }
 }
