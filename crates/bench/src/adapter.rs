@@ -2,7 +2,6 @@
 
 use gpushield::{
     Arg, BufferHandle, ConcurrentKernel, LaunchSpec, MemGuard, Registry, System, SystemConfig,
-    Trace,
 };
 use gpushield_isa::Kernel;
 use gpushield_sim::RunReport;
@@ -16,7 +15,6 @@ pub struct SystemHost {
     bufs: Vec<BufferHandle>,
     guard: Option<Box<dyn MemGuard>>,
     registry: Option<Registry>,
-    trace: Option<Trace>,
     /// One report per kernel launch, in order.
     pub reports: Vec<RunReport>,
 }
@@ -29,7 +27,6 @@ impl SystemHost {
             bufs: Vec::new(),
             guard: None,
             registry: None,
-            trace: None,
             reports: Vec::new(),
         }
     }
@@ -43,7 +40,6 @@ impl SystemHost {
             bufs: Vec::new(),
             guard: Some(guard),
             registry: None,
-            trace: None,
             reports: Vec::new(),
         }
     }
@@ -60,18 +56,6 @@ impl SystemHost {
     /// [`SystemHost::attach_registry`], if any.
     pub fn take_registry(&mut self) -> Option<Registry> {
         self.registry.take()
-    }
-
-    /// Attaches an execution trace recorder: every later launch appends
-    /// its events to this trace (subject to its capacity bound).
-    pub fn attach_trace(&mut self, trace: Trace) {
-        self.trace = Some(trace);
-    }
-
-    /// Detaches and returns the trace attached with
-    /// [`SystemHost::attach_trace`], if any.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
     }
 
     /// Total simulated cycles across all launches (host programs run their
@@ -177,7 +161,6 @@ impl HostApi for SystemHost {
             .submit(LaunchSpec {
                 guard: self.guard.as_deref_mut().map(|g| g as _),
                 registry: self.registry.as_mut(),
-                trace: self.trace.as_mut(),
                 ..LaunchSpec::new(&[ConcurrentKernel::new(kernel.clone(), grid, block, &mapped)])
             })
             .expect("workload launch");

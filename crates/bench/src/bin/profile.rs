@@ -20,19 +20,12 @@
 //! appearing or vanishing is a schema change consumers must see, so CI
 //! pins the set against `tests/golden/telemetry_schema.json`.
 
-use gpushield::{Registry, Trace};
-use gpushield_bench::adapter::SystemHost;
 use gpushield_bench::experiments::by_id;
-use gpushield_bench::runner::{config, Protection, Target};
-use gpushield_bench::schema::{openmetrics_registry, reference_registry, schema_json};
+use gpushield_bench::schema::{
+    openmetrics_registry, reference_registry, schema_json, workload_timeline,
+};
 use gpushield_runtime::report::Json;
-use gpushield_workloads::by_name;
 use std::process::ExitCode;
-
-/// Trace capacity for `--trace`: large enough for every small workload,
-/// bounded so a long one cannot exhaust memory (the export renders the
-/// cut point when it truncates).
-const TRACE_CAPACITY: usize = 200_000;
 
 fn check_schema(fixture_path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(fixture_path) {
@@ -80,39 +73,20 @@ fn check_schema(fixture_path: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Runs `name` instrumented + traced and writes a Chrome Trace Event
-/// Format JSON with one launch span per kernel launch.
+/// Runs `name` instrumented into a timeline ring and writes its Chrome
+/// Trace Event Format JSON with one launch span per kernel launch.
 fn trace_workload(name: &str, out: Option<&str>) -> ExitCode {
-    let Some(w) = by_name(name) else {
+    let Some((chrome, host)) = workload_timeline(name) else {
         eprintln!("unknown workload {name}");
         return ExitCode::FAILURE;
     };
-    let mut host = SystemHost::new(config(Target::Nvidia, Protection::shield_default()));
-    host.attach_registry(Registry::new());
-    host.attach_trace(Trace::new(TRACE_CAPACITY));
-    w.run(&mut host);
-    let trace = host.take_trace().expect("trace attached");
-    let mut chrome = trace.to_chrome();
-    // Launch phase spans on a dedicated host lane: every launch restarts
-    // the simulated clock, so spans share t=0 and are told apart by tid.
-    for (i, r) in host.reports.iter().enumerate() {
-        chrome.push_span(
-            &format!("launch {i}"),
-            "launch",
-            0,
-            r.cycles,
-            u32::MAX,
-            i as u32,
-        );
-        chrome.arg("cycles", &r.cycles.to_string());
-        chrome.arg("instructions", &r.instructions().to_string());
-    }
     let rendered = chrome.render();
+    let ring = host.system().flight();
     eprintln!(
-        "{name}: {} events ({} trace events, {} dropped), {} launches",
+        "{name}: {} events ({} ring events, {} dropped), {} launches",
         chrome.len(),
-        trace.events().len(),
-        trace.dropped(),
+        ring.map_or(0, |f| f.len()),
+        ring.map_or(0, |f| f.events_dropped()),
         host.reports.len()
     );
     match out {

@@ -7,11 +7,11 @@
 //! ```
 //!
 //! `--check` reruns the default fuzz corpus plus the static-precision
-//! classification and the observation-overhead sweep, renders a one-table
-//! trend report covering the committed baselines (`BENCH_detection.json`,
-//! `BENCH_static_precision.json`, `BENCH_observe.json`,
-//! `BENCH_simcore.json`, `BENCH_parcore.json`), and exits non-zero when a
-//! gated baseline regresses:
+//! classification, renders a one-table trend report covering the
+//! committed baselines (`BENCH_detection.json`,
+//! `BENCH_static_precision.json`, `BENCH_simcore.json`,
+//! `BENCH_parcore.json`), and exits non-zero when a gated baseline
+//! regresses:
 //!
 //! * any class's `detected` or `conforming` count drops,
 //! * any class hangs,
@@ -20,21 +20,14 @@
 //! * a benign control faults,
 //! * the certificate prover's Type 1 count drops — overall, per workload,
 //!   or in how many workloads improve over the seed analysis,
-//! * the runtime auditor catches any certificate window lying,
-//! * observation perturbs simulated results: any recorder mode's
-//!   `sim_cycles` differing from the disabled run, the disabled run
-//!   drifting from the committed observe baseline, the disabled run
-//!   disagreeing with `BENCH_simcore.json`'s smoke section (same
-//!   workload/protections/reps), or full-mode event coverage dropping.
+//! * the runtime auditor catches any certificate window lying.
 //!
 //! The simcore/parcore rows are report-only context (their rates are gated
-//! separately by the throughput smoke); detection, precision, and
-//! observation are the gating tables. Observation *wall* overhead is
-//! report-only — wall clocks are machine-dependent.
+//! separately by the throughput smoke); detection and precision are the
+//! gating tables.
 
 use gpushield_bench::experiments::precision::precision_summary;
 use gpushield_bench::fuzzsweep::{run_sweep, Scoreboard};
-use gpushield_bench::observe::{run_observe_sweep, ObserveSweep};
 use gpushield_bench::runner;
 use gpushield_fuzzgen::{CORPUS_SEED, PER_CLASS};
 use gpushield_runtime::report::Json;
@@ -42,7 +35,6 @@ use std::process::ExitCode;
 
 const DETECTION_PATH: &str = "BENCH_detection.json";
 const PRECISION_PATH: &str = "BENCH_static_precision.json";
-const OBSERVE_PATH: &str = "BENCH_observe.json";
 const SIMCORE_PATH: &str = "BENCH_simcore.json";
 
 fn usage() -> ExitCode {
@@ -251,115 +243,6 @@ fn check_precision(fresh: &Json, baseline: &Json, report: &mut String) -> Vec<St
     failures
 }
 
-/// Compares the fresh observation-overhead sweep against the committed
-/// baseline. Gated: schema drift, any recorder mode perturbing simulated
-/// cycles, the disabled run drifting from the committed document or from
-/// `BENCH_simcore.json`'s smoke section, and full-mode event-coverage
-/// drops. Wall-clock overhead is rendered report-only.
-fn check_observe(
-    fresh: &ObserveSweep,
-    baseline: &Json,
-    simcore: Option<&Json>,
-    report: &mut String,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    let doc = fresh.to_json();
-    if baseline.get("schema").and_then(Json::as_str) != doc.get("schema").and_then(Json::as_str) {
-        failures.push(format!(
-            "observe schema drift: baseline {:?} vs current {:?}",
-            baseline.get("schema").and_then(Json::as_str),
-            doc.get("schema").and_then(Json::as_str)
-        ));
-        return failures;
-    }
-    let mode = |d: &Json, m: &str, key: &str| -> Option<u64> {
-        d.get(m)
-            .and_then(|s| s.get(key))
-            .and_then(Json::as_f64)
-            .map(|v| v as u64)
-    };
-    let disabled_cycles = mode(&doc, "disabled", "sim_cycles");
-    for m in ["counters", "full"] {
-        if mode(&doc, m, "sim_cycles") != disabled_cycles {
-            failures.push(format!(
-                "observation perturbs simulation: {m} sim_cycles {:?} vs disabled {:?}",
-                mode(&doc, m, "sim_cycles"),
-                disabled_cycles
-            ));
-        }
-    }
-    if mode(baseline, "disabled", "sim_cycles") != disabled_cycles {
-        failures.push(format!(
-            "observe sim_cycles drift: baseline disabled {:?} vs current {:?}",
-            mode(baseline, "disabled", "sim_cycles"),
-            disabled_cycles
-        ));
-    }
-    // The observe sweep mirrors the throughput smoke (same workload,
-    // protections, reps), so the two committed documents must agree on
-    // the simulated quantity; disagreement means one is stale.
-    if let Some(sc) = simcore {
-        let smoke_cycles = sc
-            .get("smoke")
-            .and_then(|s| s.get("sim_cycles"))
-            .and_then(Json::as_f64)
-            .map(|v| v as u64);
-        if smoke_cycles != disabled_cycles {
-            failures.push(format!(
-                "BENCH_observe disabled sim_cycles {disabled_cycles:?} != \
-                 BENCH_simcore smoke sim_cycles {smoke_cycles:?} (stale baseline)"
-            ));
-        }
-    }
-    let (b_ev, c_ev) = (
-        mode(baseline, "full", "events_recorded"),
-        mode(&doc, "full", "events_recorded"),
-    );
-    if c_ev < b_ev {
-        failures.push(format!(
-            "flight-recorder coverage dropped: events_recorded {} -> {}",
-            b_ev.unwrap_or(0),
-            c_ev.unwrap_or(0)
-        ));
-    }
-    let wall = |m: &ObserveSweep, label: &str| {
-        m.modes
-            .iter()
-            .find(|x| x.mode == label)
-            .map_or(0.0, |x| x.wall_seconds)
-    };
-    let overhead = |label: &str| {
-        let base = wall(fresh, "disabled").max(1e-9);
-        format!("{:+.1}% wall", (wall(fresh, label) / base - 1.0) * 100.0)
-    };
-    for (label, note) in [
-        ("disabled", "gated: cycles == simcore smoke"),
-        ("counters", "gated: cycles == disabled"),
-        ("full", "gated: cycles == disabled, coverage"),
-    ] {
-        row(
-            report,
-            &format!("observe/{label}"),
-            format!("{} cyc", mode(baseline, label, "sim_cycles").unwrap_or(0)),
-            format!(
-                "{} cyc {}",
-                mode(&doc, label, "sim_cycles").unwrap_or(0),
-                if label == "disabled" {
-                    "ref".to_string()
-                } else {
-                    overhead(label)
-                }
-            ),
-            if failures.is_empty() {
-                note
-            } else {
-                "REGRESSED"
-            },
-        );
-    }
-    failures
-}
-
 /// Report-only context row for a committed throughput baseline.
 fn perf_row(report: &mut String, path: &str) {
     let Ok(text) = std::fs::read_to_string(path) else {
@@ -423,12 +306,10 @@ fn main() -> ExitCode {
 
     let sb = run_sweep(CORPUS_SEED, PER_CLASS, jobs);
     let precision = precision_summary(jobs);
-    let observe = run_observe_sweep();
     if write {
         for (path, doc) in [
             (DETECTION_PATH, sb.to_json().render()),
             (PRECISION_PATH, precision.render()),
-            (OBSERVE_PATH, observe.to_json().render()),
         ] {
             if let Err(e) = std::fs::write(path, doc + "\n") {
                 eprintln!("trend: cannot write {path}: {e}");
@@ -460,16 +341,6 @@ fn main() -> ExitCode {
         Ok(doc) => doc,
         Err(code) => return code,
     };
-    let observe_baseline = match read_baseline(OBSERVE_PATH) {
-        Ok(doc) => doc,
-        Err(code) => return code,
-    };
-    // The simcore cross-check is best-effort: simcore carries wall-clock
-    // rates gated elsewhere, so a missing file only skips the staleness
-    // comparison (perf_row below still reports it missing).
-    let simcore = std::fs::read_to_string(SIMCORE_PATH)
-        .ok()
-        .and_then(|t| Json::parse(&t).ok());
 
     let mut report = String::new();
     report.push_str(&format!(
@@ -480,12 +351,6 @@ fn main() -> ExitCode {
     failures.extend(check_precision(
         &precision,
         &precision_baseline,
-        &mut report,
-    ));
-    failures.extend(check_observe(
-        &observe,
-        &observe_baseline,
-        simcore.as_ref(),
         &mut report,
     ));
     perf_row(&mut report, SIMCORE_PATH);

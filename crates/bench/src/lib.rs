@@ -5,7 +5,6 @@
 pub mod adapter;
 pub mod experiments;
 pub mod fuzzsweep;
-pub mod observe;
 pub mod runner;
 pub mod schema;
 pub mod serving;

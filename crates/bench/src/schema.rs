@@ -2,12 +2,13 @@
 //! the OpenMetrics exposition: one `vectoradd` pass under default
 //! GPUShield with full observation, so every metric family the stack can
 //! produce — `sim.*`, `sim.flight.*`, `mem.*`, `driver.*`,
-//! `driver.tenant.*`, `driver.audit.*` — lands in one registry.
+//! `driver.tenant.*`, `driver.audit.*` — lands in one registry. Also the
+//! Chrome timeline of one instrumented workload run (`profile --trace`).
 
 use crate::adapter::SystemHost;
 use crate::runner::{config, Protection, Target};
 use crate::verifysweep::verify_workload_telemetry;
-use gpushield::{ObserveMode, Registry};
+use gpushield::{chrome_timeline, ChromeTrace, ObserveMode, Registry};
 use gpushield_runtime::report::Json;
 use gpushield_workloads::by_name;
 
@@ -33,6 +34,42 @@ pub fn reference_registry() -> Registry {
     let mut reg = openmetrics_registry();
     verify_workload_telemetry(&w, &mut reg);
     reg
+}
+
+/// Timeline ring capacity for [`workload_timeline`]: large enough for
+/// every small workload; a longer run keeps its newest events and the
+/// export leads with the drop count.
+const TIMELINE_CAPACITY: usize = 200_000;
+
+/// Runs workload `name` instrumented under default GPUShield into a
+/// timeline ring and renders its Chrome trace, with one launch span per
+/// kernel launch on a dedicated host lane, each placed at its launch's
+/// epoch start on the ring's timeline. Returns the trace and the host it
+/// ran on (reports, recorder), or `None` for an unknown workload.
+pub fn workload_timeline(name: &str) -> Option<(ChromeTrace, SystemHost)> {
+    let w = by_name(name)?;
+    let mut host = SystemHost::new(config(Target::Nvidia, Protection::shield_default()));
+    host.attach_registry(Registry::new());
+    host.system_mut().enable_observation(ObserveMode::Timeline {
+        capacity: TIMELINE_CAPACITY,
+    });
+    w.run(&mut host);
+    let mut chrome = chrome_timeline(host.system().flight()?);
+    let mut start = 0;
+    for (i, r) in host.reports.iter().enumerate() {
+        chrome.push_span(
+            &format!("launch {i}"),
+            "launch",
+            start,
+            start + r.cycles,
+            u32::MAX,
+            i as u32,
+        );
+        chrome.arg("cycles", &r.cycles.to_string());
+        chrome.arg("instructions", &r.instructions().to_string());
+        start += r.cycles;
+    }
+    Some((chrome, host))
 }
 
 /// The schema document: the sorted metric key set as a JSON array.

@@ -50,9 +50,9 @@ pub use gpushield_driver::{
     ShieldSetup, SiteClaim, TenantId, TenantStats, TenantTable,
 };
 pub use gpushield_sim::{
-    CheckPath, FaultKind, FaultPlan, FaultSession, FaultSpec, FaultTargets, Gpu, GpuConfig,
-    InjectionRecord, KernelLaunch, LaunchReport, MemGuard, MultiKernelMode, ObservedRange,
-    RunError, RunOpts, RunReport, StallAttribution, Trace, TraceEvent, TraceKind,
+    chrome_timeline, CheckPath, FaultKind, FaultPlan, FaultSession, FaultSpec, FaultTargets, Gpu,
+    GpuConfig, InjectionRecord, KernelLaunch, LaunchReport, MemGuard, MultiKernelMode,
+    ObservedRange, RunError, RunOpts, RunReport, StallAttribution,
 };
 pub use gpushield_telemetry::flight::{FlightEvent, FlightRecord, FlightRecorder};
 pub use gpushield_telemetry::{chrome::ChromeTrace, MetricId, Registry};
@@ -79,6 +79,13 @@ pub enum ObserveMode {
     Counters,
     /// Full recorder at [`gpushield_telemetry::flight::DEFAULT_FLIGHT_CAPACITY`].
     Full,
+    /// A [`FlightRecorder::timeline`] ring of `capacity` events: the full
+    /// recorder's events plus the engine's dispatch/memory/barrier/retire
+    /// timeline, for [`chrome_timeline`].
+    Timeline {
+        /// Ring capacity in events.
+        capacity: usize,
+    },
 }
 
 /// Top-level configuration: GPU hardware, driver policy, BCU hardware.
@@ -253,11 +260,8 @@ pub struct LaunchSpec<'a> {
     pub guard: Option<&'a mut dyn MemGuard>,
     /// Telemetry registry: the run's scheduler, stall, cache/TLB/DRAM
     /// statistics, the driver's metadata-cost gauges and the flight
-    /// recorder's counters are published into it. The recorder is not fed
-    /// in-run on such a launch.
+    /// recorder's counters are published into it.
     pub registry: Option<&'a mut Registry>,
-    /// Execution trace (see [`Trace`]), e.g. for Chrome export.
-    pub trace: Option<&'a mut Trace>,
 }
 
 impl<'a> LaunchSpec<'a> {
@@ -271,7 +275,6 @@ impl<'a> LaunchSpec<'a> {
             audit: false,
             guard: None,
             registry: None,
-            trace: None,
         }
     }
 }
@@ -335,14 +338,16 @@ impl System {
 
     /// Attaches (or detaches) the flight recorder. The recorder is
     /// bounded and allocation-free after this call: [`ObserveMode::Full`]
-    /// allocates the ring once, [`ObserveMode::Counters`] stores nothing,
-    /// and [`ObserveMode::Disabled`] removes the recorder entirely.
-    /// Switching modes discards any previously recorded events.
+    /// and [`ObserveMode::Timeline`] allocate the ring once,
+    /// [`ObserveMode::Counters`] stores nothing, and
+    /// [`ObserveMode::Disabled`] removes the recorder entirely. Switching
+    /// modes discards any previously recorded events.
     pub fn enable_observation(&mut self, mode: ObserveMode) {
         self.flight = match mode {
             ObserveMode::Disabled => None,
             ObserveMode::Counters => Some(FlightRecorder::counters_only()),
             ObserveMode::Full => Some(FlightRecorder::full()),
+            ObserveMode::Timeline { capacity } => Some(FlightRecorder::timeline(capacity)),
         };
     }
 
@@ -623,17 +628,10 @@ impl System {
             Some(g) => Some(g),
             None => self.bcu.as_mut().map(|b| b as _),
         };
-        // See `LaunchSpec::registry`: an instrumented launch does not feed
-        // the recorder in-run.
-        let flight = match spec.registry {
-            Some(_) => None,
-            None => self.flight.as_mut(),
-        };
         let opts = RunOpts {
             mode: spec.mode,
-            trace: spec.trace.as_deref_mut(),
             registry: spec.registry.as_deref_mut(),
-            flight,
+            flight: self.flight.as_mut(),
             fault: session.as_mut(),
             observed_ranges: spec.audit,
         };

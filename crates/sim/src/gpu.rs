@@ -7,7 +7,6 @@ use crate::fault::FaultSession;
 use crate::guard::MemGuard;
 use crate::launch::KernelLaunch;
 use crate::stats::{self, LaunchReport, RunReport};
-use crate::trace::Trace;
 use crate::warp::{ExecCtx, Row, Warp, MAX_LANES};
 use gpushield_isa::{AddrExpr, MemSpace, Operand, ReconvergenceTable, TaggedPtr, VReg};
 use gpushield_mem::{
@@ -450,8 +449,8 @@ impl Gpu {
         )
     }
 
-    /// [`Gpu::run_with`] publishing into `registry` and, with `trace`,
-    /// recording the event stream. Kept for perfbench until it moves onto
+    /// [`Gpu::run_with`] publishing into `registry` and, with `flight`,
+    /// recording into that ring. Kept for perfbench until it moves onto
     /// `run_with`.
     ///
     /// # Errors
@@ -463,7 +462,7 @@ impl Gpu {
         launches: &[KernelLaunch],
         guard: Option<&mut dyn MemGuard>,
         registry: &mut Registry,
-        trace: Option<&mut Trace>,
+        flight: Option<&mut FlightRecorder>,
     ) -> Result<RunReport, RunError> {
         self.run_with(
             vm,
@@ -471,7 +470,7 @@ impl Gpu {
             guard,
             RunOpts {
                 registry: Some(registry),
-                trace,
+                flight,
                 ..RunOpts::default()
             },
         )
@@ -484,9 +483,6 @@ impl Gpu {
 pub struct RunOpts<'t> {
     /// How concurrent launches share the cores.
     pub mode: MultiKernelMode,
-    /// Bounded dispatch/memory/barrier/retire event stream (subject to the
-    /// trace's capacity).
-    pub trace: Option<&'t mut Trace>,
     /// Telemetry registry: scheduler counters and stride-sampled occupancy
     /// series while running, then launch totals, per-path stall
     /// attribution (`sim.stall.*`), the hot-path profile (`sim.profile.*`)
@@ -496,9 +492,10 @@ pub struct RunOpts<'t> {
     /// degenerates to one early-returning branch.
     pub registry: Option<&'t mut Registry>,
     /// Structured flight events (kernel lifecycle, check verdicts, aborts,
-    /// watchdog trips). Events are buffered per core and drained in
-    /// canonical `(cycle, core, seq)` order, so the recorded stream is
-    /// identical for every `sim_threads` setting.
+    /// watchdog trips, and on a [`FlightRecorder::timeline`] ring the
+    /// dispatch/memory/barrier/retire timeline). Events are buffered per
+    /// core and drained in canonical `(cycle, core, seq)` order, so the
+    /// recorded stream is identical for every `sim_threads` setting.
     pub flight: Option<&'t mut FlightRecorder>,
     /// Deterministic fault-injection session (see [`crate::fault`])
     /// corrupting protection metadata mid-run; its injection log survives
@@ -1076,43 +1073,25 @@ mod tests {
         let mut gpu = Gpu::new(GpuConfig::test_tiny());
         let launch = KernelLaunch::new(write_iota_kernel(), LaunchConfig::new(2, 16))
             .arg(TaggedPtr::unprotected(buf.va).raw());
-        let mut trace = crate::trace::Trace::new(10_000);
+        let mut ring = FlightRecorder::timeline(10_000);
         let opts = RunOpts {
-            trace: Some(&mut trace),
+            flight: Some(&mut ring),
             ..RunOpts::default()
         };
         let report = gpu.run_with(&mut vm, &[launch], None, opts).unwrap();
         assert!(report.completed());
-        let events = trace.events();
-        assert!(!trace.truncated());
+        assert_eq!(ring.events_dropped(), 0);
+        let events: Vec<_> = ring.iter().collect();
         // 2 dispatches, one mem + retire per warp (2 wgs x 4 warps).
-        let dispatches = events
-            .iter()
-            .filter(|e| matches!(e.kind, crate::trace::TraceKind::Dispatch { .. }))
-            .count();
-        let mems = events
-            .iter()
-            .filter(|e| matches!(e.kind, crate::trace::TraceKind::Mem { .. }))
-            .count();
-        let retires = events
-            .iter()
-            .filter(|e| matches!(e.kind, crate::trace::TraceKind::Retire))
-            .count();
-        assert_eq!(dispatches, 2);
-        assert_eq!(mems, 8);
-        assert_eq!(retires, 8);
+        let count = |kind: &str| events.iter().filter(|r| r.ev.kind_name() == kind).count();
+        assert_eq!(count("dispatch"), 2);
+        assert_eq!(count("mem"), 8);
+        assert_eq!(count("retire"), 8);
         // Cycles are non-decreasing.
-        assert!(events.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+        assert!(events.windows(2).all(|w| w[0].t <= w[1].t));
         // A workgroup's dispatch precedes all of its events.
-        let first_mem = events
-            .iter()
-            .position(|e| matches!(e.kind, crate::trace::TraceKind::Mem { .. }))
-            .unwrap();
-        let first_dispatch = events
-            .iter()
-            .position(|e| matches!(e.kind, crate::trace::TraceKind::Dispatch { .. }))
-            .unwrap();
-        assert!(first_dispatch < first_mem);
+        let first = |kind: &str| events.iter().position(|r| r.ev.kind_name() == kind);
+        assert!(first("dispatch").unwrap() < first("mem").unwrap());
     }
 
     #[test]
@@ -1186,6 +1165,7 @@ mod extra_tests {
     use crate::launch::{KernelLaunch, LaunchConfig};
     use gpushield_isa::{KernelBuilder, MemWidth, Operand, TaggedPtr};
     use gpushield_mem::AllocPolicy;
+    use gpushield_telemetry::flight::FlightEvent;
     use std::sync::Arc;
 
     fn store_kernel() -> Arc<gpushield_isa::Kernel> {
@@ -1206,18 +1186,19 @@ mod extra_tests {
         let mut gpu = Gpu::new(GpuConfig::test_tiny());
         let launch = KernelLaunch::new(store_kernel(), LaunchConfig::new(2, 8))
             .arg(TaggedPtr::unprotected(buf.va).raw());
-        let mut trace = crate::trace::Trace::new(64);
+        let mut ring = FlightRecorder::timeline(64);
         let opts = RunOpts {
-            trace: Some(&mut trace),
+            flight: Some(&mut ring),
             ..RunOpts::default()
         };
         let r = gpu.run_with(&mut vm, &[launch], None, opts).unwrap();
         assert!(r.completed());
-        let cores: std::collections::HashSet<usize> = trace
-            .events()
+        let cores: std::collections::HashSet<u16> = ring
             .iter()
-            .filter(|e| matches!(e.kind, crate::trace::TraceKind::Dispatch { .. }))
-            .map(|e| e.core)
+            .filter_map(|r| match r.ev {
+                FlightEvent::Dispatch { core, .. } => Some(core),
+                _ => None,
+            })
             .collect();
         assert_eq!(cores.len(), 2, "round-robin dispatch");
     }

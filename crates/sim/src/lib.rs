@@ -51,7 +51,7 @@ mod gpu;
 mod guard;
 mod launch;
 mod stats;
-mod trace;
+mod timeline;
 mod warp;
 
 pub use config::GpuConfig;
@@ -63,4 +63,4 @@ pub use stats::{
     publish_run_report, AbortReason, LaunchReport, ObservedRange, RunReport, SimProfile,
     StallAttribution,
 };
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use timeline::{chrome_timeline, mem_space_code, mem_space_from_code};

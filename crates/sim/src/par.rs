@@ -9,7 +9,7 @@
 //! is core-private), while L2/L2-TLB hits are *predicted* with
 //! side-effect-free probes and DRAM timing with a private per-core
 //! [`DramView`]. Every side effect
-//! that crosses core boundaries (L2/DRAM state, trace records, launch
+//! that crosses core boundaries (L2/DRAM state, flight records, launch
 //! counters, observed ranges, aborts) is buffered in a per-core outbox
 //! with a `(cycle, core, seq)` key.
 //!
@@ -53,13 +53,13 @@ use crate::launch::{KernelLaunch, SiteCheck};
 use crate::stats::{
     AbortReason, LaunchReport, ObservedRange, RunReport, SimProfile, StallAttribution,
 };
-use crate::trace::{Trace, TraceEvent, TraceKind};
+use crate::timeline::mem_space_code;
 use crate::warp::{ExecCtx, Row, SimpleOutcome, Warp, MAX_LANES};
 use gpushield_isa::{BlockId, Instr, MemSpace, Operand, TaggedPtr, VReg};
 use gpushield_mem::coalesce::warp_address_range;
 use gpushield_mem::{coalesce_warp_into, DramView, SharedMemorySystem, VirtualMemorySpace};
 use gpushield_runtime::with_crew;
-use gpushield_telemetry::flight::{FlightEvent, FlightRecorder};
+use gpushield_telemetry::flight::{FlightEvent, FlightRecorder, NO_SITE};
 use gpushield_telemetry::{MetricId, Registry};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -143,8 +143,6 @@ enum Ev {
         win: u32,
         reason: AbortReason,
     },
-    /// A buffered trace record.
-    Trace(TraceEvent),
     /// A buffered flight-recorder event, replayed into the recorder in
     /// canonical order so the stream is identical for every worker count.
     Flight(FlightEvent),
@@ -404,9 +402,10 @@ impl<'t> Tele<'t> {
 /// The event sinks the driver thread feeds: at dispatch, at the drain and
 /// at the end of the run.
 struct Feeds<'t> {
-    trace: Option<&'t mut Trace>,
     tele: Option<Tele<'t>>,
     flight: Option<&'t mut FlightRecorder>,
+    /// The recorder takes the scheduling events too (a timeline ring).
+    timeline: bool,
 }
 
 /// What one core's phase reads besides its own slot.
@@ -420,8 +419,8 @@ struct PhaseCtx<'a, 'w, 'g, 'f> {
     whole: Option<&'a WholeGuard<'w, 'g>>,
     fault: Option<&'a Mutex<&'f mut FaultSession>>,
     core_idx: usize,
-    want_trace: bool,
     want_flight: bool,
+    want_timeline: bool,
 }
 
 fn push_ev(out: &mut Outbox, t: u64, ev: Ev) {
@@ -430,32 +429,11 @@ fn push_ev(out: &mut Outbox, t: u64, ev: Ev) {
     out.evs.push(QEv { t, seq, ev });
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_trace(
-    out: &mut Outbox,
-    want_trace: bool,
-    t: u64,
-    core: usize,
-    li: usize,
-    wg: u64,
-    warp: usize,
-    site: Option<(BlockId, usize)>,
-    kind: TraceKind,
-) {
-    if want_trace {
-        push_ev(
-            out,
-            t,
-            Ev::Trace(TraceEvent {
-                cycle: t,
-                core,
-                launch: li,
-                wg,
-                warp,
-                site,
-                kind,
-            }),
-        );
+/// Buffers a scheduling event for a timeline ring (see
+/// [`FlightRecorder::timeline`]); other runs skip it.
+fn push_timeline(ctx: &PhaseCtx<'_, '_, '_, '_>, out: &mut Outbox, t: u64, ev: FlightEvent) {
+    if ctx.want_timeline {
+        push_ev(out, t, Ev::Flight(ev));
     }
 }
 
@@ -619,16 +597,15 @@ fn retire_warp_phase(
         let w = &core.warps[wi];
         (w.launch_idx, w.wg, w.warp_in_wg)
     };
-    push_trace(
+    push_timeline(
+        ctx,
         out,
-        ctx.want_trace,
         t,
-        ctx.core_idx,
-        li,
-        wg,
-        win,
-        None,
-        TraceKind::Retire,
+        FlightEvent::Retire {
+            core: ctx.core_idx as u16,
+            wg: wg as u32,
+            warp: win as u16,
+        },
     );
     release_barrier_at(core, li, wg, t);
     let wg_done = core
@@ -671,16 +648,15 @@ fn exec_barrier_phase(
     };
     out.profile.barrier_issues += 1;
     out.accs[li].instructions += 1;
-    push_trace(
+    push_timeline(
+        ctx,
         out,
-        ctx.want_trace,
         t,
-        ctx.core_idx,
-        li,
-        wg,
-        win,
-        None,
-        TraceKind::Barrier,
+        FlightEvent::Barrier {
+            core: ctx.core_idx as u16,
+            wg: wg as u32,
+            warp: win as u16,
+        },
     );
     release_barrier_at(core, li, wg, t);
 }
@@ -925,21 +901,20 @@ fn exec_mem_phase(
     // ---- Timing commit --------------------------------------------------
     {
         let w = &core.warps[wi];
-        let (wgid, win) = (w.wg, w.warp_in_wg);
-        push_trace(
+        push_timeline(
+            ctx,
             out,
-            ctx.want_trace,
             t,
-            ctx.core_idx,
-            li,
-            wgid,
-            win,
-            Some(site),
-            TraceKind::Mem {
-                space,
+            FlightEvent::Mem {
+                core: ctx.core_idx as u16,
+                wg: w.wg as u32,
+                warp: w.warp_in_wg as u16,
+                space: mem_space_code(space),
                 is_store,
                 transactions: scratch.txs.len().min(255) as u8,
                 stall: stall.min(255) as u8,
+                block: site.0 .0,
+                idx: site.1 as u32,
             },
         );
     }
@@ -1037,20 +1012,20 @@ fn exec_shared_phase(
     warp.ready_at = done_at;
     warp.advance_pc();
     let (wgid, win) = (warp.wg, warp.warp_in_wg);
-    push_trace(
+    push_timeline(
+        ctx,
         out,
-        ctx.want_trace,
         t,
-        ctx.core_idx,
-        li,
-        wgid,
-        win,
-        None,
-        TraceKind::Mem {
-            space: MemSpace::Shared,
+        FlightEvent::Mem {
+            core: ctx.core_idx as u16,
+            wg: wgid as u32,
+            warp: win as u16,
+            space: mem_space_code(MemSpace::Shared),
             is_store: store_vals.is_some(),
             transactions: 1,
             stall: 0,
+            block: NO_SITE,
+            idx: 0,
         },
     );
     let acc = &mut out.accs[li];
@@ -1071,7 +1046,6 @@ pub(super) fn run_engine(
 ) -> Result<RunReport, RunError> {
     let RunOpts {
         mode,
-        trace,
         registry,
         flight,
         fault,
@@ -1147,8 +1121,8 @@ pub(super) fn run_engine(
     let t1a = AtomicU64::new(0);
     let due_len = AtomicUsize::new(0);
     let claim = AtomicUsize::new(0);
-    let want_trace = trace.is_some();
     let want_flight = flight.is_some();
+    let want_timeline = flight.as_ref().is_some_and(|f| f.records_timeline());
 
     let work = |_w: usize| {
         let t0 = t0a.load(Ordering::Relaxed);
@@ -1174,8 +1148,8 @@ pub(super) fn run_engine(
                 whole: whole.as_ref(),
                 fault: fault.as_ref(),
                 core_idx: i,
-                want_trace,
                 want_flight,
+                want_timeline,
             };
             advance_core(&ctx, t0, t1, &mut slot);
         }
@@ -1191,11 +1165,11 @@ pub(super) fn run_engine(
         let mut busy_totals = vec![0u64; n];
         let mut max_skew: u64 = 0;
         let mut feeds = Feeds {
-            trace,
             tele: registry
                 .filter(|reg| reg.enabled())
                 .map(|reg| Tele::new(reg, n)),
             flight,
+            timeline: want_timeline,
         };
         loop {
             if cycle >= cfg.max_cycles {
@@ -1223,7 +1197,7 @@ pub(super) fn run_engine(
                     &mut age_seq,
                     &mut rr_cursor,
                     used,
-                    &mut feeds.trace,
+                    feeds.flight.as_deref_mut().filter(|_| want_timeline),
                 );
                 if lw.iter().all(|l| l.finished()) {
                     break;
@@ -1424,7 +1398,7 @@ fn try_dispatch(
     age_seq: &mut u64,
     rr_cursor: &mut usize,
     used: &mut [bool],
-    trace: &mut Option<&mut Trace>,
+    mut timeline: Option<&mut FlightRecorder>,
 ) {
     // Fast path: nothing left to place.
     if lw
@@ -1445,7 +1419,8 @@ fn try_dispatch(
                 {
                     continue;
                 }
-                if dispatch_wg(cfg, slots, lw, cycle, age_seq, trace, core_idx, li) {
+                let tl = timeline.as_deref_mut();
+                if dispatch_wg(cfg, slots, lw, cycle, age_seq, tl, core_idx, li) {
                     *used = true;
                     *rr_cursor = (li + 1) % nl;
                     any = true;
@@ -1466,7 +1441,7 @@ fn dispatch_wg(
     lw: &mut [LaunchState],
     cycle: u64,
     age_seq: &mut u64,
-    trace: &mut Option<&mut Trace>,
+    timeline: Option<&mut FlightRecorder>,
     core_idx: usize,
     li: usize,
 ) -> bool {
@@ -1489,16 +1464,14 @@ fn dispatch_wg(
     let lstate = &mut lw[li];
     let wg = lstate.next_wg;
     lstate.next_wg += 1;
-    if let Some(t) = trace.as_mut() {
-        t.push(TraceEvent {
+    if let Some(f) = timeline {
+        f.record(
             cycle,
-            core: core_idx,
-            launch: li,
-            wg,
-            warp: 0,
-            site: None,
-            kind: TraceKind::Dispatch { wg },
-        });
+            FlightEvent::Dispatch {
+                core: core_idx as u16,
+                wg: wg as u32,
+            },
+        );
     }
     if lstate.report.start_cycle == 0 && lstate.report.instructions == 0 {
         lstate.report.start_cycle = cycle;
@@ -1648,11 +1621,6 @@ fn drain(
                 }
                 Ev::Xlate(va) => {
                     shared.translate(va, k.t);
-                }
-                Ev::Trace(ev) => {
-                    if let Some(t) = feeds.trace.as_mut() {
-                        t.push(ev);
-                    }
                 }
                 Ev::Flight(fe) => {
                     if let Some(f) = feeds.flight.as_mut() {
@@ -2067,22 +2035,21 @@ fn drain_atom(
     }
 
     // ---- Timing commit ---------------------------------------------------
-    if let Some(tr) = feeds.trace.as_mut() {
-        let w = &core.warps[wi];
-        tr.push(TraceEvent {
-            cycle: t,
-            core: ci,
-            launch: li,
-            wg: w.wg,
-            warp: w.warp_in_wg,
-            site: Some(site),
-            kind: TraceKind::Mem {
-                space,
+    if let Some(f) = feeds.flight.as_mut().filter(|_| feeds.timeline) {
+        f.record(
+            t,
+            FlightEvent::Mem {
+                core: ci as u16,
+                wg: wgid as u32,
+                warp: winid as u16,
+                space: mem_space_code(space),
                 is_store: true,
                 transactions: scratch.txs.len().min(255) as u8,
                 stall: stall.min(255) as u8,
+                block: site.0 .0,
+                idx: site.1 as u32,
             },
-        });
+        );
     }
     let atomic_serial = scratch.lane_vas.iter().flatten().count() as u64;
     let n_txs = scratch.txs.len() as u64;
@@ -2123,17 +2090,6 @@ fn apply_abort(
     reason: AbortReason,
     t: u64,
 ) {
-    if let Some(tr) = feeds.trace.as_mut() {
-        tr.push(TraceEvent {
-            cycle: t,
-            core: 0,
-            launch: li,
-            wg: 0,
-            warp: 0,
-            site: None,
-            kind: TraceKind::Abort,
-        });
-    }
     let kernel_id = {
         let lstate = &mut lw[li];
         lstate.aborted = true;
@@ -2181,5 +2137,20 @@ fn guard_kernel_end(
     }
     if let Some(m) = whole {
         lock_ok(m.lock()).on_kernel_end(kernel_id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn outbox_entries_stay_small() {
+        // Every L1 miss, TLB miss and in-run flight event is buffered,
+        // sorted and replayed through these; with one recorder variant
+        // they stay at the size of a `FlightEvent` plus the sort key.
+        assert_eq!(std::mem::size_of::<Ev>(), 40);
+        assert_eq!(std::mem::size_of::<QEv>(), 56);
+        assert_eq!(std::mem::size_of::<DrainKey>(), 56);
     }
 }

@@ -8,9 +8,10 @@
 //!
 //! The writer is deliberately small: duration (`X`), begin/end (`B`/`E`)
 //! and instant (`i`) phases cover everything the simulator records. The
-//! simulator-side converter (`gpushield_sim::Trace::to_chrome`) maps
-//! cores to `pid` and warps to `tid`, so the viewer groups lanes the way
-//! the paper discusses them (per-SM, per-warp).
+//! simulator-side converter (`gpushield_sim::chrome_timeline`, over a
+//! timeline flight ring) maps cores to `pid` and warps to `tid`, so the
+//! viewer groups lanes the way the paper discusses them (per-SM,
+//! per-warp).
 
 use crate::push_json_string;
 use std::fmt::Write as _;

@@ -28,11 +28,24 @@
 //! recorded outside a run (driver-side) are timestamped against a
 //! monotone epoch that advances by each run's cycle count, giving one
 //! global causal timeline across launches.
+//!
+//! # Timeline rings
+//!
+//! A ring built with [`FlightRecorder::timeline`] also records the
+//! engine's scheduling events — workgroup dispatch, every warp-level
+//! memory instruction, barrier arrivals and warp retirement — so one
+//! stream serves both forensics and the Chrome timeline export
+//! (`gpushield_sim::chrome_timeline`). Other rings never see those kinds:
+//! they would evict the verdicts a post-mortem walks back to.
 
 use crate::Registry;
 
 /// Default ring capacity for the full recorder mode.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
+
+/// The `block` of a [`FlightEvent::Mem`] with no instruction site
+/// (shared-memory accesses).
+pub const NO_SITE: u32 = u32::MAX;
 
 /// One structured event. Plain-integer payloads only: the recorder is
 /// shared across crates, so symbolic types (check paths, abort reasons,
@@ -93,6 +106,27 @@ pub enum FlightEvent {
     /// The serving loop rejected a tenant's launch (e.g. region IDs
     /// exhausted).
     TenantReject { tenant: u16 },
+    /// Timeline rings only: workgroup `wg` was placed on `core`.
+    Dispatch { core: u16, wg: u32 },
+    /// Timeline rings only: a warp executed a memory instruction. `space`
+    /// is a `MemSpace` code (sim crate mapping); `transactions` and
+    /// `stall` saturate at 255; `block` is [`NO_SITE`] for a
+    /// shared-memory access, which has no site.
+    Mem {
+        core: u16,
+        wg: u32,
+        warp: u16,
+        space: u8,
+        is_store: bool,
+        transactions: u8,
+        stall: u8,
+        block: u32,
+        idx: u32,
+    },
+    /// Timeline rings only: a warp arrived at a barrier.
+    Barrier { core: u16, wg: u32, warp: u16 },
+    /// Timeline rings only: a warp retired.
+    Retire { core: u16, wg: u32, warp: u16 },
 }
 
 impl FlightEvent {
@@ -113,6 +147,10 @@ impl FlightEvent {
             FlightEvent::WatchdogTrip { .. } => "watchdog_trip",
             FlightEvent::TenantAdmit { .. } => "tenant_admit",
             FlightEvent::TenantReject { .. } => "tenant_reject",
+            FlightEvent::Dispatch { .. } => "dispatch",
+            FlightEvent::Mem { .. } => "mem",
+            FlightEvent::Barrier { .. } => "barrier",
+            FlightEvent::Retire { .. } => "retire",
         }
     }
 }
@@ -138,6 +176,7 @@ pub struct FlightRecorder {
     seq: u64,
     dropped: u64,
     epoch: u64,
+    timeline: bool,
 }
 
 impl FlightRecorder {
@@ -151,7 +190,22 @@ impl FlightRecorder {
             seq: 0,
             dropped: 0,
             epoch: 0,
+            timeline: false,
         }
+    }
+
+    /// A ring of `capacity` events that also records the engine's
+    /// scheduling events (see the module docs).
+    pub fn timeline(capacity: usize) -> Self {
+        FlightRecorder {
+            timeline: true,
+            ..FlightRecorder::new(capacity)
+        }
+    }
+
+    /// True when the engine records its scheduling events into this ring.
+    pub fn records_timeline(&self) -> bool {
+        self.timeline
     }
 
     /// Counters-only mode: sequence/drop counters advance, nothing is
@@ -263,6 +317,20 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn events_stay_forty_bytes() {
+        // Every in-run event crosses the engine's per-core outboxes by
+        // value; the scheduling kinds must not widen the entry.
+        assert_eq!(std::mem::size_of::<FlightEvent>(), 40);
+    }
+
+    #[test]
+    fn only_timeline_rings_record_scheduling_events() {
+        assert!(FlightRecorder::timeline(4).records_timeline());
+        assert!(!FlightRecorder::full().records_timeline());
+        assert!(!FlightRecorder::counters_only().records_timeline());
+    }
 
     #[test]
     fn ring_fills_then_overwrites_oldest() {

@@ -1,15 +1,22 @@
-//! Execution tracing: watch a kernel's dispatch, memory traffic, barriers,
-//! and retirement cycle by cycle — and see exactly where a bounds
-//! violation fired.
+//! Execution timeline: watch a kernel's dispatch, memory traffic,
+//! barriers, and retirement cycle by cycle in a timeline flight ring —
+//! and see exactly where a bounds violation fired.
 //!
 //! ```text
 //! cargo run --release --example trace_debug
 //! ```
 
-use gpushield::{Arg, ConcurrentKernel, LaunchSpec, System, SystemConfig, Trace, TraceKind};
+use gpushield::{
+    Arg, ConcurrentKernel, FlightRecord, LaunchSpec, ObserveMode, System, SystemConfig,
+};
 use gpushield_isa::{KernelBuilder, MemSpace, MemWidth, Operand};
 use std::error::Error;
 use std::sync::Arc;
+
+/// One ring record per line: global cycle, kind, payload.
+fn line(r: &FlightRecord) -> String {
+    format!("[{:>8}] {:<15} {:?}", r.t, r.ev.kind_name(), r.ev)
+}
 
 fn main() -> Result<(), Box<dyn Error>> {
     // A two-phase kernel: stage values in shared memory, synchronize,
@@ -31,13 +38,15 @@ fn main() -> Result<(), Box<dyn Error>> {
     let kernel = Arc::new(b.finish()?);
 
     let mut sys = System::new(SystemConfig::nvidia_protected());
+    sys.enable_observation(ObserveMode::Timeline { capacity: 4096 });
     let buf = sys.alloc(128 * 4)?;
-    let mut trace = Trace::new(4096);
     let report = sys
-        .submit(LaunchSpec {
-            trace: Some(&mut trace),
-            ..LaunchSpec::new(&[ConcurrentKernel::new(kernel, 2, 64, &[Arg::Buffer(buf)])])
-        })?
+        .submit(LaunchSpec::new(&[ConcurrentKernel::new(
+            kernel,
+            2,
+            64,
+            &[Arg::Buffer(buf)],
+        )]))?
         .report;
     assert!(report.completed());
     assert_eq!(
@@ -46,23 +55,17 @@ fn main() -> Result<(), Box<dyn Error>> {
         "reversed within the workgroup"
     );
 
+    let ring = sys.flight().ok_or("recorder attached")?;
     println!("== first 20 events ==");
-    for e in trace.events().iter().take(20) {
-        println!("{e}");
+    for r in ring.iter().take(20) {
+        println!("{}", line(r));
     }
-    let barriers = trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == TraceKind::Barrier)
-        .count();
-    let mems = trace
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, TraceKind::Mem { .. }))
-        .count();
+    let count = |kind: &str| ring.iter().filter(|r| r.ev.kind_name() == kind).count();
     println!(
-        "\n{} events total: {barriers} barrier arrivals, {mems} memory instructions",
-        trace.events().len()
+        "\n{} events total: {} barrier arrivals, {} memory instructions",
+        ring.len(),
+        count("barrier"),
+        count("mem")
     );
 
     // Now trace an out-of-bounds kernel and find the abort.
@@ -76,18 +79,20 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     bad.ret();
     let bad = Arc::new(bad.finish()?);
+    sys.enable_observation(ObserveMode::Timeline { capacity: 256 });
     let small = sys.alloc(64)?;
-    let mut trace = Trace::new(256);
     let report = sys
-        .submit(LaunchSpec {
-            trace: Some(&mut trace),
-            ..LaunchSpec::new(&[ConcurrentKernel::new(bad, 1, 1, &[Arg::Buffer(small)])])
-        })?
+        .submit(LaunchSpec::new(&[ConcurrentKernel::new(
+            bad,
+            1,
+            1,
+            &[Arg::Buffer(small)],
+        )]))?
         .report;
     assert!(!report.completed());
     println!("\n== violating launch ==");
-    for e in trace.events() {
-        println!("{e}");
+    for r in sys.flight().ok_or("recorder attached")?.iter() {
+        println!("{}", line(r));
     }
     println!("\n{}", sys.error_report());
     Ok(())

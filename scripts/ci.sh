@@ -110,7 +110,9 @@ if [[ "${CI_PERF:-1}" == "1" ]]; then
     echo "== fault-resilience smoke run (CI_PERF=0 to skip)"
     # The injected-fault sweep must classify every trial and terminate
     # within the tightened watchdog budget; identical matrices at 1 and 8
-    # jobs and at 1 and 7 sim-threads pin the determinism guarantee.
+    # jobs pin the fan-out determinism. The --sim-threads 7 run only shows
+    # the flag is accepted: the engine runs any fault session on one
+    # worker, so that diff cannot fail yet (ROADMAP item 9).
     ./target/release/experiments fault_resilience "$out" --jobs 1 --max-cycles 100000
     mv "$out/fault_resilience.txt" "$out/fault_resilience.j1.txt"
     ./target/release/experiments fault_resilience "$out" --jobs 8 --max-cycles 100000
@@ -154,7 +156,10 @@ if [[ "${CI_PERF:-1}" == "1" ]]; then
     # byte-identical post-mortems at any --jobs fan-out and --sim-threads
     # sharding (the ring drains per-core outboxes in deterministic order),
     # and every detected specimen's post-mortem must name the oracle's
-    # guilty memory instruction and victim region.
+    # guilty memory instruction and victim region. The fault trials run
+    # on one engine worker at any --sim-threads (a fault session forces
+    # it), so only the fuzz specimens' sections are pinned sharded
+    # (ROADMAP item 9).
     ./target/release/experiments forensics "$out" --jobs 1
     mv "$out/forensics.txt" "$out/forensics.j1.txt"
     ./target/release/experiments forensics "$out" --jobs 4
@@ -167,23 +172,7 @@ if [[ "${CI_PERF:-1}" == "1" ]]; then
         exit 1
     fi
 
-    echo "== observation-overhead gate (CI_PERF=0 to skip)"
-    # The committed BENCH_observe.json mirrors the throughput smoke sweep
-    # (same workload, protections, reps), so its disabled-mode sim_cycles
-    # must equal BENCH_simcore.json's smoke sim_cycles: the always-on
-    # recorder hook costs the uninstrumented hot path zero simulated
-    # cycles. The trend gate below recomputes the sweep and additionally
-    # pins counters/full against disabled.
-    obs_cycles=$(grep -m1 '"sim_cycles"' BENCH_observe.json | grep -oE '[0-9]+')
-    smoke_cycles=$(grep '"sim_cycles"' BENCH_simcore.json | tail -1 | grep -oE '[0-9]+')
-    if [[ "$obs_cycles" != "$smoke_cycles" ]]; then
-        echo "BENCH_observe disabled sim_cycles ($obs_cycles) !=" \
-             "BENCH_simcore smoke sim_cycles ($smoke_cycles) — stale baseline" >&2
-        exit 1
-    fi
-    echo "   disabled-mode sim_cycles match simcore smoke: $obs_cycles"
-
-    echo "== detection + precision + observation trend gate (CI_PERF=0 to skip)"
+    echo "== detection + precision trend gate (CI_PERF=0 to skip)"
     ./target/release/trend --check --jobs 4
 fi
 

@@ -1,8 +1,10 @@
-//! Chrome Trace Event Format export: the JSON the `profile --trace` path
-//! writes must be valid JSON carrying the viewer's required keys (`ph`,
-//! `ts`, `pid`, `tid`, `name`) on every event.
+//! Chrome Trace Event Format export of a timeline ring: the JSON the
+//! `profile --trace` path writes must be valid JSON carrying the viewer's
+//! required keys (`ph`, `ts`, `pid`, `tid`, `name`) on every event.
 
-use gpushield::{Arg, ConcurrentKernel, LaunchSpec, Registry, System, SystemConfig, Trace};
+use gpushield::{
+    chrome_timeline, Arg, ConcurrentKernel, LaunchSpec, ObserveMode, Registry, System, SystemConfig,
+};
 use gpushield_isa::{KernelBuilder, MemSpace, MemWidth, Operand};
 use gpushield_runtime::report::Json;
 use std::sync::Arc;
@@ -20,21 +22,21 @@ fn iota() -> Arc<gpushield_isa::Kernel> {
 #[test]
 fn chrome_export_carries_required_keys_on_every_event() {
     let mut sys = System::new(SystemConfig::nvidia_protected());
+    sys.enable_observation(ObserveMode::Timeline { capacity: 4096 });
     let buf = sys.alloc(256 * 4).expect("alloc");
     let mut reg = Registry::new();
-    let mut trace = Trace::new(4096);
     let report = sys
         .submit(LaunchSpec {
             registry: Some(&mut reg),
-            trace: Some(&mut trace),
             ..LaunchSpec::new(&[ConcurrentKernel::new(iota(), 8, 32, &[Arg::Buffer(buf)])])
         })
         .expect("launch")
         .report;
     assert!(report.completed());
-    assert!(!trace.events().is_empty(), "the run produced trace events");
+    let ring = sys.flight().expect("recorder attached");
+    let mut chrome = chrome_timeline(ring);
+    assert!(!chrome.is_empty(), "the run produced timeline events");
 
-    let mut chrome = trace.to_chrome();
     chrome.push_span("launch 0", "launch", 0, report.cycles, u32::MAX, 0);
     let rendered = chrome.render();
 
@@ -78,18 +80,30 @@ fn chrome_export_carries_required_keys_on_every_event() {
 #[test]
 fn instrumented_launch_populates_registry_and_trace_together() {
     let mut sys = System::new(SystemConfig::nvidia_protected());
+    sys.enable_observation(ObserveMode::Timeline { capacity: 64 });
     let buf = sys.alloc(256 * 4).expect("alloc");
     let mut reg = Registry::new();
-    let mut trace = Trace::new(64);
     let report = sys
         .submit(LaunchSpec {
             registry: Some(&mut reg),
-            trace: Some(&mut trace),
             ..LaunchSpec::new(&[ConcurrentKernel::new(iota(), 8, 32, &[Arg::Buffer(buf)])])
         })
         .expect("launch")
         .report;
     assert!(report.completed());
+    // The ring was fed in-run on the instrumented launch, and the
+    // registry carries its count.
+    let ring = sys.flight().expect("recorder attached");
+    for kind in ["dispatch", "retire", "kernel_complete"] {
+        assert!(
+            ring.iter().any(|r| r.ev.kind_name() == kind),
+            "no in-run {kind} event"
+        );
+    }
+    assert_eq!(
+        reg.value("sim.flight.events_recorded"),
+        Some(ring.events_recorded())
+    );
     // Both feeds saw the same run.
     assert_eq!(
         reg.value("sim.launch.instructions"),

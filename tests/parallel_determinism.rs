@@ -11,8 +11,8 @@
 //! quantum-granular abort path.
 
 use gpushield::{
-    Arg, ConcurrentKernel, FaultKind, FaultPlan, LaunchSpec, MultiKernelMode, Registry, System,
-    SystemConfig,
+    chrome_timeline, Arg, ConcurrentKernel, FaultKind, FaultPlan, LaunchSpec, MultiKernelMode,
+    ObserveMode, Registry, System, SystemConfig,
 };
 use gpushield_bench::adapter::SystemHost;
 use gpushield_bench::runner::{config, Protection, Target};
@@ -88,6 +88,39 @@ fn abort_cycle_and_violation_log_are_identical_at_every_worker_count() {
     let base = run(WORKER_MATRIX[0]);
     for &n in &WORKER_MATRIX[1..] {
         assert_eq!(base, run(n), "abort drift at sim_threads={n}");
+    }
+}
+
+/// The Chrome timeline export reads the ring the quantum drain fills in
+/// canonical order, so it is byte-identical at every worker count — for
+/// a benign multi-workgroup launch and for one the shield aborts.
+#[test]
+fn chrome_timeline_is_identical_at_every_worker_count() {
+    let export = |kernel: Arc<Kernel>, bytes: u64, sim_threads: usize| -> String {
+        let mut sys = protected_system(sim_threads);
+        sys.enable_observation(ObserveMode::Timeline { capacity: 1 << 16 });
+        let a = sys.alloc(bytes).unwrap();
+        let _victim = sys.alloc(64).unwrap();
+        let r = sys.launch(kernel, 8, 32, &[Arg::Buffer(a)]).unwrap();
+        let ring = sys.flight().unwrap();
+        assert_eq!(ring.events_dropped(), 0, "the ring holds the whole run");
+        format!("{}\n{}", r.completed(), chrome_timeline(ring).render())
+    };
+    for (what, kernel, bytes) in [
+        ("multi-workgroup", faulted_store_kernel(), 8 * 32 * 4),
+        ("aborting", oob_store_kernel(), 64),
+    ] {
+        let base = export(kernel.clone(), bytes, 1);
+        assert!(base.contains("\"dispatch\""), "{what}: no timeline");
+        assert_eq!(base.starts_with("false"), what == "aborting");
+        assert_eq!(base.contains("\"abort\""), what == "aborting");
+        for n in [2, 7] {
+            assert_eq!(
+                base,
+                export(kernel.clone(), bytes, n),
+                "{what}: Chrome export drift at sim_threads={n}"
+            );
+        }
     }
 }
 

@@ -1,9 +1,27 @@
 //! End-to-end verification of the Fig. 12 stall-visibility rule through
-//! the execution trace: which memory accesses pay a BCU bubble, and when.
+//! the timeline ring: which memory accesses pay a BCU bubble, and when.
 
-use gpushield::{Arg, ConcurrentKernel, LaunchSpec, System, SystemConfig, Trace, TraceKind};
+use gpushield::{
+    Arg, ConcurrentKernel, FlightEvent, LaunchSpec, ObserveMode, System, SystemConfig,
+};
 use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand};
 use std::sync::Arc;
+
+/// `(transactions, stall)` of every memory instruction in the timeline.
+fn mem_events(sys: &System) -> Vec<(u8, u8)> {
+    sys.flight()
+        .expect("recorder attached")
+        .iter()
+        .filter_map(|r| match r.ev {
+            FlightEvent::Mem {
+                transactions,
+                stall,
+                ..
+            } => Some((transactions, stall)),
+            _ => None,
+        })
+        .collect()
+}
 
 /// A kernel that loads the same (L1-resident, single-transaction) line
 /// repeatedly through a runtime-checked pointer: offset loaded from
@@ -39,30 +57,25 @@ fn stalls_under(l1_lat: u64, l2_lat: u64) -> (u64, u64) {
     cfg.bcu.l1_latency = l1_lat;
     cfg.bcu.l2_latency = l2_lat;
     let mut sys = System::new(cfg);
+    sys.enable_observation(ObserveMode::Timeline { capacity: 4096 });
     let buf = sys.alloc(4096).unwrap();
-    let mut trace = Trace::new(4096);
     let r = sys
-        .submit(LaunchSpec {
-            trace: Some(&mut trace),
-            ..LaunchSpec::new(&[ConcurrentKernel::new(
-                repeated_load_kernel(12),
-                1,
-                32,
-                &[Arg::Buffer(buf)],
-            )])
-        })
+        .submit(LaunchSpec::new(&[ConcurrentKernel::new(
+            repeated_load_kernel(12),
+            1,
+            32,
+            &[Arg::Buffer(buf)],
+        )]))
         .unwrap()
         .report;
     assert!(r.completed());
     let mut stalled = 0u64;
     let mut unstalled = 0u64;
-    for e in trace.events() {
-        if let TraceKind::Mem { stall, .. } = e.kind {
-            if stall > 0 {
-                stalled += 1;
-            } else {
-                unstalled += 1;
-            }
+    for (_, stall) in mem_events(&sys) {
+        if stall > 0 {
+            stalled += 1;
+        } else {
+            unstalled += 1;
         }
     }
     (stalled, unstalled)
@@ -121,34 +134,27 @@ fn multi_transaction_accesses_hide_the_bubble() {
     cfg.bcu.l1_latency = 2;
     cfg.bcu.l2_latency = 5;
     let mut sys = System::new(cfg);
+    sys.enable_observation(ObserveMode::Timeline { capacity: 4096 });
     let buf = sys.alloc(32 * 128 + 4096).unwrap();
-    let mut trace = Trace::new(4096);
     let r = sys
-        .submit(LaunchSpec {
-            trace: Some(&mut trace),
-            ..LaunchSpec::new(&[ConcurrentKernel::new(k, 1, 32, &[Arg::Buffer(buf)])])
-        })
+        .submit(LaunchSpec::new(&[ConcurrentKernel::new(
+            k,
+            1,
+            32,
+            &[Arg::Buffer(buf)],
+        )]))
         .unwrap()
         .report;
     assert!(r.completed());
-    for e in trace.events() {
-        if let TraceKind::Mem {
-            transactions,
-            stall,
-            ..
-        } = e.kind
-        {
-            if transactions > 1 {
-                assert_eq!(stall, 0, "multi-tx access must hide the BCU");
-            }
+    let mems = mem_events(&sys);
+    for &(transactions, stall) in &mems {
+        if transactions > 1 {
+            assert_eq!(stall, 0, "multi-tx access must hide the BCU");
         }
     }
     // And the strided loads really were multi-transaction.
     assert!(
-        trace
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::Mem { transactions, .. } if transactions > 8)),
-        "expected heavily uncoalesced accesses in the trace"
+        mems.iter().any(|&(transactions, _)| transactions > 8),
+        "expected heavily uncoalesced accesses in the timeline"
     );
 }
