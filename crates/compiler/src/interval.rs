@@ -131,15 +131,25 @@ impl Interval {
 
     /// `self * o`.
     pub fn mul(&self, o: &Interval) -> Interval {
-        let cands = [
-            self.lo.saturating_mul(o.lo),
-            self.lo.saturating_mul(o.hi),
-            self.hi.saturating_mul(o.lo),
-            self.hi.saturating_mul(o.hi),
-        ];
+        let narrow = |v: i128| i64::try_from(v).ok();
+        let cands = match (narrow(self.lo), narrow(self.hi), narrow(o.lo), narrow(o.hi)) {
+            // Products of i64 factors have magnitude at most 2^126, so
+            // the widening product is exact and cannot saturate.
+            (Some(a), Some(b), Some(c), Some(d)) => {
+                let wide = |x: i64, y: i64| i128::from(x) * i128::from(y);
+                [wide(a, c), wide(a, d), wide(b, c), wide(b, d)]
+            }
+            _ => [
+                self.lo.saturating_mul(o.lo),
+                self.lo.saturating_mul(o.hi),
+                self.hi.saturating_mul(o.lo),
+                self.hi.saturating_mul(o.hi),
+            ],
+        };
+        let [p, q, r, t] = cands;
         Interval {
-            lo: clamp(*cands.iter().min().expect("non-empty")),
-            hi: clamp(*cands.iter().max().expect("non-empty")),
+            lo: clamp(p.min(q).min(r.min(t))),
+            hi: clamp(p.max(q).max(r.max(t))),
         }
     }
 
@@ -296,6 +306,69 @@ mod tests {
         assert_eq!(a.add(&b), Interval::range(-1, 9));
         assert_eq!(a.sub(&b), Interval::range(-2, 8));
         assert_eq!(a.mul(&b), Interval::range(-15, 20));
+    }
+
+    /// `mul` on every pair drawn from the i64 edges, the infinity clamps
+    /// and seeded random bounds equals the all-saturating product it
+    /// replaced.
+    #[test]
+    fn mul_matches_the_saturating_product() {
+        fn saturating(a: &Interval, o: &Interval) -> Interval {
+            let cands = [
+                a.lo.saturating_mul(o.lo),
+                a.lo.saturating_mul(o.hi),
+                a.hi.saturating_mul(o.lo),
+                a.hi.saturating_mul(o.hi),
+            ];
+            Interval {
+                lo: clamp(*cands.iter().min().expect("four candidates")),
+                hi: clamp(*cands.iter().max().expect("four candidates")),
+            }
+        }
+        let (min, max) = (i128::from(i64::MIN), i128::from(i64::MAX));
+        let mut values = vec![
+            NEG_INF,
+            NEG_INF + 1,
+            min - 1,
+            min,
+            min + 1,
+            -1,
+            0,
+            1,
+            max - 1,
+            max,
+            max + 1,
+            POS_INF - 1,
+            POS_INF,
+        ];
+        let mut state = 0x1_2E57_u64;
+        for _ in 0..60 {
+            // SplitMix64, spread over small, i64-wide and i128-wide bounds.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let z = z ^ (z >> 31);
+            let v = match z % 3 {
+                0 => i128::from(z as i16),
+                1 => i128::from(z as i64),
+                _ => clamp(i128::from(z as i64) << (z % 64)),
+            };
+            values.push(v);
+        }
+        let intervals: Vec<Interval> = values
+            .iter()
+            .flat_map(|&a| {
+                values
+                    .iter()
+                    .map(move |&b| Interval::range(a.min(b), a.max(b)))
+            })
+            .step_by(7)
+            .collect();
+        for a in &intervals {
+            for b in intervals.iter().step_by(5) {
+                assert_eq!(a.mul(b), saturating(a, b), "{a:?} * {b:?}");
+            }
+        }
     }
 
     #[test]
