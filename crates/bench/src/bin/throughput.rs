@@ -9,19 +9,19 @@
 //! throughput --smoke --check BENCH_simcore.json   # CI gate: fail if the
 //!                                           # smoke rate regressed >30%
 //! --tolerance 0.30                          # override the gate threshold
-//! throughput --sim-threads 4 --out BENCH_parcore.json   # cycle-quantum
-//!                                           # engine sharded over 4 workers
+//! throughput --sim-threads 4                # cycle-quantum engine
+//!                                           # sharded over 4 workers
 //! ```
 //!
 //! At `--sim-threads 1` (the default) the quantity tracked is the
 //! sequential simulation rate of the cycle-quantum engine (committed as
 //! `BENCH_simcore.json`); at higher counts it is the parallel-engine
 //! throughput with the simulated GPU's cores sharded across worker
-//! threads (committed as `BENCH_parcore.json` at 4). Simulated results
-//! are byte-identical either way. Wall-clock numbers are
-//! machine-dependent; the committed documents record the container that
-//! produced them via the config fingerprint, and the CI gates use
-//! generous tolerances so only real regressions trip them.
+//! threads. Simulated results are byte-identical either way. Wall-clock
+//! numbers are machine-dependent; the committed document records the
+//! container that produced it via the config fingerprint and its hardware
+//! thread count, and the CI gate uses a generous tolerance so only real
+//! regressions trip it.
 
 use gpushield_bench::runner::{config_fingerprint, run_workload, Protection, Target};
 use gpushield_runtime::report::Json;
@@ -248,8 +248,8 @@ fn main() -> ExitCode {
     );
     doc.set("sim_threads", Json::UInt(st as u64));
     // Wall-clock rates only mean something relative to the machine that
-    // produced them; the CI speedup gate compares parcore vs simcore only
-    // when the producer actually had the cores to run the workers on.
+    // produced them, so the document records how many hardware threads
+    // the workers had to run on.
     doc.set(
         "host_parallelism",
         Json::UInt(gpushield_runtime::pool::available_parallelism() as u64),

@@ -7,10 +7,9 @@
 //! ```
 //!
 //! `--check` reruns the default fuzz corpus plus the static-precision
-//! classification, renders a one-table trend report covering the
+//! classification, renders a one-table trend report against the
 //! committed baselines (`BENCH_detection.json`,
-//! `BENCH_static_precision.json`, `BENCH_simcore.json`,
-//! `BENCH_parcore.json`), and exits non-zero when a gated baseline
+//! `BENCH_static_precision.json`), and exits non-zero when either
 //! regresses:
 //!
 //! * any class's `detected` or `conforming` count drops,
@@ -22,9 +21,8 @@
 //!   or in how many workloads improve over the seed analysis,
 //! * the runtime auditor catches any certificate window lying.
 //!
-//! The simcore/parcore rows are report-only context (their rates are gated
-//! separately by the throughput smoke); detection and precision are the
-//! gating tables.
+//! Simulator throughput is gated separately, by `throughput --smoke
+//! --check BENCH_simcore.json`.
 
 use gpushield_bench::experiments::precision::precision_summary;
 use gpushield_bench::fuzzsweep::{run_sweep, Scoreboard};
@@ -35,7 +33,6 @@ use std::process::ExitCode;
 
 const DETECTION_PATH: &str = "BENCH_detection.json";
 const PRECISION_PATH: &str = "BENCH_static_precision.json";
-const SIMCORE_PATH: &str = "BENCH_simcore.json";
 
 fn usage() -> ExitCode {
     eprintln!("usage: trend [--check|--write] [--jobs N] [--sim-threads N]");
@@ -243,47 +240,6 @@ fn check_precision(fresh: &Json, baseline: &Json, report: &mut String) -> Vec<St
     failures
 }
 
-/// Report-only context row for a committed throughput baseline.
-fn perf_row(report: &mut String, path: &str) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        row(
-            report,
-            path,
-            "-".into(),
-            "-".into(),
-            "missing (report-only)",
-        );
-        return;
-    };
-    let Ok(doc) = Json::parse(&text) else {
-        row(
-            report,
-            path,
-            "-".into(),
-            "-".into(),
-            "unparsable (report-only)",
-        );
-        return;
-    };
-    let full = doc.get("full");
-    let rate = full
-        .and_then(|f| f.get("instrs_per_sec"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let cycles = full
-        .and_then(|f| f.get("sim_cycles"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0) as u64;
-    let threads = doc.get("sim_threads").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    row(
-        report,
-        &format!("throughput/sim-threads-{threads}"),
-        format!("{cycles} cyc"),
-        format!("{:.0} instr/s", rate),
-        "committed (report-only)",
-    );
-}
-
 fn main() -> ExitCode {
     let mut write = false;
     let mut jobs = std::thread::available_parallelism().map_or(1, usize::from);
@@ -353,8 +309,6 @@ fn main() -> ExitCode {
         &precision_baseline,
         &mut report,
     ));
-    perf_row(&mut report, SIMCORE_PATH);
-    perf_row(&mut report, "BENCH_parcore.json");
     print!("{report}");
 
     if failures.is_empty() {

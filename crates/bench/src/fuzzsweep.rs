@@ -2,9 +2,9 @@
 //! through the full protection stack — verifier passes, BAT construction,
 //! then an audited launch on the everything-on shield configuration — and
 //! its end-to-end outcome is judged against the specimen's machine-readable
-//! [`PlantedBug`] oracle. The per-class tallies feed the `fuzz_scoreboard`
-//! exhibit, the committed `BENCH_detection.json` baseline, and the `trend`
-//! CI gate.
+//! [`PlantedBug`](gpushield_fuzzgen::PlantedBug) oracle. The per-class
+//! tallies feed the `fuzz_scoreboard` exhibit, the committed
+//! `BENCH_detection.json` baseline, and the `trend` CI gate.
 //!
 //! Classification (per specimen):
 //!

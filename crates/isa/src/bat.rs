@@ -25,7 +25,7 @@ pub enum SiteCheck {
 
 /// Proof metadata attached to a certificate-elided site: the virtual
 /// address window `[lo, hi)` the driver discharged the compiler's
-/// [`SiteProof`] to. Hardware that skips the site's check can count the
+/// `SiteProof` to. Hardware that skips the site's check can count the
 /// skip as *certified* (attributable to a proof, not blind trust), and
 /// the soundness auditor cross-checks observed addresses against exactly
 /// this window. The symbolic certificate (`SiteProof`) lives in the

@@ -9,6 +9,34 @@
 /// GPU memory transaction granularity in bytes (one L1 cache line).
 pub const TRANSACTION_BYTES: u64 = 128;
 
+/// Lane capacity of a warp: an active mask is a `u64` with lane `l` at
+/// bit `l`.
+pub const MAX_LANES: usize = 64;
+
+/// One value per lane of a warp, lane `l` at index `l` — the AGU's
+/// address row, or a row of loaded or stored values.
+pub type LaneRow = [u64; MAX_LANES];
+
+/// The mask with lanes `0..lanes` set (every lane from `MAX_LANES` on).
+pub fn lane_mask(lanes: usize) -> u64 {
+    if lanes >= MAX_LANES {
+        u64::MAX
+    } else {
+        (1 << lanes) - 1
+    }
+}
+
+/// The lanes set in `mask`, in lane order.
+fn set_lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
 /// One coalesced memory transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Transaction {
@@ -34,11 +62,9 @@ impl Transaction {
 /// active lanes (§5.5.1's minimum/maximum address pair, plus what the
 /// coalescer and the data path need to skip their per-lane work).
 ///
-/// Build one from per-lane options with [`LaneSpan::of`];
-/// [`WarpLanes::fill_row`] builds one from a row of lane addresses and its
-/// active mask. Building never overflows; [`LaneSpan::range`] and the coalescer add
-/// `width` to the highest start, which global VAs leave room for and
-/// shared-space offsets need not.
+/// [`WarpLanes::fill`] builds the one every access carries. Building
+/// never overflows; [`LaneSpan::range`] and the coalescer add `width` to
+/// the highest start, which global VAs leave room for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneSpan {
     /// Access width in bytes.
@@ -82,18 +108,16 @@ impl LaneSpan {
         self.hi = self.hi.max(va);
     }
 
-    /// The span of the lanes of `row` set in `mask` (lane `i` is bit `i`,
-    /// so `row` holds at most 64 lanes). A full mask, the common case,
-    /// takes one branch-free pass over the row instead of a per-lane
-    /// mask test.
-    pub(crate) fn of_row(row: &[u64], mask: u64, width: u64) -> Self {
-        let all = u64::MAX >> (64 - row.len().clamp(1, 64));
-        let (Some(&first), Some(&last), true) = (row.first(), row.last(), mask & all == all) else {
+    /// The span of the lanes of `row` set in `mask`, which has no bit at
+    /// or past `row.len()`. A full mask, the common case, takes one
+    /// branch-free pass over the row instead of visiting the set bits.
+    fn of_row(row: &[u64], mask: u64, width: u64) -> Self {
+        let (Some(&first), Some(&last), true) =
+            (row.first(), row.last(), mask == lane_mask(row.len()))
+        else {
             let mut span = LaneSpan::new(width);
-            for (lane, &va) in row.iter().enumerate() {
-                if mask >> lane & 1 != 0 {
-                    span.push(va);
-                }
+            for lane in set_lanes(mask) {
+                span.push(row[lane]);
             }
             return span;
         };
@@ -119,15 +143,6 @@ impl LaneSpan {
         }
     }
 
-    /// The span of the active lanes of `lane_addrs` (`None` = masked off).
-    pub fn of(lane_addrs: &[Option<u64>], width: u64) -> Self {
-        let mut span = LaneSpan::new(width);
-        for &va in lane_addrs.iter().flatten() {
-            span.push(va);
-        }
-        span
-    }
-
     /// Number of active lanes.
     pub fn active(&self) -> usize {
         self.active
@@ -138,7 +153,8 @@ impl LaneSpan {
         self.width
     }
 
-    /// The (min, max-exclusive-end) address pair, `None` with no lanes.
+    /// The (min, max-exclusive-end) address pair the BCU checks
+    /// (§5.5.1), `None` with no lanes.
     pub fn range(&self) -> Option<(u64, u64)> {
         (self.active > 0).then(|| (self.lo, self.hi + self.width))
     }
@@ -150,65 +166,62 @@ impl LaneSpan {
     }
 }
 
-/// One warp access's per-lane addresses together with their
-/// [`LaneSpan`], built in one place so the two always agree. The
-/// functions that take the span's shortcuts — [`coalesce_lanes_into`]
-/// and the VM's `first_lane_fault`, `read_lanes` and `write_lanes` —
-/// translate and index memory by the span alone when it allows, so a
-/// summary of other lanes would send these lanes' data to the wrong
-/// place; taking a `WarpLanes` they cannot be handed one.
+/// One warp access as the AGU produces it: the address row, the active
+/// mask and their [`LaneSpan`], built in one place so the three always
+/// agree. The functions that take the span's shortcuts —
+/// [`coalesce_lanes_into`] and the VM's `first_lane_fault`, `read_lanes`
+/// and `write_lanes` — translate and index memory by the span alone when
+/// it allows, so a summary of other lanes would send these lanes' data to
+/// the wrong place; taking a `WarpLanes` they cannot be handed one.
 ///
 /// The simulator keeps one per core and refills it with
-/// [`WarpLanes::fill_row`] for every global access; the address vector
-/// keeps its capacity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`WarpLanes::fill`] for every global access.
+#[derive(Debug, Clone)]
 pub struct WarpLanes {
-    vas: Vec<Option<u64>>,
+    row: LaneRow,
+    /// The active lanes; no bit at or past the warp's width.
+    mask: u64,
     span: LaneSpan,
 }
 
 impl Default for WarpLanes {
     fn default() -> Self {
         WarpLanes {
-            vas: Vec::new(),
+            row: [0; MAX_LANES],
+            mask: 0,
             span: LaneSpan::new(0),
         }
     }
 }
 
 impl WarpLanes {
-    /// The lanes `lane_addrs` (`None` = masked off) of a `width`-byte
-    /// access.
-    pub fn of(lane_addrs: &[Option<u64>], width: u64) -> Self {
-        WarpLanes {
-            vas: lane_addrs.to_vec(),
-            span: LaneSpan::of(lane_addrs, width),
-        }
+    /// Refills with a `width`-byte access by a warp of `lanes` lanes
+    /// (at most [`MAX_LANES`]) whose active ones are set in `mask`: `agu`
+    /// writes every active lane's address into its slot of the row, and
+    /// its result is returned once the lanes are summarised. The row
+    /// lends itself to `agu` only, so the summary always describes it.
+    pub fn fill<R>(
+        &mut self,
+        lanes: usize,
+        mask: u64,
+        width: u64,
+        agu: impl FnOnce(&mut LaneRow) -> R,
+    ) -> R {
+        let out = agu(&mut self.row);
+        let row = &self.row[..lanes.min(MAX_LANES)];
+        self.mask = mask & lane_mask(row.len());
+        self.span = LaneSpan::of_row(row, self.mask, width);
+        out
     }
 
-    /// Refills with the lanes of `row` set in `mask` (lane `i` is bit
-    /// `i`, so `row` holds at most 64 lanes) of a `width`-byte access.
-    /// A full mask, the common case, is summarised in one branch-free
-    /// pass over the row.
-    pub fn fill_row(&mut self, row: &[u64], mask: u64, width: u64) {
-        self.vas.clear();
-        self.vas.extend(
-            row.iter()
-                .enumerate()
-                .map(|(lane, &va)| (mask >> lane & 1 != 0).then_some(va)),
-        );
-        self.span = LaneSpan::of_row(row, mask, width);
-    }
-
-    /// Empties to no lanes, keeping the vector's capacity.
+    /// Empties to no lanes, as [`WarpLanes::default`] builds.
     pub fn clear(&mut self) {
-        self.vas.clear();
-        self.span = LaneSpan::new(0);
+        *self = WarpLanes::default();
     }
 
-    /// Per-lane addresses (`None` = masked-off lane).
-    pub fn vas(&self) -> &[Option<u64>] {
-        &self.vas
+    /// The active lanes in lane order, as `(lane, address)`.
+    pub fn active(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        set_lanes(self.mask).map(|lane| (lane, self.row[lane]))
     }
 
     /// The lanes' summary.
@@ -217,51 +230,46 @@ impl WarpLanes {
     }
 }
 
-/// Coalesces the active lanes' addresses (`None` = masked-off lane) of one
-/// `width`-byte access into unique, sorted 128-byte transactions.
+/// Coalesces the active lanes of one warp access into unique, sorted
+/// 128-byte transactions, clearing `txs` first and reusing its capacity.
+/// The simulator's LSU calls this once per memory instruction with the
+/// core's lanes and a per-core scratch vector.
 ///
 /// Accesses that straddle a transaction boundary contribute to both
-/// transactions, as real coalescers do.
+/// transactions, as real coalescers do. A dense warp, or one whose lanes
+/// all fall in one line, covers one run of lines, computed without
+/// visiting the lanes. Other warps push each lane's lines, and sort and
+/// deduplicate only when the pushes did not come out strictly ascending.
 ///
 /// # Example
 ///
 /// ```
-/// use gpushield_mem::coalesce_warp;
+/// use gpushield_mem::{coalesce_lanes_into, WarpLanes};
 ///
+/// let (mut lanes, mut txs) = (WarpLanes::default(), Vec::new());
 /// // A perfectly coalesced warp: 32 consecutive 4-byte accesses = 1 transaction.
-/// let addrs: Vec<Option<u64>> = (0..32).map(|i| Some(0x1000 + i * 4)).collect();
-/// assert_eq!(coalesce_warp(&addrs, 4).len(), 1);
+/// lanes.fill(32, u64::MAX, 4, |row| {
+///     (0..32).for_each(|i| row[i] = 0x1000 + i as u64 * 4)
+/// });
+/// coalesce_lanes_into(&lanes, &mut txs);
+/// assert_eq!(txs.len(), 1);
 ///
 /// // A strided warp: every lane on its own line = 32 transactions.
-/// let addrs: Vec<Option<u64>> = (0..32).map(|i| Some(0x1000 + i * 128)).collect();
-/// assert_eq!(coalesce_warp(&addrs, 4).len(), 32);
-/// ```
-pub fn coalesce_warp(lane_addrs: &[Option<u64>], width: u64) -> Vec<Transaction> {
-    let mut txs = Vec::with_capacity(4);
-    coalesce_warp_into(lane_addrs, width, &mut txs);
-    txs
-}
-
-/// Allocation-free variant of [`coalesce_warp`]: clears `txs` and fills it
-/// with the coalesced transactions, reusing its capacity.
-pub fn coalesce_warp_into(lane_addrs: &[Option<u64>], width: u64, txs: &mut Vec<Transaction>) {
-    coalesce_with_span(lane_addrs, &LaneSpan::of(lane_addrs, width), txs);
-}
-
-/// [`coalesce_warp_into`] for lanes already summarised by the AGU. The
-/// simulator's LSU calls this once per memory instruction with the
-/// core's lanes and a per-core scratch vector.
+/// lanes.fill(32, u64::MAX, 4, |row| {
+///     (0..32).for_each(|i| row[i] = 0x1000 + i as u64 * 128)
+/// });
+/// coalesce_lanes_into(&lanes, &mut txs);
+/// assert_eq!(txs.len(), 32);
 ///
-/// A dense warp, or one whose lanes all fall in one line, covers one run
-/// of lines, computed without visiting the lanes. Other warps push each
-/// lane's lines, and sort and deduplicate only when the pushes did not
-/// come out strictly ascending.
+/// // Masked-off lanes take no part.
+/// lanes.fill(32, 0b101, 4, |row| {
+///     (0..32).for_each(|i| row[i] = 0x1000 + i as u64 * 128)
+/// });
+/// coalesce_lanes_into(&lanes, &mut txs);
+/// assert_eq!(txs.len(), 2);
+/// ```
 pub fn coalesce_lanes_into(lanes: &WarpLanes, txs: &mut Vec<Transaction>) {
-    coalesce_with_span(&lanes.vas, &lanes.span, txs);
-}
-
-/// The coalescer proper: `span` is `LaneSpan::of(lane_addrs, width)`.
-fn coalesce_with_span(lane_addrs: &[Option<u64>], span: &LaneSpan, txs: &mut Vec<Transaction>) {
+    let span = &lanes.span;
     txs.clear();
     if span.active == 0 {
         return;
@@ -278,7 +286,7 @@ fn coalesce_with_span(lane_addrs: &[Option<u64>], span: &LaneSpan, txs: &mut Vec
     }
     let tail = span.width.saturating_sub(1);
     let mut ascending = true;
-    for &addr in lane_addrs.iter().flatten() {
+    for (_, addr) in lanes.active() {
         let first = Transaction::covering(addr).base;
         let last = Transaction::covering(addr + tail).base;
         for base in (first..=last).step_by(TRANSACTION_BYTES as usize) {
@@ -299,30 +307,35 @@ fn coalesce_with_span(lane_addrs: &[Option<u64>], span: &LaneSpan, txs: &mut Vec
     }
 }
 
-/// The per-warp (min, exclusive max end) address range the BCU's address
-/// gathering stage computes for workgroup/warp-level bounds checking
-/// (§5.5.1: "computes the minimum and maximum address pair").
-///
-/// Returns `None` when every lane is masked off.
-pub fn warp_address_range(lane_addrs: &[Option<u64>], width: u64) -> Option<(u64, u64)> {
-    LaneSpan::of(lane_addrs, width).range()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The lanes of `row` set in `mask`.
+    fn lanes_of(row: &[u64], mask: u64, width: u64) -> WarpLanes {
+        let mut lanes = WarpLanes::default();
+        lanes.fill(row.len(), mask, width, |r| {
+            r[..row.len()].copy_from_slice(row)
+        });
+        lanes
+    }
+
+    fn coalesce(row: &[u64], mask: u64, width: u64) -> Vec<Transaction> {
+        let mut txs = Vec::new();
+        coalesce_lanes_into(&lanes_of(row, mask, width), &mut txs);
+        txs
+    }
+
     #[test]
     fn fully_masked_warp_produces_nothing() {
-        let addrs = vec![None; 32];
-        assert!(coalesce_warp(&addrs, 4).is_empty());
-        assert!(warp_address_range(&addrs, 4).is_none());
+        let row = [0x1000; 32];
+        assert!(coalesce(&row, 0, 4).is_empty());
+        assert!(lanes_of(&row, 0, 4).span().range().is_none());
     }
 
     #[test]
     fn straddling_access_touches_two_transactions() {
-        let addrs = vec![Some(126u64)];
-        let txs = coalesce_warp(&addrs, 4);
+        let txs = coalesce(&[126], 1, 4);
         assert_eq!(txs.len(), 2);
         assert_eq!(txs[0].base, 0);
         assert_eq!(txs[1].base, 128);
@@ -330,23 +343,26 @@ mod tests {
 
     #[test]
     fn duplicate_addresses_merge() {
-        let addrs: Vec<Option<u64>> = (0..32).map(|_| Some(0x2000)).collect();
-        assert_eq!(coalesce_warp(&addrs, 8).len(), 1);
+        assert_eq!(coalesce(&[0x2000; 32], u64::MAX, 8).len(), 1);
     }
 
     #[test]
     fn range_is_min_to_max_end() {
-        let addrs = vec![Some(100u64), None, Some(10), Some(60)];
-        assert_eq!(warp_address_range(&addrs, 4), Some((10, 104)));
+        let lanes = lanes_of(&[100, 0, 10, 60], 0b1101, 4);
+        assert_eq!(lanes.span().range(), Some((10, 104)));
     }
 
     /// The quadratic scan-for-duplicates coalescer that
-    /// `coalesce_warp_into` replaced, kept as the reference.
-    fn coalesce_by_scan(lane_addrs: &[Option<u64>], width: u64) -> Vec<Transaction> {
+    /// `coalesce_lanes_into` replaced, kept as the reference; it tests
+    /// each lane's mask bit in turn.
+    fn coalesce_by_scan(row: &[u64], mask: u64, width: u64) -> Vec<Transaction> {
         let mut txs = Vec::new();
-        for addr in lane_addrs.iter().flatten() {
+        for (lane, &addr) in row.iter().enumerate() {
+            if mask >> lane & 1 == 0 {
+                continue;
+            }
             let last = Transaction::covering(addr + width.saturating_sub(1));
-            let mut t = Transaction::covering(*addr);
+            let mut t = Transaction::covering(addr);
             loop {
                 if !txs.contains(&t) {
                     txs.push(t);
@@ -361,6 +377,17 @@ mod tests {
         txs
     }
 
+    /// The span of `row`'s lanes set in `mask`, folded lane by lane.
+    fn span_by_fold(row: &[u64], mask: u64, width: u64) -> LaneSpan {
+        let mut span = LaneSpan::new(width);
+        for (lane, &va) in row.iter().enumerate() {
+            if mask >> lane & 1 != 0 {
+                span.push(va);
+            }
+        }
+        span
+    }
+
     #[test]
     fn every_path_matches_scan_on_random_lane_sets() {
         let mut state = 0x5EED_u64;
@@ -371,10 +398,10 @@ mod tests {
             let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let mut txs = Vec::new();
+        let (mut lanes, mut txs) = (WarpLanes::default(), Vec::new());
         let (mut dense, mut one_line, mut ascending, mut shuffled) = (0, 0, 0, 0);
         for case in 0..2000 {
-            let lanes = 1 + next() % 64;
+            let n = 1 + next() % 64;
             // Widths up to and past a whole transaction, so some accesses
             // straddle one or two line boundaries.
             let width = [1, 4, 8, 16, 100, 128, 200][case % 7];
@@ -386,30 +413,38 @@ mod tests {
             let stride = [width, 2 * width, 128, 132, 3][(next() % 5) as usize];
             let shape = (case / 7) % 6;
             let masked_one_in = [u64::MAX, 4, 16][(next() % 3) as usize];
-            let addrs: Vec<Option<u64>> = (0..lanes)
+            let mut mask = 0u64;
+            let row: Vec<u64> = (0..n)
                 .map(|k| {
                     let a = match shape {
                         0 => base + next() % window,
                         1 => base + k * width,
                         2 => base + k * stride,
-                        3 => base + (lanes - 1 - k) * stride,
+                        3 => base + (n - 1 - k) * stride,
                         4 => base,
                         _ => base + (k ^ 1) * width,
                     };
-                    (next() % masked_one_in != 0).then_some(a)
+                    if next() % masked_one_in != 0 {
+                        mask |= 1 << k;
+                    }
+                    a
                 })
                 .collect();
-            let span = LaneSpan::of(&addrs, width);
+            lanes.fill(row.len(), mask, width, |r| {
+                r[..row.len()].copy_from_slice(&row)
+            });
+            let span = *lanes.span();
+            assert_eq!(span, span_by_fold(&row, mask, width));
             dense += usize::from(span.dense && span.active > 1);
             one_line += usize::from(
                 span.active > 0
                     && Transaction::covering(span.lo) == Transaction::covering(span.last_byte()),
             );
-            coalesce_warp_into(&addrs, width, &mut txs);
-            let want = coalesce_by_scan(&addrs, width);
-            assert_eq!(txs, want, "{addrs:?} width {width}");
+            coalesce_lanes_into(&lanes, &mut txs);
+            let want = coalesce_by_scan(&row, mask, width);
+            assert_eq!(txs, want, "{row:x?} mask {mask:x} width {width}");
             // Sorted pushes skip the sort: count the lane orders that did.
-            let mut pushed: Vec<u64> = addrs.iter().flatten().map(|a| a & !127).collect();
+            let mut pushed: Vec<u64> = lanes.active().map(|(_, a)| a & !127).collect();
             pushed.dedup();
             if pushed.windows(2).all(|p| p[0] < p[1]) {
                 ascending += 1;
@@ -423,10 +458,11 @@ mod tests {
         assert!(shuffled > 500, "only {shuffled} shuffled warps");
     }
 
-    /// `of_row`'s full-mask pass and its per-lane path agree with the
-    /// per-lane builder, and so does a refilled `WarpLanes`, on dense,
-    /// strided, reversed, uniform, jittered and random rows, at the top
-    /// of the address space too.
+    /// A refilled `WarpLanes` — its full-mask pass and its set-bit path —
+    /// agrees with the lane-by-lane fold and lists exactly the masked-in
+    /// lanes, on dense, strided, reversed, uniform, jittered and random
+    /// rows, at the top of the address space too, with masks that reach
+    /// past the warp.
     #[test]
     fn row_spans_match_the_per_lane_span() {
         let mut state = 0x0F_5EED_u64;
@@ -436,7 +472,7 @@ mod tests {
             let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let (mut dense, mut filled) = (0, WarpLanes::default());
+        let (mut dense, mut full, mut filled) = (0, 0, WarpLanes::default());
         for case in 0..3000u64 {
             let lanes = 1 + next() % 64;
             let width = [0, 1, 4, 8, 128][(case % 5) as usize];
@@ -458,52 +494,55 @@ mod tests {
                 1 => u64::MAX >> (64 - lanes),
                 _ => next(),
             };
-            let lanes_of: Vec<Option<u64>> = row
-                .iter()
-                .enumerate()
-                .map(|(l, &va)| (mask >> l & 1 != 0).then_some(va))
-                .collect();
-            let span = LaneSpan::of_row(&row, mask, width);
+            // One buffer refilled for every case, as the simulator does.
+            filled.fill(row.len(), mask, width, |r| {
+                r[..row.len()].copy_from_slice(&row)
+            });
+            let span = *filled.span();
             assert_eq!(
                 span,
-                LaneSpan::of(&lanes_of, width),
+                span_by_fold(&row, mask, width),
                 "{row:x?} mask {mask:x}"
             );
-            // Refilling one buffer gives what building afresh does.
-            filled.fill_row(&row, mask, width);
-            assert_eq!(filled, WarpLanes::of(&lanes_of, width));
+            let want: Vec<(usize, u64)> = (0..row.len())
+                .filter(|&l| mask >> l & 1 != 0)
+                .map(|l| (l, row[l]))
+                .collect();
+            assert_eq!(filled.active().collect::<Vec<_>>(), want);
             dense += usize::from(span.dense && span.active > 1);
+            full += usize::from(span.active == row.len());
         }
         assert!(dense > 200, "only {dense} dense rows");
+        assert!(full > 1500, "only {full} rows took the full-mask pass");
     }
 
     #[test]
     fn span_summarises_the_active_lanes() {
-        let lanes = [None, Some(0x108), Some(0x100), None, Some(0x110)];
-        let span = LaneSpan::of(&lanes, 8);
+        let span = *lanes_of(&[0, 0x108, 0x100, 0, 0x110], 0b10110, 8).span();
         assert_eq!(
             (span.active, span.first, span.lo, span.hi),
             (3, 0x108, 0x100, 0x110)
         );
         assert!(!span.dense, "0x100 does not follow 0x108");
         assert_eq!(span.range(), Some((0x100, 0x118)));
-        let dense = [Some(0x100), None, Some(0x108), Some(0x110), None];
+        let dense = [0x100, 0, 0x108, 0x110, 0];
         assert!(
-            LaneSpan::of(&dense, 8).dense,
+            lanes_of(&dense, 0b01101, 8).span().dense,
             "masked lanes do not break a run"
         );
-        assert!(!LaneSpan::of(&dense, 4).dense, "a 4-byte gap does");
-        assert_eq!(LaneSpan::of(&[None, None], 4).range(), None);
-        // Shared-space offsets may sit anywhere: building a span never
-        // overflows.
-        let high = [Some(u64::MAX - 3), Some(u64::MAX)];
-        assert!(!LaneSpan::of(&high, 8).dense);
+        assert!(
+            !lanes_of(&dense, 0b01101, 4).span().dense,
+            "a 4-byte gap does"
+        );
+        assert_eq!(lanes_of(&[7, 9], 0, 4).span().range(), None);
+        // Building a span never overflows.
+        let high = [u64::MAX - 3, u64::MAX];
+        assert!(!lanes_of(&high, 0b11, 8).span().dense);
     }
 
     #[test]
     fn transactions_are_sorted_and_unique() {
-        let addrs = vec![Some(512u64), Some(0), Some(256), Some(0)];
-        let txs = coalesce_warp(&addrs, 4);
+        let txs = coalesce(&[512, 0, 256, 0], 0b1111, 4);
         let bases: Vec<u64> = txs.iter().map(|t| t.base).collect();
         assert_eq!(bases, vec![0, 256, 512]);
     }

@@ -28,7 +28,7 @@ mod vm;
 
 pub use cache::{Cache, CacheStats, Replacement};
 pub use coalesce::{
-    coalesce_lanes_into, coalesce_warp, coalesce_warp_into, LaneSpan, Transaction, WarpLanes,
+    coalesce_lanes_into, lane_mask, LaneRow, LaneSpan, Transaction, WarpLanes, MAX_LANES,
     TRANSACTION_BYTES,
 };
 pub use dram::{Dram, DramConfig, DramStats, DramView};

@@ -13,7 +13,7 @@
 //! Allocation policies also include power-of-two alignment with padding,
 //! which GPUShield's Type 3 pointers require (§5.3.3).
 
-use crate::coalesce::{LaneSpan, WarpLanes};
+use crate::coalesce::{LaneRow, LaneSpan, WarpLanes};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -475,7 +475,7 @@ impl VirtualMemorySpace {
     /// all lie in one page translates its first lane only, and any other
     /// warp translates each run of consecutive same-page lanes once.
     pub fn first_lane_fault(&self, lanes: &WarpLanes) -> Option<MemFault> {
-        let (vas, span) = (lanes.vas(), lanes.span());
+        let span = lanes.span();
         if span.active == 0 {
             return None;
         }
@@ -483,7 +483,7 @@ impl VirtualMemorySpace {
             return self.translate(span.first).err();
         }
         let mut page = u64::MAX;
-        for &va in vas.iter().flatten() {
+        for (_, va) in lanes.active() {
             if va / PAGE_SIZE != page {
                 if let Err(f) = self.translate(va) {
                     return Some(f);
@@ -540,36 +540,34 @@ impl VirtualMemorySpace {
     ///
     /// Stops at the first faulting lane in lane order with that lane's
     /// `read_uint` fault.
-    pub fn read_lanes(&self, lanes: &WarpLanes, out: &mut [u64]) -> Result<(), MemFault> {
-        let (vas, span) = (lanes.vas(), lanes.span());
+    pub fn read_lanes(&self, lanes: &WarpLanes, out: &mut LaneRow) -> Result<(), MemFault> {
+        let span = lanes.span();
         let (width, w) = (span.width, span.width as usize);
         if Self::one_page(span) {
             // Every lane's page faults as the first lane's does.
             let frame = self.frame(self.translate(span.first)? / PAGE_SIZE);
-            for (&va, o) in vas.iter().zip(out.iter_mut()) {
-                let Some(va) = va else { continue };
+            for (lane, va) in lanes.active() {
                 let mut bytes = [0u8; 8];
                 if let Some(f) = frame {
                     let off = (va % PAGE_SIZE) as usize;
                     copy_out(&f[off..off + w], &mut bytes[..w]);
                 }
-                *o = u64::from_le_bytes(bytes);
+                out[lane] = u64::from_le_bytes(bytes);
             }
             return Ok(());
         }
         let mut run = None;
-        for (&va, o) in vas.iter().zip(out.iter_mut()) {
-            let Some(va) = va else { continue };
+        for (lane, va) in lanes.active() {
             let off = (va % PAGE_SIZE) as usize;
             if !(1..=8).contains(&w) || off + w > PAGE_SIZE as usize {
-                *o = self.read_uint(va, width)?;
+                out[lane] = self.read_uint(va, width)?;
                 continue;
             }
             let mut bytes = [0u8; 8];
             if let Some(f) = self.lane_frame(&mut run, va, false)? {
                 copy_out(&f[off..off + w], &mut bytes[..w]);
             }
-            *o = u64::from_le_bytes(bytes);
+            out[lane] = u64::from_le_bytes(bytes);
         }
         Ok(())
     }
@@ -585,22 +583,20 @@ impl VirtualMemorySpace {
     ///
     /// Stops at the first faulting lane in lane order with that lane's
     /// `write_uint` fault; every earlier lane has been written.
-    pub fn write_lanes(&self, lanes: &WarpLanes, vals: &[u64]) -> Result<(), MemFault> {
-        let (vas, span) = (lanes.vas(), lanes.span());
+    pub fn write_lanes(&self, lanes: &WarpLanes, vals: &LaneRow) -> Result<(), MemFault> {
+        let span = lanes.span();
         let (width, w) = (span.width, span.width as usize);
         if Self::one_page(span) {
             let frame = self.frame_init(self.translate(span.first)? / PAGE_SIZE);
-            for (&va, &v) in vas.iter().zip(vals) {
-                let Some(va) = va else { continue };
+            for (lane, va) in lanes.active() {
                 let off = (va % PAGE_SIZE) as usize;
-                copy_in(&v.to_le_bytes()[..w], &frame[off..off + w]);
+                copy_in(&vals[lane].to_le_bytes()[..w], &frame[off..off + w]);
             }
             return Ok(());
         }
         let mut run = None;
-        for (&va, &v) in vas.iter().zip(vals) {
-            let Some(va) = va else { continue };
-            let off = (va % PAGE_SIZE) as usize;
+        for (lane, va) in lanes.active() {
+            let (off, v) = ((va % PAGE_SIZE) as usize, vals[lane]);
             if !(1..=8).contains(&w) || off + w > PAGE_SIZE as usize {
                 self.write_uint(va, width, v)?;
                 continue;
@@ -671,6 +667,7 @@ impl VirtualMemorySpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalesce::MAX_LANES;
 
     #[test]
     fn consecutive_allocs_are_512_apart() {
@@ -821,59 +818,79 @@ mod tests {
         Ok(bytes)
     }
 
-    fn ref_first_fault(vm: &VirtualMemorySpace, vas: &[Option<u64>]) -> Option<MemFault> {
-        vas.iter().flatten().find_map(|&va| vm.translate(va).err())
+    /// A masked-off lane's address: unmapped, so a lane function that
+    /// read it would fault where the reference does not.
+    const MASKED: u64 = 0x1000;
+
+    /// The lanes of `row` set in `mask`.
+    fn lanes_of(row: &[u64], mask: u64, width: u64) -> WarpLanes {
+        let mut lanes = WarpLanes::default();
+        lanes.fill(row.len(), mask, width, |r| {
+            r[..row.len()].copy_from_slice(row)
+        });
+        lanes
+    }
+
+    /// `row`'s lanes set in `mask`, testing each lane's bit in turn.
+    fn masked_in(row: &[u64], mask: u64) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (0..row.len())
+            .filter(move |&lane| mask >> lane & 1 != 0)
+            .map(|lane| (lane, row[lane]))
+    }
+
+    fn ref_first_fault(vm: &VirtualMemorySpace, row: &[u64], mask: u64) -> Option<MemFault> {
+        masked_in(row, mask).find_map(|(_, va)| vm.translate(va).err())
     }
 
     fn ref_read(
         vm: &VirtualMemorySpace,
-        vas: &[Option<u64>],
+        (row, mask): (&[u64], u64),
         width: u64,
-        out: &mut [u64],
+        out: &mut LaneRow,
     ) -> Result<(), MemFault> {
-        for (lane, va) in vas.iter().enumerate() {
-            if let Some(va) = *va {
-                out[lane] = vm.read_uint(va, width)?;
-            }
+        for (lane, va) in masked_in(row, mask) {
+            out[lane] = vm.read_uint(va, width)?;
         }
         Ok(())
     }
 
     fn ref_write(
         vm: &VirtualMemorySpace,
-        vas: &[Option<u64>],
+        (row, mask): (&[u64], u64),
         width: u64,
-        vals: &[u64],
+        vals: &LaneRow,
     ) -> Result<(), MemFault> {
-        for (lane, va) in vas.iter().enumerate() {
-            if let Some(va) = *va {
-                vm.write_uint(va, width, vals[lane])?;
-            }
+        for (lane, va) in masked_in(row, mask) {
+            vm.write_uint(va, width, vals[lane])?;
         }
         Ok(())
     }
 
-    /// One random warp: masked-off lanes, in-page and page-straddling
-    /// lanes over every buffer page in no particular order, duplicates of
-    /// earlier lanes and, when `faults`, rare unmapped, protected and
-    /// region-end-straddling lanes.
-    fn random_lanes(rng: &mut Mix, base: u64, prot: u64, faults: bool) -> Vec<Option<u64>> {
+    /// One random warp, as its address row and active mask: masked-off
+    /// lanes, in-page and page-straddling lanes over every buffer page in
+    /// no particular order, duplicates of earlier lanes and, when
+    /// `faults`, rare unmapped, protected and region-end-straddling lanes.
+    fn random_lanes(rng: &mut Mix, base: u64, prot: u64, faults: bool) -> (Vec<u64>, u64) {
         let n = 1 + rng.below(64) as usize;
-        let mut vas: Vec<Option<u64>> = Vec::with_capacity(n);
-        for _ in 0..n {
+        let (mut row, mut mask, mut last) = (Vec::with_capacity(n), 0u64, None);
+        for lane in 0..n {
             let page = base + rng.below(6) * PAGE_SIZE;
             let va = match rng.below(40) {
                 0..=9 => None,
                 10..=15 => Some(page + 4089 + rng.below(7)),
-                16..=19 => vas.iter().flatten().last().copied().or(Some(page)),
+                16..=19 => last.or(Some(page)),
                 20 if faults => Some(0x1000 + rng.below(PAGE_SIZE)),
                 21 if faults => Some(prot + rng.below(PAGE_SIZE)),
                 22 if faults => Some(prot - 1 - rng.below(7)),
                 _ => Some(page + rng.below(PAGE_SIZE - 8)),
             };
-            vas.push(va);
+            if va.is_some() {
+                mask |= 1 << lane;
+                last = va;
+            }
+            row.push(va.unwrap_or(MASKED));
         }
-        vas
+        (row, mask)
     }
 
     /// Runs one warp through the lane functions on a fresh space and
@@ -882,34 +899,41 @@ mod tests {
     /// pages), the same store result and byte image, and the same loads
     /// once the stores materialized frames. Returns whether it faulted.
     fn match_reference(
-        vas: &[Option<u64>],
+        (row, mask): (&[u64], u64),
         width: u64,
-        vals: &[u64],
+        vals: &LaneRow,
         ctx: &str,
     ) -> Result<bool, MemFault> {
         let (vm, base, _) = lane_space()?;
         let (ref_vm, _, _) = lane_space()?;
-        let lanes = WarpLanes::of(vas, width);
-        let fault = ref_first_fault(&ref_vm, vas);
+        let lanes = lanes_of(row, mask, width);
+        let fault = ref_first_fault(&ref_vm, row, mask);
         assert_eq!(vm.first_lane_fault(&lanes), fault, "{ctx}");
         for fresh in [true, false] {
             if !fresh {
                 assert_eq!(
                     vm.write_lanes(&lanes, vals),
-                    ref_write(&ref_vm, vas, width, vals),
+                    ref_write(&ref_vm, (row, mask), width, vals),
                     "{ctx}"
                 );
                 assert_eq!(image(&vm, base)?, image(&ref_vm, base)?, "{ctx}");
             }
-            let (mut got, mut want) = (vec![!0u64; vas.len()], vec![!0u64; vas.len()]);
+            let (mut got, mut want) = ([!0u64; MAX_LANES], [!0u64; MAX_LANES]);
             assert_eq!(
                 vm.read_lanes(&lanes, &mut got),
-                ref_read(&ref_vm, vas, width, &mut want),
+                ref_read(&ref_vm, (row, mask), width, &mut want),
                 "{ctx}"
             );
             assert_eq!(got, want, "{ctx}");
         }
         Ok(fault.is_some())
+    }
+
+    /// `n` random store values, one per lane.
+    fn random_vals(rng: &mut Mix, n: usize) -> LaneRow {
+        let mut vals = [0; MAX_LANES];
+        vals[..n].iter_mut().for_each(|v| *v = rng.next());
+        vals
     }
 
     #[test]
@@ -919,15 +943,13 @@ mod tests {
         let (mut faulted, mut straddled) = (0, 0);
         for case in 0..400 {
             let (_, base, prot) = lane_space()?;
-            let vas = random_lanes(&mut rng, base, prot, case % 2 == 1);
+            let (row, mask) = random_lanes(&mut rng, base, prot, case % 2 == 1);
             let width = WIDTHS[rng.below(10) as usize];
-            let vals: Vec<u64> = (0..vas.len()).map(|_| rng.next()).collect();
-            let ctx = format!("case {case}: width {width}, lanes {vas:x?}");
-            faulted += usize::from(match_reference(&vas, width, &vals, &ctx)?);
+            let vals = random_vals(&mut rng, row.len());
+            let ctx = format!("case {case}: width {width}, lanes {row:x?} mask {mask:x}");
+            faulted += usize::from(match_reference((&row, mask), width, &vals, &ctx)?);
             straddled += usize::from(
-                vas.iter()
-                    .flatten()
-                    .any(|va| va % PAGE_SIZE + width.clamp(1, 8) > PAGE_SIZE),
+                masked_in(&row, mask).any(|(_, va)| va % PAGE_SIZE + width.clamp(1, 8) > PAGE_SIZE),
             );
         }
         assert!(faulted > 40, "only {faulted} warps exercised a fault");
@@ -939,8 +961,9 @@ mod tests {
     /// never-touched one, the last page before the protected region, an
     /// unmapped or a protected page — laid out dense, uniform, strided,
     /// reversed or at random, with masked-off lanes, duplicates and, now
-    /// and then, a last lane that straddles the page end.
-    fn one_page_lanes(rng: &mut Mix, base: u64, prot: u64, width: u64) -> Vec<Option<u64>> {
+    /// and then, a last lane that straddles the page end. Returns the
+    /// address row and the active mask.
+    fn one_page_lanes(rng: &mut Mix, base: u64, prot: u64, width: u64) -> (Vec<u64>, u64) {
         let page = [
             base,
             base + PAGE_SIZE,
@@ -959,7 +982,7 @@ mod tests {
             0
         };
         let shape = rng.below(4);
-        let mut vas: Vec<Option<u64>> = (0..n)
+        let mut row: Vec<u64> = (0..n)
             .map(|k| {
                 let off = match shape {
                     0 => at + k * stride,
@@ -967,21 +990,24 @@ mod tests {
                     2 => rng.below(PAGE_SIZE - w + 1),
                     _ => at + (k / 2) * stride,
                 };
-                Some(page + off.min(PAGE_SIZE - 1))
+                page + off.min(PAGE_SIZE - 1)
             })
             .collect();
         // Half the warps run with every lane active.
         let masked_one_in = [u64::MAX, u64::MAX, 3, 8][rng.below(4) as usize];
-        for va in &mut vas {
+        let mut mask = u64::MAX >> (64 - n);
+        for (lane, va) in row.iter_mut().enumerate() {
             if rng.below(masked_one_in) == 0 {
-                *va = None;
+                mask &= !(1 << lane);
+                *va = MASKED;
             }
         }
         if rng.below(4) == 0 {
-            let last = vas.len() - 1;
-            vas[last] = Some(page + PAGE_SIZE - 1 - rng.below(w));
+            let last = row.len() - 1;
+            row[last] = page + PAGE_SIZE - 1 - rng.below(w);
+            mask |= 1 << last;
         }
-        vas
+        (row, mask)
     }
 
     #[test]
@@ -992,13 +1018,13 @@ mod tests {
         for case in 0..600 {
             let (_, base, prot) = lane_space()?;
             let width = WIDTHS[rng.below(6) as usize];
-            let vas = one_page_lanes(&mut rng, base, prot, width);
-            let vals: Vec<u64> = (0..vas.len()).map(|_| rng.next()).collect();
-            let ctx = format!("case {case}: width {width}, lanes {vas:x?}");
-            let span = LaneSpan::of(&vas, width);
+            let (row, mask) = one_page_lanes(&mut rng, base, prot, width);
+            let vals = random_vals(&mut rng, row.len());
+            let ctx = format!("case {case}: width {width}, lanes {row:x?} mask {mask:x}");
+            let span = *lanes_of(&row, mask, width).span();
             one_page += usize::from(VirtualMemorySpace::one_page(&span));
             dense += usize::from(span.dense && span.active > 1);
-            faulted += usize::from(match_reference(&vas, width, &vals, &ctx)?);
+            faulted += usize::from(match_reference((&row, mask), width, &vals, &ctx)?);
         }
         assert!(
             one_page > 250,
@@ -1011,39 +1037,45 @@ mod tests {
 
     #[test]
     fn one_page_path_takes_warps_up_to_the_last_byte_of_the_page() {
-        let warp =
-            |first: u64| -> Vec<Option<u64>> { (0..32).map(|k| Some(first + k * 4)).collect() };
-        let one_page =
-            |vas: &[Option<u64>], width| VirtualMemorySpace::one_page(&LaneSpan::of(vas, width));
+        let warp = |first: u64| -> Vec<u64> { (0..32).map(|k| first + k * 4).collect() };
+        let one_page = |row: &[u64], mask, width| {
+            VirtualMemorySpace::one_page(lanes_of(row, mask, width).span())
+        };
         let flush = warp(2 * PAGE_SIZE - 128);
         assert!(
-            one_page(&flush, 4),
+            one_page(&flush, u64::MAX, 4),
             "the last lane ends on the page's last byte"
         );
         assert!(
-            !one_page(&warp(2 * PAGE_SIZE - 127), 4),
+            !one_page(&warp(2 * PAGE_SIZE - 127), u64::MAX, 4),
             "the last lane straddles"
         );
-        assert!(!one_page(&flush, 8), "8-byte lanes run into the next page");
         assert!(
-            !one_page(&flush, 0) && !one_page(&flush, 9),
+            one_page(&warp(2 * PAGE_SIZE - 127), u64::MAX >> 33, 4),
+            "unless it is masked off"
+        );
+        assert!(
+            !one_page(&flush, u64::MAX, 8),
+            "8-byte lanes run into the next page"
+        );
+        assert!(
+            !one_page(&flush, u64::MAX, 0) && !one_page(&flush, u64::MAX, 9),
             "not an integer width"
         );
-        assert!(!one_page(&[None, None], 4), "no lanes");
+        assert!(!one_page(&flush, 0, 4), "no lanes");
     }
 
     #[test]
     fn lane_faults_mid_warp_stop_at_the_first_faulting_lane() -> Result<(), MemFault> {
         let (vm, base, prot) = lane_space()?;
         let unmapped = 0x1000;
-        let mut vas: Vec<Option<u64>> = (0..32)
-            .map(|l| Some(base + 3 * PAGE_SIZE + l * 4))
-            .collect();
-        vas[10] = Some(unmapped);
-        vas[20] = Some(prot + 64);
-        let vals: Vec<u64> = (0..32).map(|l| 0x100 + l).collect();
+        let mut row: Vec<u64> = (0..32).map(|l| base + 3 * PAGE_SIZE + l * 4).collect();
+        row[10] = unmapped;
+        row[20] = prot + 64;
+        let mut vals = [0; MAX_LANES];
+        (0..32).for_each(|l| vals[l] = 0x100 + l as u64);
         let unmapped_fault = MemFault::Unmapped { va: unmapped };
-        let lanes = WarpLanes::of(&vas, 4);
+        let lanes = lanes_of(&row, u64::MAX, 4);
         assert_eq!(vm.first_lane_fault(&lanes), Some(unmapped_fault));
         assert_eq!(vm.write_lanes(&lanes, &vals), Err(unmapped_fault));
         for lane in 0..32u64 {
@@ -1051,16 +1083,15 @@ mod tests {
             let want = if lane < 10 { 0x100 + lane } else { 0 };
             assert_eq!(got, want, "lane {lane}");
         }
-        let mut out = vec![!0u64; 32];
+        let mut out = [!0u64; MAX_LANES];
         assert_eq!(vm.read_lanes(&lanes, &mut out), Err(unmapped_fault));
-        assert!(out[..10].iter().zip(&vals).all(|(o, v)| o == v));
+        assert_eq!(out[..10], vals[..10]);
         assert!(out[10..].iter().all(|&o| o == !0));
 
         // Masking the unmapped lane off moves the fault to the protected
         // lane; lanes 11..20 are written now, 21.. still are not.
-        vas[10] = None;
         let prot_fault = MemFault::Protected { va: prot + 64 };
-        let lanes = WarpLanes::of(&vas, 4);
+        let lanes = lanes_of(&row, !(1 << 10), 4);
         assert_eq!(vm.first_lane_fault(&lanes), Some(prot_fault));
         assert_eq!(vm.write_lanes(&lanes, &vals), Err(prot_fault));
         for lane in 0..32u64 {
@@ -1078,19 +1109,19 @@ mod tests {
     #[test]
     fn lane_bad_widths_fault_at_the_first_active_lane() -> Result<(), MemFault> {
         let (vm, base, _) = lane_space()?;
-        let vas = [None, Some(base), Some(0x1000)];
+        let row = [MASKED, base, MASKED];
         for width in [0, 9] {
-            let lanes = WarpLanes::of(&vas, width);
+            let lanes = lanes_of(&row, 0b110, width);
             assert_eq!(
-                vm.write_lanes(&lanes, &[1, 2, 3]),
+                vm.write_lanes(&lanes, &[1; MAX_LANES]),
                 Err(MemFault::BadWidth { width })
             );
             assert_eq!(
-                vm.read_lanes(&lanes, &mut [0; 3]),
+                vm.read_lanes(&lanes, &mut [0; MAX_LANES]),
                 Err(MemFault::BadWidth { width })
             );
         }
-        assert_eq!(vm.first_lane_fault(&WarpLanes::of(&[None, None], 4)), None);
+        assert_eq!(vm.first_lane_fault(&lanes_of(&row, 0, 4)), None);
         Ok(())
     }
 }

@@ -117,9 +117,10 @@ fn agu(warp: &Warp, op: &MemOp, ctx: &ExecCtx<'_>, vals: &mut Row, base: &mut Ro
     ptr
 }
 
-/// The AGU for a global access: [`agu`], then the active lanes' addresses
-/// and their [`LaneSpan`](gpushield_mem::LaneSpan) into `lanes` — the one
-/// pass over the lanes every later LSU stage reads instead of its own.
+/// The AGU for a global access: [`agu`] writes the address row straight
+/// into `lanes`, which then summarises the active lanes in their
+/// [`LaneSpan`](gpushield_mem::LaneSpan) — the one pass over the lanes
+/// every later LSU stage reads instead of its own.
 fn gather_lane_vas(
     warp: &Warp,
     op: &MemOp,
@@ -127,10 +128,9 @@ fn gather_lane_vas(
     vals: &mut Row,
     lanes: &mut WarpLanes,
 ) -> TaggedPtr {
-    let mut base: Row = [0; MAX_LANES];
-    let ptr = agu(warp, op, ctx, vals, &mut base);
-    lanes.fill_row(&base[..warp.width], warp.active_mask(), op.width);
-    ptr
+    lanes.fill(warp.width, warp.active_mask(), op.width, |base| {
+        agu(warp, op, ctx, vals, base)
+    })
 }
 
 /// The LSU's functional data path for one global memory instruction whose
@@ -161,8 +161,7 @@ fn lane_data_path(
     let mut row: Row = [0; MAX_LANES];
     if atomic {
         let width = lanes.span().width();
-        for (lane, va) in lanes.vas().iter().enumerate() {
-            let Some(va) = *va else { continue };
+        for (lane, va) in lanes.active() {
             row[lane] = vm.read_uint(va, width)?;
             vm.write_uint(va, width, row[lane].wrapping_add(vals[lane]))?;
         }
@@ -267,17 +266,13 @@ struct ResidentWg {
 }
 
 /// Reusable per-core lane buffers for the LSU/AGU path, borrowed beside
-/// the core's warps (or taken with `mem::take`) for one memory
-/// instruction, so the steady-state hot path performs no heap allocation
-/// — the vectors keep their capacity across instructions.
+/// the core's warps for one memory instruction, so the steady-state hot
+/// path performs no heap allocation — the transaction vector keeps its
+/// capacity across instructions.
 #[derive(Debug, Default)]
 struct WarpScratch {
-    /// The global access's per-lane addresses and their span.
+    /// The global access's address row, active mask and span.
     lanes: WarpLanes,
-    /// Per-lane `malloc` request sizes.
-    lane_sizes: Vec<Option<u64>>,
-    /// Per-lane `malloc` result pointers.
-    results: Vec<Option<u64>>,
     /// Coalesced transactions of the current access.
     txs: Vec<Transaction>,
 }
@@ -335,15 +330,8 @@ impl Core {
         self.regs_used = 0;
         self.shared_used = 0;
         self.next_ready_at = u64::MAX;
-        let WarpScratch {
-            lanes,
-            lane_sizes,
-            results,
-            txs,
-        } = &mut self.scratch;
+        let WarpScratch { lanes, txs } = &mut self.scratch;
         lanes.clear();
-        lane_sizes.clear();
-        results.clear();
         txs.clear();
     }
 
@@ -567,7 +555,7 @@ pub struct RunOpts<'t> {
     /// core and drained in canonical `(cycle, core, seq)` order, so the
     /// recorded stream is identical for every `sim_threads` setting.
     pub flight: Option<&'t mut FlightRecorder>,
-    /// Deterministic fault-injection session (see [`crate::fault`])
+    /// Deterministic fault-injection session (see [`FaultSession`])
     /// corrupting protection metadata mid-run; its injection log survives
     /// the run. The run then simulates every core on one engine worker with
     /// the whole guard (unforked), so the session's access counter advances
@@ -1006,6 +994,133 @@ mod tests {
             assert!(seen.insert(p.va()), "allocations must not overlap");
             assert_eq!(vm.read_uint(p.va(), 4).unwrap(), 0x5A);
         }
+    }
+
+    /// Every thread mallocs 24 bytes, then only even threads do, under a
+    /// branch that splits every warp; a barrier orders the two rounds. A
+    /// thread stores round `i`'s pointer in `slots[2 * tid + i]`, writes
+    /// `tid + 1` through it unless it is NULL, and after both rounds
+    /// stores its malloc register in `last[tid]`.
+    fn divergent_malloc_kernel() -> Result<Arc<gpushield_isa::Kernel>, Box<dyn Error>> {
+        let mut b = KernelBuilder::new("divergent_malloc");
+        let slots = b.param_buffer("slots", false);
+        let last = b.param_buffer("last", false);
+        let tid = b.global_thread_id();
+        let lane = b.thread_id();
+        let odd = b.and(lane, Operand::Imm(1));
+        let even = b.eq(odd, Operand::Imm(0));
+        let mut ptr = None;
+        b.for_loop(Operand::Imm(0), Operand::Imm(2), 1, |b, round| {
+            b.bar();
+            let first = b.eq(round, Operand::Imm(0));
+            let go = b.or(first, even);
+            b.if_then(go, |b| {
+                let p = b.malloc(Operand::Imm(24));
+                let at = b.shl(tid, Operand::Imm(4));
+                let at_round = b.shl(round, Operand::Imm(3));
+                let at = b.add(at, at_round);
+                b.st(MemSpace::Global, MemWidth::W8, b.base_offset(slots, at), p);
+                let mark = b.add(tid, Operand::Imm(1));
+                b.if_then(p, |b| {
+                    b.st(
+                        MemSpace::Global,
+                        MemWidth::W8,
+                        b.base_offset(p, Operand::Imm(0)),
+                        mark,
+                    )
+                });
+                ptr = Some(p);
+            });
+        });
+        let ptr = ptr.ok_or("the loop body emits the malloc")?;
+        let at = b.shl(tid, Operand::Imm(3));
+        b.st(MemSpace::Global, MemWidth::W8, b.base_offset(last, at), ptr);
+        b.ret();
+        Ok(Arc::new(b.finish()?))
+    }
+
+    /// Runs [`divergent_malloc_kernel`] as `grid` workgroups of 8 threads
+    /// (two 4-lane warps each) on a heap of `heap_size` bytes tagged
+    /// 0x77. Returns, per thread, its two slots and its last pointer.
+    fn run_divergent_malloc(grid: u32, heap_size: u64) -> Result<Vec<[u64; 3]>, Box<dyn Error>> {
+        let threads = u64::from(grid) * 8;
+        let mut vm = VirtualMemorySpace::new();
+        let slots = vm.alloc(threads * 16, AllocPolicy::Device512)?;
+        let last = vm.alloc(threads * 8, AllocPolicy::Device512)?;
+        let heap = vm.alloc(1 << 16, AllocPolicy::Isolated)?;
+        let launch = KernelLaunch::new(divergent_malloc_kernel()?, LaunchConfig::new(grid, 8))
+            .arg(TaggedPtr::unprotected(slots.va).raw())
+            .arg(TaggedPtr::unprotected(last.va).raw())
+            .heap(crate::launch::HeapDesc {
+                tagged_base: TaggedPtr::with_region_id(heap.va, 0x77),
+                size: heap_size,
+            });
+        let cfg = GpuConfig::test_tiny();
+        assert_eq!(cfg.warp_width, 4);
+        assert!(!cfg.malloc_blocks_on_exhaustion);
+        assert!(Gpu::new(cfg).run(&mut vm, &[launch], None)?.completed());
+        let mut out = Vec::new();
+        for t in 0..threads {
+            let got = [
+                vm.read_uint(slots.va + 16 * t, 8)?,
+                vm.read_uint(slots.va + 16 * t + 8, 8)?,
+                vm.read_uint(last.va + 8 * t, 8)?,
+            ];
+            for raw in got[..2].iter().filter(|&&raw| raw != 0) {
+                let va = TaggedPtr::from_raw(*raw).va();
+                assert_eq!(vm.read_uint(va, 8)?, t + 1, "thread {t}'s chunk");
+            }
+            out.push(got);
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn malloc_under_divergence_serves_active_lanes_in_lane_order() -> Result<(), Box<dyn Error>> {
+        let threads = run_divergent_malloc(2, 1 << 16)?;
+        let mut seen = std::collections::HashSet::new();
+        for (t, &[first, second, last]) in threads.iter().enumerate() {
+            // Masked-off (odd) threads keep their first pointer.
+            let even = t % 2 == 0;
+            assert_eq!(last, if even { second } else { first }, "thread {t}");
+            if !even {
+                assert_eq!(second, 0, "thread {t} took no second round");
+            }
+            for raw in [first, second].into_iter().filter(|&raw| raw != 0) {
+                let p = TaggedPtr::from_raw(raw);
+                assert_eq!(p.info(), 0x77, "heap tag propagates to malloc results");
+                assert_eq!(p.va() % 16, 0, "thread {t}: {raw:#x}");
+                assert!(seen.insert(p.va()), "allocations must not overlap");
+            }
+        }
+        assert_eq!(seen.len(), 16 + 8);
+        // One malloc serves its warp's active lanes in lane order, each
+        // 24-byte request rounded up to 32.
+        for warp in threads.chunks(4) {
+            for pair in warp.windows(2) {
+                assert_eq!(pair[1][0], pair[0][0] + 32);
+            }
+            assert_eq!(warp[2][1], warp[0][1] + 32);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn malloc_exhaustion_gives_null_to_active_lanes_only() -> Result<(), Box<dyn Error>> {
+        // Room for the first round's eight requests and one more.
+        let threads = run_divergent_malloc(1, 9 * 32)?;
+        let mut served = 0;
+        for (t, &[first, second, last]) in threads.iter().enumerate() {
+            assert_ne!(first, 0, "thread {t}: the first round fits");
+            if t % 2 == 0 {
+                assert_eq!(last, second, "thread {t}");
+                served += usize::from(second != 0);
+            } else {
+                assert_eq!(last, first, "masked-off thread {t} keeps its pointer");
+            }
+        }
+        assert_eq!(served, 1, "one second-round request fits");
+        Ok(())
     }
 
     #[test]

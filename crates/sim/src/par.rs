@@ -1906,22 +1906,16 @@ fn drain_malloc(
         }
     };
     let core = &mut sl.core;
-    let mut scratch = std::mem::take(&mut core.scratch);
-    {
-        let ctx = exec_ctx(&lw[li]);
-        let warp = &core.warps[wi];
-        let mut sizes: Row = [0; MAX_LANES];
-        warp.load_row(size, &ctx, &mut sizes);
-        scratch.lane_sizes.clear();
-        scratch.lane_sizes.extend(warp.active_lanes(&sizes));
-    }
+    let warp = &mut core.warps[wi];
+    let mask = warp.active_mask();
+    let (mut sizes, mut results): (Row, Row) = ([0; MAX_LANES], [0; MAX_LANES]);
+    warp.load_row(size, &exec_ctx(&lw[li]), &mut sizes);
     let entry = heaps.entry(heap.tagged_base.va()).or_default();
     let mut done_at = t;
-    let mut exhausted = false;
-    scratch.results.clear();
-    scratch.results.resize(scratch.lane_sizes.len(), None);
-    for (lane, sz) in scratch.lane_sizes.iter().enumerate() {
-        let Some(sz) = sz else { continue };
+    for (lane, &sz) in sizes[..warp.width].iter().enumerate() {
+        if mask >> lane & 1 == 0 {
+            continue;
+        }
         // The device allocator is a serialized global resource: each
         // lane's request takes its turn (§5.2.1 footnote 2).
         let start = entry.lock_until.max(t);
@@ -1930,37 +1924,23 @@ fn drain_malloc(
         if dst.is_some() {
             let aligned = sz.div_ceil(16).max(1) * 16;
             if entry.cursor + aligned <= heap.size {
-                let ptr = heap.tagged_base.raw() + entry.cursor;
+                results[lane] = heap.tagged_base.raw() + entry.cursor;
                 entry.cursor += aligned;
-                scratch.results[lane] = Some(ptr);
             } else if cfg.malloc_blocks_on_exhaustion {
-                exhausted = true;
-                break;
-            } else {
-                scratch.results[lane] = Some(0); // CUDA malloc returns NULL
+                warp.blocked = true;
+                warp.ready_at = t;
+                profile.malloc_issues += 1;
+                lw[li].report.instructions += 1;
+                return Ok(());
             }
+            // Otherwise the lane's result stays 0: CUDA malloc returns NULL.
         }
     }
-    if exhausted {
-        let warp = &mut core.warps[wi];
-        warp.blocked = true;
-        warp.ready_at = t;
-        core.scratch = scratch;
-        profile.malloc_issues += 1;
-        lw[li].report.instructions += 1;
-        return Ok(());
-    }
-    let warp = &mut core.warps[wi];
     if let Some(dst) = dst {
-        for (lane, r) in scratch.results.iter().enumerate() {
-            if let Some(v) = r {
-                warp.set_reg(dst, lane, *v);
-            }
-        }
+        warp.store_row(dst, mask, &results);
     }
     warp.ready_at = done_at;
     warp.advance_pc();
-    core.scratch = scratch;
     let next_ready = core.next_ready_at.min(done_at);
     sl.set_next_ready(next_ready);
     profile.malloc_issues += 1;

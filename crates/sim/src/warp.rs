@@ -10,13 +10,15 @@
 use gpushield_isa::{
     BinOp, BlockId, CmpOp, Instr, Kernel, Operand, ReconvergenceTable, Special, UnOp, VReg,
 };
+use gpushield_mem::lane_mask;
 
 /// Lane capacity of a warp: the active mask is a `u64` with lane `l` at
 /// bit `l`, and an operand row is a `[u64; MAX_LANES]` stack array.
-pub(crate) const MAX_LANES: usize = 64;
+pub(crate) use gpushield_mem::MAX_LANES;
 
-/// One operand's value in every lane of a warp (`row[..width]` is live).
-pub(crate) type Row = [u64; MAX_LANES];
+/// One operand's value in every lane of a warp (`row[..width]` is live),
+/// the same row the memory system reads lane addresses and values from.
+pub(crate) type Row = gpushield_mem::LaneRow;
 
 /// Per-launch uniform values needed to evaluate operands.
 #[derive(Debug, Clone, Copy)]
@@ -167,15 +169,6 @@ impl Warp {
                 }
             }
         }
-    }
-
-    /// `row[..width]` with every masked-off lane as `None`.
-    pub fn active_lanes<'r>(&self, row: &'r Row) -> impl Iterator<Item = Option<u64>> + 'r {
-        let mask = self.active_mask();
-        row[..self.width]
-            .iter()
-            .enumerate()
-            .map(move |(lane, &v)| (mask >> lane & 1 != 0).then_some(v))
     }
 
     /// One lane's value of `op`: the per-lane reference the row loaders
@@ -378,15 +371,6 @@ impl Warp {
                 instr,
             },
         }
-    }
-}
-
-/// The mask with lanes `0..lanes` set (`lanes <= MAX_LANES`).
-fn lane_mask(lanes: usize) -> u64 {
-    if lanes >= MAX_LANES {
-        u64::MAX
-    } else {
-        (1u64 << lanes) - 1
     }
 }
 

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: everything here must pass with zero registry access.
 #
-#   scripts/ci.sh          # format check, build, default tests, fig1 smoke
-#   CI_FULL=1 scripts/ci.sh # also run the randomized property suites
+#   scripts/ci.sh          # format check, build, tests, docs, fig1 smoke
 #   CI_PERF=0 scripts/ci.sh # skip the simulator-throughput regression gate
 #                           # (for machines much slower than the baseline's)
 #
@@ -48,13 +47,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
-echo "== cargo test (workspace, default features) --offline"
+echo "== cargo test (workspace, randomized property suites included) --offline"
 cargo test -q --workspace --offline --no-fail-fast
 
-if [[ "${CI_FULL:-0}" == "1" ]]; then
-    echo "== cargo test --features proptest-tests --offline"
-    cargo test -q --features proptest-tests --offline
-fi
+echo "== cargo doc --workspace (deny warnings)"
+# Broken or private intra-doc links fail here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 if [[ "${CI_PERF:-1}" == "1" ]]; then
     echo "== simulator throughput smoke gate (CI_PERF=0 to skip)"
@@ -215,27 +213,6 @@ if [[ "${CI_PERF:-1}" == "1" ]]; then
     ./target/release/profile --jobs 1 --sim-threads 1 > "$out/profile.st1.txt"
     ./target/release/profile --jobs 1 --sim-threads 7 > "$out/profile.st7.txt"
     cmp "$out/profile.st1.txt" "$out/profile.st7.txt"
-
-    echo "== parallel-engine speedup gate (CI_PERF=0 to skip)"
-    # BENCH_parcore.json is the committed fig14 sweep at --sim-threads 4;
-    # its producer recorded how many hardware threads it actually had.
-    # The >= 2.5x instrs/sec claim is only meaningful when the producer
-    # had the cores to back it, so the ratio gate arms itself from the
-    # recorded host_parallelism instead of silently passing garbage.
-    par_host=$(grep -m1 '"host_parallelism"' BENCH_parcore.json | grep -oE '[0-9]+')
-    par_rate=$(grep -m1 '"instrs_per_sec"' BENCH_parcore.json | grep -oE '[0-9]+(\.[0-9]+)?')
-    ser_rate=$(grep -m1 '"instrs_per_sec"' BENCH_simcore.json | grep -oE '[0-9]+(\.[0-9]+)?')
-    if [[ "$par_host" -ge 4 ]]; then
-        awk -v p="$par_rate" -v s="$ser_rate" 'BEGIN {
-            r = p / s;
-            printf "   parcore/simcore full-sweep ratio: %.2fx\n", r;
-            if (r < 2.5) { print "parallel speedup below 2.5x gate" > "/dev/stderr"; exit 1 }
-        }'
-    else
-        awk -v p="$par_rate" -v s="$ser_rate" -v h="$par_host" 'BEGIN {
-            printf "   skipped: BENCH_parcore.json came from a %d-thread host (ratio %.2fx); the 2.5x gate needs a producer with >= 4 hardware threads\n", h, p / s;
-        }'
-    fi
 fi
 
 echo "CI OK"

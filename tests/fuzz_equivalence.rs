@@ -7,10 +7,8 @@
 //!    which launches are aborted: a Type 1 classification may only remove
 //!    checks the access could never fail.
 //!
-//! Seeded loops on the in-tree RNG (formerly proptest), gated behind
-//! `--features proptest-tests`: each case derives from a fixed seed, so
-//! failures reproduce exactly.
-#![cfg(feature = "proptest-tests")]
+//! Seeded loops on the in-tree RNG (formerly proptest): each case derives
+//! from a fixed seed, so failures reproduce exactly.
 
 use gpushield::{Arg, BcuConfig, DriverConfig, GpuConfig, System, SystemConfig};
 use gpushield_isa::{Kernel, KernelBuilder, MemSpace, MemWidth, Operand};

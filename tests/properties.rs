@@ -1,15 +1,14 @@
 //! Randomized property tests on the system's core invariants.
 //!
 //! Formerly proptest-based; now seeded loops over the in-tree
-//! `gpushield_runtime::rng` so the default build resolves offline. Gated
-//! behind `--features proptest-tests` to keep plain `cargo test` fast:
-//! every case is derived from a fixed seed, so failures reproduce exactly.
-#![cfg(feature = "proptest-tests")]
+//! `gpushield_runtime::rng` so the default build resolves offline. Every
+//! case is derived from a fixed seed, so failures reproduce exactly.
 
 use gpushield_driver::{decrypt_id, encrypt_id, BoundsEntry};
 use gpushield_isa::{PtrClass, TaggedPtr};
-use gpushield_mem::coalesce::warp_address_range;
-use gpushield_mem::{coalesce_warp, AllocPolicy, VirtualMemorySpace, TRANSACTION_BYTES};
+use gpushield_mem::{
+    coalesce_lanes_into, AllocPolicy, VirtualMemorySpace, WarpLanes, TRANSACTION_BYTES,
+};
 use gpushield_runtime::rng::StdRng;
 
 const CASES: usize = 256;
@@ -81,13 +80,25 @@ fn pointer_arithmetic_preserves_tag() {
 #[test]
 fn coalescer_covers_and_partitions() {
     let mut rng = StdRng::seed_from_u64(0xC5);
+    let (mut lanes, mut txs) = (WarpLanes::default(), Vec::new());
     for _ in 0..CASES {
-        let lanes = rng.gen_range(1usize..33);
-        let addrs: Vec<Option<u64>> = (0..lanes)
-            .map(|_| rng.gen_bool(0.75).then(|| rng.gen_range(0u64..(1 << 20))))
+        let n = rng.gen_range(1usize..33);
+        let mut mask = 0u64;
+        let row: Vec<u64> = (0..n)
+            .map(|lane| {
+                if rng.gen_bool(0.75) {
+                    mask |= 1 << lane;
+                }
+                rng.gen_range(0u64..(1 << 20))
+            })
+            .collect();
+        let active: Vec<u64> = (0..n)
+            .filter(|&lane| mask >> lane & 1 != 0)
+            .map(|lane| row[lane])
             .collect();
         let width = [1u64, 2, 4, 8][rng.gen_range(0usize..4)];
-        let txs = coalesce_warp(&addrs, width);
+        lanes.fill(n, mask, width, |r| r[..n].copy_from_slice(&row));
+        coalesce_lanes_into(&lanes, &mut txs);
         // Unique and sorted.
         for w in txs.windows(2) {
             assert!(w[0].base < w[1].base);
@@ -95,21 +106,27 @@ fn coalescer_covers_and_partitions() {
         for t in &txs {
             assert_eq!(t.base % TRANSACTION_BYTES, 0);
         }
-        // Coverage: every byte of every active access is in some tx.
-        for a in addrs.iter().flatten() {
-            for byte in *a..(*a + width) {
+        // Coverage: every byte of every active access is in some tx, and
+        // every tx holds a byte of some active access.
+        for &a in &active {
+            for byte in a..(a + width) {
                 assert!(
                     txs.iter().any(|t| t.contains(byte)),
                     "byte {byte} uncovered"
                 );
             }
         }
-        // The gathered range bounds every lane address.
-        if let Some((lo, hi)) = warp_address_range(&addrs, width) {
-            for a in addrs.iter().flatten() {
-                assert!(*a >= lo && *a + width <= hi);
-            }
+        for t in &txs {
+            assert!(active
+                .iter()
+                .any(|&a| (a..a + width).any(|b| t.contains(b))));
         }
+        // The gathered range is exactly the active lanes' extent.
+        let range = active
+            .iter()
+            .map(|&a| (a, a + width))
+            .reduce(|(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
+        assert_eq!(lanes.span().range(), range);
     }
 }
 
