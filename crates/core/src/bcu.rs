@@ -7,9 +7,10 @@ use crate::rcache::{L1RCache, L2RCache};
 use gpushield_driver::{decrypt_id, read_entry, BoundsEntry, ShieldSetup};
 use gpushield_isa::{BlockId, PtrClass, SiteCheck};
 use gpushield_mem::VirtualMemorySpace;
-use gpushield_sim::{CheckPath, CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
+use gpushield_sim::{CheckPath, GuardCheck, GuardVerdict, MemAccess, MemGuard, ShardedGuard};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// BCU hardware configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,13 +157,29 @@ struct CoreBcu {
     l2: L2RCache,
 }
 
-/// Per-core observation inbox filled by a [`BcuShard`] during a parallel
+/// Per-core observation inbox filled by sharded checks during a parallel
 /// phase and folded into the global statistics/violation log by
 /// [`MemGuard::merge_forked`] in canonical core order.
 #[derive(Default)]
 struct CorePending {
     stats: BcuStats,
     violations: Vec<ViolationRecord>,
+}
+
+/// One core's BCU: its RCache pair and its inbox. Behind a lock so the
+/// engine's workers reach their cores through the shared
+/// [`ShardedGuard`] view; only the worker advancing a core takes its
+/// lock, so it is never contended.
+struct CoreShard {
+    rc: CoreBcu,
+    pending: CorePending,
+}
+
+/// A core's shard through exclusive access: no lock taken. A poisoned
+/// lock (a worker panicked mid-check; the engine re-raises that panic)
+/// still holds valid RCache state.
+fn shard_mut(m: &mut Mutex<CoreShard>) -> &mut CoreShard {
+    m.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl BcuStats {
@@ -218,13 +235,10 @@ impl BcuStats {
 /// ```
 pub struct Bcu {
     cfg: BcuConfig,
-    cores: Vec<CoreBcu>,
+    cores: Vec<Mutex<CoreShard>>,
     kernels: HashMap<u16, ShieldSetup>,
     stats: BcuStats,
     violations: Vec<ViolationRecord>,
-    /// One inbox per core for forked-shard observations (empty outside
-    /// parallel runs).
-    pending: Vec<CorePending>,
 }
 
 impl Bcu {
@@ -233,15 +247,19 @@ impl Bcu {
         Bcu {
             cfg,
             cores: (0..num_cores)
-                .map(|_| CoreBcu {
-                    l1: L1RCache::new(cfg.l1_entries),
-                    l2: L2RCache::new(cfg.l2_entries),
+                .map(|_| {
+                    Mutex::new(CoreShard {
+                        rc: CoreBcu {
+                            l1: L1RCache::new(cfg.l1_entries),
+                            l2: L2RCache::new(cfg.l2_entries),
+                        },
+                        pending: CorePending::default(),
+                    })
                 })
                 .collect(),
             kernels: HashMap::new(),
             stats: BcuStats::default(),
             violations: Vec::new(),
-            pending: Vec::new(),
         }
     }
 
@@ -272,7 +290,7 @@ impl Bcu {
         }
         let tag = (kernel_id, id);
         for core in &mut self.cores {
-            core.l2.fill(tag, entry);
+            shard_mut(core).rc.l2.fill(tag, entry);
         }
     }
 
@@ -354,7 +372,7 @@ fn visible_stall(cfg: &BcuConfig, access: &MemAccess, bcu_path: u64) -> u64 {
 /// One warp-level bounds check against a single core's RCache pair.
 ///
 /// This is the whole §5.5 algorithm; [`Bcu::check`] routes here with the
-/// global statistic sinks, a [`BcuShard`] with its per-core inbox. The
+/// global statistic sinks, a sharded check with the core's inbox. The
 /// result depends only on the core's own RCache history, the registration
 /// table, and device memory — never on other cores — which is what makes
 /// the forked-shard execution order-independent.
@@ -535,32 +553,29 @@ fn check_core(
     }
 }
 
-/// One core's slice of the BCU, checked from a worker thread during a
-/// parallel phase. Holds the core's RCache pair mutably plus a private
-/// observation inbox; the registration table is shared read-only.
-struct BcuShard<'a> {
-    cfg: BcuConfig,
-    kernels: &'a HashMap<u16, ShieldSetup>,
-    core: &'a mut CoreBcu,
-    pending: &'a mut CorePending,
-}
-
-impl CoreGuard for BcuShard<'_> {
-    fn check(&mut self, access: &MemAccess, vm: &VirtualMemorySpace) -> GuardCheck {
+impl ShardedGuard for Bcu {
+    fn check_sharded(&self, access: &MemAccess, vm: &VirtualMemorySpace) -> GuardCheck {
+        let mut shard = self.cores[access.core]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let CoreShard { rc, pending } = &mut *shard;
         check_core(
             &self.cfg,
-            self.kernels,
-            self.core,
-            &mut self.pending.stats,
-            &mut self.pending.violations,
+            &self.kernels,
+            rc,
+            &mut pending.stats,
+            &mut pending.violations,
             access,
             vm,
         )
     }
 
-    fn on_kernel_end(&mut self, kernel_id: u16) {
-        self.core.l1.flush_kernel(kernel_id);
-        self.core.l2.flush_kernel(kernel_id);
+    fn on_kernel_end_sharded(&self, kernel_id: u16) {
+        for core in &self.cores {
+            let mut shard = core.lock().unwrap_or_else(PoisonError::into_inner);
+            shard.rc.l1.flush_kernel(kernel_id);
+            shard.rc.l2.flush_kernel(kernel_id);
+        }
     }
 }
 
@@ -569,7 +584,7 @@ impl MemGuard for Bcu {
         check_core(
             &self.cfg,
             &self.kernels,
-            &mut self.cores[access.core],
+            &mut shard_mut(&mut self.cores[access.core]).rc,
             &mut self.stats,
             &mut self.violations,
             access,
@@ -579,8 +594,9 @@ impl MemGuard for Bcu {
 
     fn on_kernel_end(&mut self, kernel_id: u16) {
         for core in &mut self.cores {
-            core.l1.flush_kernel(kernel_id);
-            core.l2.flush_kernel(kernel_id);
+            let rc = &mut shard_mut(core).rc;
+            rc.l1.flush_kernel(kernel_id);
+            rc.l2.flush_kernel(kernel_id);
         }
     }
 
@@ -589,7 +605,7 @@ impl MemGuard for Bcu {
             return false;
         }
         let n = self.cores.len();
-        let c = &mut self.cores[core % n];
+        let c = &mut shard_mut(&mut self.cores[core % n]).rc;
         // Prefer the L1 (its entries are hotter, so the corruption is more
         // likely to be consumed before eviction); fall back to the L2.
         c.l1.poison(entropy) || c.l2.poison(entropy)
@@ -603,34 +619,13 @@ impl MemGuard for Bcu {
         num_cores == self.cores.len()
     }
 
-    fn fork_cores(&mut self, num_cores: usize) -> Option<Vec<Box<dyn CoreGuard + Send + '_>>> {
-        if num_cores != self.cores.len() {
-            return None;
-        }
-        if self.pending.len() != num_cores {
-            self.pending.clear();
-            self.pending.resize_with(num_cores, CorePending::default);
-        }
-        let cfg = self.cfg;
-        let kernels = &self.kernels;
-        Some(
-            self.cores
-                .iter_mut()
-                .zip(self.pending.iter_mut())
-                .map(|(core, pending)| {
-                    Box::new(BcuShard {
-                        cfg,
-                        kernels,
-                        core,
-                        pending,
-                    }) as Box<dyn CoreGuard + Send + '_>
-                })
-                .collect(),
-        )
+    fn fork_cores(&mut self, num_cores: usize) -> Option<&(dyn ShardedGuard + '_)> {
+        (num_cores == self.cores.len()).then_some(self as &dyn ShardedGuard)
     }
 
     fn merge_forked(&mut self) {
-        for p in &mut self.pending {
+        for core in &mut self.cores {
+            let p = &mut shard_mut(core).pending;
             self.stats.absorb(&p.stats);
             p.stats = BcuStats::default();
             for v in p.violations.drain(..) {
@@ -647,8 +642,9 @@ impl Bcu {
     /// the next kernel's RBT misses amortize with its TLB misses.
     pub fn on_context_switch(&mut self) {
         for core in &mut self.cores {
-            core.l1.flush_all();
-            core.l2.flush_all();
+            let rc = &mut shard_mut(core).rc;
+            rc.l1.flush_all();
+            rc.l2.flush_all();
         }
     }
 }

@@ -312,6 +312,56 @@ pub struct Driver {
     /// Retired RBTs, every entry invalid, reused before a new one is
     /// mapped.
     free_rbts: Vec<u64>,
+    /// Working storage of [`Driver::prepare_launch_scoped`], kept so a
+    /// steady-state launch reuses it.
+    scratch: LaunchScratch,
+}
+
+/// Per-launch working storage the driver keeps across launches.
+#[derive(Debug, Default)]
+struct LaunchScratch {
+    /// Region-classed parameters, grouped to share one RBT entry each.
+    groups: Vec<ParamSet>,
+    /// Each parameter's region ID and the merged bounds of its group.
+    param_ids: Vec<Option<(u16, u64, u64)>>,
+    /// RBT entries, written once every pointer is tagged.
+    entries: Vec<(u16, BoundsEntry)>,
+}
+
+/// A set of kernel parameters; parameters are indexed by `u8`.
+#[derive(Debug, Clone, Copy, Default)]
+struct ParamSet([u64; 4]);
+
+impl ParamSet {
+    fn single(p: u8) -> Self {
+        let mut s = ParamSet::default();
+        s.0[usize::from(p / 64)] |= 1 << (p % 64);
+        s
+    }
+
+    fn contains(&self, p: u8) -> bool {
+        self.0[usize::from(p / 64)] >> (p % 64) & 1 != 0
+    }
+
+    fn union(&mut self, other: ParamSet) {
+        for (w, o) in self.0.iter_mut().zip(other.0) {
+            *w |= o;
+        }
+    }
+
+    /// The members in ascending order.
+    fn iter(self) -> impl Iterator<Item = u8> {
+        self.0.into_iter().enumerate().flat_map(|(w, mut bits)| {
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let p = (w * 64) as u8 + bits.trailing_zeros() as u8;
+                bits &= bits - 1;
+                Some(p)
+            })
+        })
+    }
 }
 
 impl Driver {
@@ -328,6 +378,7 @@ impl Driver {
             stats: DriverStats::default(),
             live_rbts: Vec::new(),
             free_rbts: Vec::new(),
+            scratch: LaunchScratch::default(),
         }
     }
 
@@ -506,6 +557,32 @@ impl Driver {
         &self.vm
     }
 
+    /// What the compiler's analyses know of a launch: buffer sizes, scalar
+    /// values, local-variable extents, geometry and the heap size.
+    fn knowledge(
+        &self,
+        grid: u32,
+        block: u32,
+        args: &[Arg],
+        local_allocs: &[Allocation],
+    ) -> LaunchKnowledge {
+        LaunchKnowledge {
+            args: args
+                .iter()
+                .map(|a| match a {
+                    Arg::Buffer(h) => ArgInfo::Buffer {
+                        size: self.buffer_size(*h),
+                    },
+                    Arg::Scalar(v) => ArgInfo::Scalar { value: Some(*v) },
+                })
+                .collect(),
+            local_sizes: local_allocs.iter().map(|a| a.size).collect(),
+            block,
+            grid,
+            heap_size: self.heap.map(|h| h.size),
+        }
+    }
+
     fn fresh_ids(&mut self, n: usize) -> Result<Vec<u16>, DriverError> {
         // IDs are drawn from 1..2^14; asking for more distinct values than
         // that space holds would otherwise loop forever.
@@ -645,25 +722,14 @@ impl Driver {
         }
 
         // --- Static analysis (BAT generation, Fig. 9 steps ①–③) ----------
-        let knowledge = LaunchKnowledge {
-            args: args
-                .iter()
-                .map(|a| match a {
-                    Arg::Buffer(h) => ArgInfo::Buffer {
-                        size: self.buffer_size(*h),
-                    },
-                    Arg::Scalar(v) => ArgInfo::Scalar { value: Some(*v) },
-                })
-                .collect(),
-            local_sizes: local_allocs.iter().map(|a| a.size).collect(),
-            block,
-            grid,
-            heap_size: self.heap.map(|h| h.size),
-        };
+        // What the analyses know of this launch, built only if one runs.
+        let mut knowledge = None;
         let mut bat = if self.cfg.enable_static_analysis {
             self.stats.bat_analyses += 1;
             // The fixpoint runs once; a Type 3 fallback only reclassifies.
-            let facts = site_facts(&kernel, &knowledge);
+            let knowledge =
+                knowledge.get_or_insert_with(|| self.knowledge(grid, block, args, &local_allocs));
+            let facts = site_facts(&kernel, knowledge);
             let graph = self.cfg.enable_elision.then(|| Cfg::build(&kernel));
             let mut b = classify(
                 &kernel,
@@ -741,6 +807,8 @@ impl Driver {
             (u64, u64),
         > = std::collections::HashMap::new();
         if self.cfg.enable_elision {
+            let knowledge =
+                &*knowledge.get_or_insert_with(|| self.knowledge(grid, block, args, &local_allocs));
             let compile_view = knowledge.value_less();
             for proof in prove_sites(&kernel, &compile_view) {
                 self.stats.certs_emitted += 1;
@@ -748,7 +816,7 @@ impl Driver {
                     self.stats.certs_redundant += 1;
                     continue;
                 }
-                let Some((off_lo, off_hi)) = discharge(&proof, &kernel, &knowledge) else {
+                let Some((off_lo, off_hi)) = discharge(&proof, &kernel, knowledge) else {
                     self.stats.certs_rejected += 1;
                     continue;
                 };
@@ -798,24 +866,32 @@ impl Driver {
         let key: u64 = self.rng.gen();
 
         // Count the RBT entries needed: Region-classed params/locals + heap.
-        let region_params: Vec<u8> = (0..args.len() as u8)
-            .filter(|p| bat.param_class[usize::from(*p)] == PtrClass::Region)
-            .collect();
-        let region_locals: Vec<u8> = (0..kernel.locals().len() as u8)
-            .filter(|v| bat.local_class[usize::from(*v)] == PtrClass::Region)
-            .collect();
-
         // §6.3: when IDs run low, merge VA-adjacent buffers into shared
         // entries. Groups start as singletons and the closest-together
         // pair merges until the budget holds.
-        let mut groups: Vec<Vec<u8>> = region_params.iter().map(|p| vec![*p]).collect();
-        let fixed = region_locals.len() + usize::from(uses_heap);
+        let LaunchScratch {
+            mut groups,
+            mut param_ids,
+            mut entries,
+        } = std::mem::take(&mut self.scratch);
+        groups.clear();
+        groups.extend(
+            (0..args.len() as u8)
+                .filter(|p| bat.param_class[usize::from(*p)] == PtrClass::Region)
+                .map(ParamSet::single),
+        );
+        let region_locals = bat
+            .local_class
+            .iter()
+            .filter(|c| **c == PtrClass::Region)
+            .count();
+        let fixed = region_locals + usize::from(uses_heap);
         let budget = self.cfg.max_region_ids.saturating_sub(fixed).max(1);
-        let group_span = |g: &[u8], bufs: &[BufferRecord], args: &[Arg]| -> (u64, u64) {
+        let group_span = |g: ParamSet, bufs: &[BufferRecord], args: &[Arg]| -> (u64, u64) {
             let mut lo = u64::MAX;
             let mut hi = 0u64;
-            for p in g {
-                if let Arg::Buffer(h) = args[usize::from(*p)] {
+            for p in g.iter() {
+                if let Arg::Buffer(h) = args[usize::from(p)] {
                     let a = bufs[h.0].alloc;
                     lo = lo.min(a.va);
                     hi = hi.max(a.end());
@@ -824,13 +900,13 @@ impl Driver {
             (lo, hi)
         };
         while groups.len() > budget && groups.len() > 1 {
-            groups.sort_by_key(|g| group_span(g, &self.buffers, args).0);
+            groups.sort_by_key(|g| group_span(*g, &self.buffers, args).0);
             // Merge the adjacent pair with the smallest gap between spans.
             let mut best = 0;
             let mut best_gap = u64::MAX;
             for i in 0..groups.len() - 1 {
-                let (_, hi) = group_span(&groups[i], &self.buffers, args);
-                let (lo, _) = group_span(&groups[i + 1], &self.buffers, args);
+                let (_, hi) = group_span(groups[i], &self.buffers, args);
+                let (lo, _) = group_span(groups[i + 1], &self.buffers, args);
                 let gap = lo.saturating_sub(hi);
                 if gap < best_gap {
                     best_gap = gap;
@@ -838,30 +914,28 @@ impl Driver {
                 }
             }
             let tail = groups.remove(best + 1);
-            groups[best].extend(tail);
+            groups[best].union(tail);
             self.stats.groups_merged += 1;
         }
         let n_ids = groups.len() + fixed;
-        let ids = match scope {
+        let region_ids = match scope {
             Some(alloc) => alloc.acquire(n_ids)?,
             None => self.fresh_ids(n_ids)?,
         };
         self.stats.region_ids_assigned += n_ids as u64;
-        let region_ids = ids.clone();
-        let mut id_iter = ids.into_iter();
-        // RBT entries, written once every pointer is tagged.
-        let mut entries: Vec<(u16, BoundsEntry)> = Vec::with_capacity(n_ids);
+        let mut id_iter = region_ids.iter().copied();
+        entries.clear();
 
         // Pre-assign one ID and merged bounds per group.
-        let mut param_ids: std::collections::HashMap<u8, (u16, u64, u64)> =
-            std::collections::HashMap::new();
+        param_ids.clear();
+        param_ids.resize(args.len(), None);
         for g in &groups {
             let id = id_iter.next().ok_or(DriverError::LaunchInvariant {
                 what: "region ID reserved for every group",
             })?;
-            let (lo, hi) = group_span(g, &self.buffers, args);
-            for p in g {
-                param_ids.insert(*p, (id, lo, hi));
+            let (lo, hi) = group_span(*g, &self.buffers, args);
+            for p in g.iter() {
+                param_ids[usize::from(p)] = Some((id, lo, hi));
             }
         }
 
@@ -870,6 +944,7 @@ impl Driver {
             .plan(bat.plan.clone());
 
         // Tag arguments.
+        launch.args.reserve_exact(args.len());
         for (p, a) in args.iter().enumerate() {
             let raw = match a {
                 Arg::Scalar(v) => *v,
@@ -879,24 +954,22 @@ impl Driver {
                         PtrClass::Unprotected => TaggedPtr::unprotected(rec.alloc.va).raw(),
                         PtrClass::Region => {
                             let (id, lo, hi) =
-                                *param_ids
-                                    .get(&(p as u8))
-                                    .ok_or(DriverError::LaunchInvariant {
-                                        what: "region param assigned to a group",
-                                    })?;
+                                param_ids[p].ok_or(DriverError::LaunchInvariant {
+                                    what: "region param assigned to a group",
+                                })?;
                             // A merged entry is only read-only when every
                             // member is (otherwise legitimate writes to a
                             // writable member would fault).
                             let readonly = groups
                                 .iter()
-                                .find(|g| g.contains(&(p as u8)))
+                                .find(|g| g.contains(p as u8))
                                 .ok_or(DriverError::LaunchInvariant {
                                     what: "region param present in a merge group",
                                 })?
                                 .iter()
                                 .all(|q| {
                                     matches!(
-                                        kernel.params()[usize::from(*q)].kind(),
+                                        kernel.params()[usize::from(q)].kind(),
                                         ParamKind::Buffer { readonly: true, .. }
                                     )
                                 });
@@ -1015,9 +1088,11 @@ impl Driver {
                 continue;
             };
             let window = match (check, origin) {
-                (SiteCheck::Static, Origin::Param(p)) if elided.contains(&site) => {
-                    param_ids.get(&p).map(|(_, lo, hi)| (*lo, *hi))
-                }
+                (SiteCheck::Static, Origin::Param(p)) if elided.contains(&site) => param_ids
+                    .get(usize::from(p))
+                    .copied()
+                    .flatten()
+                    .map(|(_, lo, hi)| (lo, hi)),
                 (SiteCheck::Static, Origin::Param(p)) => match args[usize::from(p)] {
                     Arg::Buffer(h) => {
                         let a = self.buffers[h.0].alloc;
@@ -1052,6 +1127,11 @@ impl Driver {
         }
         site_claims.sort_unstable_by_key(|c| c.site);
         self.stats.launches_prepared += 1;
+        self.scratch = LaunchScratch {
+            groups,
+            param_ids,
+            entries,
+        };
 
         Ok(PreparedLaunch {
             launch,
@@ -1160,6 +1240,17 @@ mod tests {
         b.st(MemSpace::Global, MemWidth::W4, b.base_offset(out, off), tid);
         b.ret();
         Arc::new(b.finish().unwrap())
+    }
+
+    #[test]
+    fn param_sets_list_their_members_in_order() {
+        let mut s = ParamSet::default();
+        for p in [200, 0, 64, 63, 255, 1] {
+            s.union(ParamSet::single(p));
+        }
+        assert_eq!(s.iter().collect::<Vec<_>>(), [0, 1, 63, 64, 200, 255]);
+        assert!(s.contains(63) && !s.contains(62) && !s.contains(254));
+        assert_eq!(ParamSet::default().iter().count(), 0);
     }
 
     #[test]

@@ -260,7 +260,7 @@ impl Cfg {
 
 /// Per-branch reconvergence points: for every block ending in a divergent
 /// branch, the block where diverged lanes re-join.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReconvergenceTable {
     /// Immediate post-dominator of each block, indexed by block id.
     ipdom: Vec<Option<BlockId>>,

@@ -1,7 +1,9 @@
 //! Kernel container: parameters, local variables, and the block graph.
 
+use crate::cfg::ReconvergenceTable;
 use crate::instr::{BlockId, Instr, MemSpace};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Kind of a kernel parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,14 +138,48 @@ impl BasicBlock {
 /// Kernels are produced by [`crate::KernelBuilder`] and are immutable
 /// afterwards; the compiler's Bounds-Analysis Table references instructions
 /// by `(BlockId, index)` pairs which therefore stay stable.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Kernel {
-    name: String,
+    name: Box<str>,
     params: Vec<Param>,
     locals: Vec<LocalVar>,
     blocks: Vec<BasicBlock>,
     num_regs: u16,
     shared_bytes: u64,
+    /// The reconvergence table, built on the first
+    /// [`Kernel::reconvergence`] call. It is a function of `blocks`, so
+    /// equality and `Debug` leave it out: a kernel compares and prints
+    /// the same before and after the table is built. Boxed, and the name
+    /// a `Box<str>`, to keep a `Kernel` near its size without the table
+    /// (120 bytes, was 112): an inline table and a `String` name made it
+    /// 144 and raised fuzz's `peak_rss_mb` by ~0.6 MiB.
+    recon: OnceLock<Box<ReconvergenceTable>>,
+}
+
+impl PartialEq for Kernel {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.params == other.params
+            && self.locals == other.locals
+            && self.blocks == other.blocks
+            && self.num_regs == other.num_regs
+            && self.shared_bytes == other.shared_bytes
+    }
+}
+
+impl Eq for Kernel {}
+
+impl fmt::Debug for Kernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Kernel")
+            .field("name", &self.name)
+            .field("params", &self.params)
+            .field("locals", &self.locals)
+            .field("blocks", &self.blocks)
+            .field("num_regs", &self.num_regs)
+            .field("shared_bytes", &self.shared_bytes)
+            .finish()
+    }
 }
 
 impl Kernel {
@@ -177,12 +213,13 @@ impl Kernel {
         shared_bytes: u64,
     ) -> Self {
         Kernel {
-            name,
+            name: name.into_boxed_str(),
             params,
             locals,
             blocks,
             num_regs,
             shared_bytes,
+            recon: OnceLock::new(),
         }
     }
 
@@ -223,6 +260,14 @@ impl Kernel {
     /// Shared-memory bytes per workgroup.
     pub fn shared_bytes(&self) -> u64 {
         self.shared_bytes
+    }
+
+    /// Where each divergent branch reconverges. Built on the first call
+    /// and kept for the kernel's lifetime, so a kernel interned behind an
+    /// `Arc` and launched many times builds its table once.
+    pub fn reconvergence(&self) -> &ReconvergenceTable {
+        self.recon
+            .get_or_init(|| Box::new(ReconvergenceTable::build(self)))
     }
 
     /// Iterates over `(block, index, instruction)` in layout order.

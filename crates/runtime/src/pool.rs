@@ -223,10 +223,11 @@ impl CrewCtl<'_> {
 ///
 /// The crew is spawned once (scoped, borrowing the caller's state), parks
 /// on a [`SpinBarrier`] between rounds, and is shut down when `driver`
-/// returns. Worker index 0 is the driver thread itself, so `workers == 1`
-/// spawns nothing and runs every round inline. A panic inside `work` on
-/// any thread is caught, the round completes, and the panic is re-raised
-/// on the driver thread.
+/// returns. Worker index 0 is the driver thread itself, so `workers <= 1`
+/// opens no thread scope at all: `driver` runs directly and every round
+/// runs inline, allocating nothing. A panic inside `work` on any thread
+/// is caught, the round completes, and the panic is re-raised on the
+/// driver thread.
 pub fn with_crew<R>(
     workers: usize,
     work: impl Fn(usize) + Sync,
@@ -234,6 +235,13 @@ pub fn with_crew<R>(
 ) -> R {
     let workers = workers.max(1);
     let barrier = SpinBarrier::new(workers);
+    if workers == 1 {
+        return driver(&CrewCtl {
+            barrier: &barrier,
+            sense: Cell::new(false),
+            work: &work,
+        });
+    }
     let stop = AtomicBool::new(false);
     let crew_panic: Mutex<Option<String>> = Mutex::new(None);
     let r = std::thread::scope(|scope| {
@@ -266,10 +274,8 @@ pub fn with_crew<R>(
         // Shut the crew down even when the driver unwound: workers are
         // parked at the release barrier and must observe `stop`.
         stop.store(true, Ordering::Release);
-        if workers > 1 {
-            let mut s = ctl.sense.get();
-            barrier.wait(&mut s);
-        }
+        let mut s = ctl.sense.get();
+        barrier.wait(&mut s);
         r
     });
     if let Some(msg) = crew_panic.into_inner().expect("crew panic slot") {

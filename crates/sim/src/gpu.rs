@@ -7,10 +7,8 @@ use crate::fault::FaultSession;
 use crate::guard::MemGuard;
 use crate::launch::KernelLaunch;
 use crate::stats::{self, LaunchReport, RunReport};
-use crate::warp::{ExecCtx, Row, Warp, MAX_LANES};
-use gpushield_isa::{
-    AddrExpr, BlockId, Instr, MemSpace, Operand, ReconvergenceTable, TaggedPtr, VReg,
-};
+use crate::warp::{ExecCtx, Row, Rows, Warp, WarpBufs, MAX_LANES};
+use gpushield_isa::{AddrExpr, BlockId, Instr, MemSpace, Operand, TaggedPtr, VReg};
 use gpushield_mem::{
     Cache, MemFault, Replacement, SharedMemorySystem, Tlb, Transaction, VirtualMemorySpace,
     WarpLanes,
@@ -87,32 +85,53 @@ impl MemOp {
 /// too; the caller reads only the active ones) and returns the first
 /// active lane's tagged base pointer, the one the bounds check decodes.
 /// Shared memory is addressed by plain offsets; global addresses drop the
-/// tag.
-fn agu(warp: &Warp, op: &MemOp, ctx: &ExecCtx<'_>, vals: &mut Row, base: &mut Row) -> TaggedPtr {
+/// tag. `off` is scratch for a non-register offset operand.
+fn agu(
+    warp: &Warp,
+    op: &MemOp,
+    ctx: &ExecCtx<'_>,
+    vals: &mut Row,
+    base: &mut Row,
+    off: &mut Row,
+) -> TaggedPtr {
     if let Some(s) = op.src {
         warp.load_row(s, ctx, vals);
     }
-    let mut off: Row = [0; MAX_LANES];
-    match op.addr {
-        AddrExpr::Flat { addr } => warp.load_row(addr, ctx, base),
+    let offset = match op.addr {
+        AddrExpr::Flat { addr } => {
+            warp.load_row(addr, ctx, base);
+            None
+        }
         AddrExpr::BaseOffset { base: b, offset } => {
             warp.load_row(b, ctx, base);
-            warp.load_row(offset, ctx, &mut off);
+            Some(offset)
         }
         AddrExpr::BindingTable { bti, offset } => {
             warp.load_row(Operand::Param(bti), ctx, base);
-            warp.load_row(offset, ctx, &mut off);
+            Some(offset)
         }
-    }
+    };
     let mask = warp.active_mask();
     let first = base.get(mask.trailing_zeros() as usize);
     let ptr = TaggedPtr::from_raw(first.copied().unwrap_or(0));
-    for (b, o) in base[..warp.width].iter_mut().zip(&off) {
-        *b = if op.space == MemSpace::Shared {
-            b.wrapping_add(*o)
-        } else {
-            TaggedPtr::from_raw(*b).va().wrapping_add(*o) & VA_MASK
-        };
+    let base = &mut base[..warp.width];
+    match (offset.map(|o| warp.src(o, ctx, off)), op.space) {
+        (Some(off), MemSpace::Shared) => {
+            for (b, o) in base.iter_mut().zip(off) {
+                *b = b.wrapping_add(*o);
+            }
+        }
+        (Some(off), _) => {
+            for (b, o) in base.iter_mut().zip(off) {
+                *b = TaggedPtr::from_raw(*b).va().wrapping_add(*o) & VA_MASK;
+            }
+        }
+        (None, MemSpace::Shared) => {}
+        (None, _) => {
+            for b in base {
+                *b = TaggedPtr::from_raw(*b).va() & VA_MASK;
+            }
+        }
     }
     ptr
 }
@@ -126,10 +145,11 @@ fn gather_lane_vas(
     op: &MemOp,
     ctx: &ExecCtx<'_>,
     vals: &mut Row,
+    off: &mut Row,
     lanes: &mut WarpLanes,
 ) -> TaggedPtr {
     lanes.fill(warp.width, warp.active_mask(), op.width, |base| {
-        agu(warp, op, ctx, vals, base)
+        agu(warp, op, ctx, vals, base, off)
     })
 }
 
@@ -146,19 +166,19 @@ fn gather_lane_vas(
 /// A fault here means a lane straddled into an untranslatable page (the
 /// pre-check translates each lane's first byte only); the caller aborts
 /// the launch with it, which strips the launch, so an uncommitted row is
-/// never observed.
+/// never observed. A load gathers into the scratch `row`, whose active
+/// lanes it writes before committing them.
 fn lane_data_path(
     vm: &VirtualMemorySpace,
     warp: &mut Warp,
     lanes: &WarpLanes,
-    dst: Option<VReg>,
+    (dst, atomic): (Option<VReg>, bool),
     vals: &Row,
-    atomic: bool,
+    row: &mut Row,
 ) -> Result<(), MemFault> {
     let Some(dst) = dst else {
         return vm.write_lanes(lanes, vals);
     };
-    let mut row: Row = [0; MAX_LANES];
     if atomic {
         let width = lanes.span().width();
         for (lane, va) in lanes.active() {
@@ -166,9 +186,9 @@ fn lane_data_path(
             vm.write_uint(va, width, row[lane].wrapping_add(vals[lane]))?;
         }
     } else {
-        vm.read_lanes(lanes, &mut row)?;
+        vm.read_lanes(lanes, row)?;
     }
-    warp.store_row(dst, warp.active_mask(), &row);
+    warp.store_row(dst, warp.active_mask(), row);
     Ok(())
 }
 
@@ -265,16 +285,35 @@ struct ResidentWg {
     shared: Vec<u8>,
 }
 
-/// Reusable per-core lane buffers for the LSU/AGU path, borrowed beside
-/// the core's warps for one memory instruction, so the steady-state hot
-/// path performs no heap allocation — the transaction vector keeps its
-/// capacity across instructions.
+/// Reusable per-core buffers, borrowed beside the core's warps for one
+/// instruction, so the steady-state hot path neither allocates nor zeroes
+/// a row — the transaction vector keeps its capacity across instructions.
 #[derive(Debug, Default)]
 struct WarpScratch {
     /// The global access's address row, active mask and span.
     lanes: WarpLanes,
     /// Coalesced transactions of the current access.
     txs: Vec<Transaction>,
+    /// Operand rows: ALU sources and result, LSU values, offsets and
+    /// loaded data.
+    rows: Rows,
+}
+
+/// Storage a core recycles: the register files and SIMT stacks of
+/// retired warps, handed to later dispatches so a steady-state dispatch
+/// allocates nothing. What it holds is dead and how much depends on the
+/// core's history, not its state, so `Debug` prints none of it: a reset
+/// core prints like a fresh one. A workgroup's shared memory is not
+/// recycled: most kernels declare none, which allocates nothing, and a
+/// fresh `vec![0; n]` leaves the pages a kernel never touches unmapped,
+/// where zeroing a recycled buffer would map them all.
+#[derive(Default)]
+struct Spare(Vec<WarpBufs>);
+
+impl fmt::Debug for Spare {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Spare")
+    }
 }
 
 #[derive(Debug)]
@@ -300,6 +339,7 @@ struct Core {
     /// the cores due in a quantum.
     next_ready_at: u64,
     scratch: WarpScratch,
+    spare: Spare,
 }
 
 impl Core {
@@ -315,6 +355,7 @@ impl Core {
             shared_used: 0,
             next_ready_at: u64::MAX,
             scratch: WarpScratch::default(),
+            spare: Spare::default(),
         }
     }
 
@@ -324,25 +365,38 @@ impl Core {
         self.l1d.reset();
         self.l1tlb.reset();
         self.lsu_busy_until = 0;
-        self.warps.clear();
-        self.wgs.clear();
+        self.release(|_, _| true);
         self.last_issued = None;
         self.regs_used = 0;
         self.shared_used = 0;
         self.next_ready_at = u64::MAX;
-        let WarpScratch { lanes, txs } = &mut self.scratch;
+        let WarpScratch { lanes, txs, .. } = &mut self.scratch;
         lanes.clear();
         txs.clear();
+    }
+
+    /// Removes the warps and resident workgroups whose `(launch, wg)`
+    /// `gone` selects, keeping the warps' storage in the spares.
+    fn release(&mut self, gone: impl Fn(usize, u64) -> bool) {
+        let spare = &mut self.spare.0;
+        self.warps.retain_mut(|w| {
+            let keep = !gone(w.launch_idx, w.wg);
+            if !keep {
+                spare.push(w.take_bufs());
+            }
+            keep
+        });
+        self.wgs.retain(|g| !gone(g.launch_idx, g.wg));
     }
 
     fn resident_warps(&self) -> usize {
         self.warps.len()
     }
 
-    fn regs_in_use(&self, launches: &[LaunchState]) -> usize {
+    fn regs_in_use(&self, launches: &[KernelLaunch]) -> usize {
         self.warps
             .iter()
-            .map(|w| usize::from(launches[w.launch_idx].launch.kernel.num_regs()) * w.width)
+            .map(|w| usize::from(launches[w.launch_idx].kernel.num_regs()) * w.width)
             .sum()
     }
 
@@ -370,9 +424,11 @@ impl Core {
     }
 }
 
+/// A launch's bookkeeping for one run; the launch itself stays the
+/// caller's, at the same index of the run's launch slice.
 struct LaunchState {
-    launch: KernelLaunch,
-    recon: ReconvergenceTable,
+    /// Workgroups in the grid.
+    grid: u64,
     warps_per_wg: usize,
     next_wg: u64,
     wgs_retired: u64,
@@ -386,7 +442,7 @@ struct LaunchState {
 
 impl LaunchState {
     fn finished(&self) -> bool {
-        self.aborted || self.wgs_retired == u64::from(self.launch.launch.grid)
+        self.aborted || self.wgs_retired == self.grid
     }
 }
 
@@ -572,18 +628,20 @@ pub struct RunOpts<'t> {
     pub observed_ranges: bool,
 }
 
-/// Validates the launches and builds their per-run bookkeeping.
+/// Validates the launches and builds their per-run bookkeeping into `ls`
+/// (emptied first; its capacity is kept across runs).
 fn build_launch_states(
     cfg: &GpuConfig,
     launches: &[KernelLaunch],
-) -> Result<Vec<LaunchState>, RunError> {
+    ls: &mut Vec<LaunchState>,
+) -> Result<(), RunError> {
     assert!(!launches.is_empty(), "no launches given");
     if !(1..=MAX_LANES).contains(&cfg.warp_width) {
         return Err(RunError::UnsupportedWarpWidth {
             width: cfg.warp_width,
         });
     }
-    let mut ls = Vec::with_capacity(launches.len());
+    ls.clear();
     for l in launches {
         l.assert_bound();
         let warps_per_wg = (l.launch.block as usize).div_ceil(cfg.warp_width);
@@ -598,7 +656,7 @@ fn build_launch_states(
             });
         }
         ls.push(LaunchState {
-            recon: ReconvergenceTable::build(&l.kernel),
+            grid: u64::from(l.launch.grid),
             warps_per_wg,
             next_wg: 0,
             wgs_retired: 0,
@@ -608,11 +666,10 @@ fn build_launch_states(
                 kernel_id: l.kernel_id,
                 ..LaunchReport::default()
             },
-            launch: l.clone(),
             observed: None,
         });
     }
-    Ok(ls)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -653,7 +710,8 @@ mod tests {
             core.warps.clear();
             let mut age = rng.gen_range(0u64..50);
             for w in 0..rng.gen_range(0usize..24) {
-                let mut warp = Warp::new(0, w as u64 / 4, w % 4, 32, 32, 1, age);
+                let bufs = WarpBufs::default();
+                let mut warp = Warp::new(0, w as u64 / 4, w % 4, 32, 32, 1, age, bufs);
                 warp.done = rng.gen_bool(0.2);
                 warp.at_barrier = rng.gen_bool(0.2);
                 warp.blocked = rng.gen_bool(0.1);
@@ -713,7 +771,7 @@ mod tests {
             .iter()
             .any(|c| !c.warps.is_empty() && !c.wgs.is_empty()));
         for gpu in [&mut done, &mut cut] {
-            let cores = gpu.arena.cores_mut();
+            let mut cores = gpu.arena.cores_mut();
             assert!(cores.iter().any(|c| format!("{c:?}") != fresh));
             for (i, core) in cores.iter_mut().enumerate() {
                 core.reset();

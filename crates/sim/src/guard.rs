@@ -192,22 +192,22 @@ pub trait MemGuard: Send {
     /// Human-readable mechanism name (for reports).
     fn name(&self) -> &str;
 
-    /// Splits the guard into one independently-owned checker per SIMT
-    /// core so the parallel engine can consult them from worker threads
-    /// during a cycle quantum. Implementations whose per-core state is
-    /// already disjoint (GPUShield's BCU: per-core RCaches) hand out
-    /// shards borrowing `self`; the default reports `None`, which makes
-    /// the engine fall back to single-worker execution with the whole
-    /// guard (still quantum-based, still deterministic).
+    /// Splits the guard per SIMT core so the parallel engine can consult
+    /// it from worker threads during a cycle quantum. Implementations
+    /// whose per-core state is already disjoint (GPUShield's BCU:
+    /// per-core RCaches) return a [`ShardedGuard`] view of themselves —
+    /// no per-core object is built; the default reports `None`, which
+    /// makes the engine fall back to single-worker execution with the
+    /// whole guard (still quantum-based, still deterministic).
     ///
-    /// Contract: while shards are alive the parent is unusable (they
-    /// borrow it mutably); after they drop, [`MemGuard::merge_forked`]
+    /// Contract: while the view is alive the parent is unusable (it
+    /// borrows it mutably); after it drops, [`MemGuard::merge_forked`]
     /// folds the per-core observations (statistics, violation logs) back
     /// into the parent in canonical core order.
     ///
     /// Must return `Some` exactly when [`MemGuard::supports_fork`] reports
     /// `true` for the same `num_cores`.
-    fn fork_cores(&mut self, num_cores: usize) -> Option<Vec<Box<dyn CoreGuard + Send + '_>>> {
+    fn fork_cores(&mut self, num_cores: usize) -> Option<&(dyn ShardedGuard + '_)> {
         let _ = num_cores;
         None
     }
@@ -226,20 +226,21 @@ pub trait MemGuard: Send {
     fn merge_forked(&mut self) {}
 }
 
-/// A per-core slice of a [`MemGuard`], usable from a worker thread.
+/// A [`MemGuard`] split per core, shared by the engine's worker threads.
 ///
-/// A shard only ever sees accesses for its own core, so all its mutable
-/// state (RCache tag arrays, per-core counters) is private to one worker;
-/// determinism follows because the check result depends only on the
-/// shard's own history, never on which thread runs it.
-pub trait CoreGuard: Send {
-    /// As [`MemGuard::check`], for this shard's core only.
-    fn check(&mut self, access: &MemAccess, vm: &VirtualMemorySpace) -> GuardCheck;
+/// A check touches only the accessing core's shard, so all the mutable
+/// state it reaches (RCache tag arrays, per-core counters) belongs to the
+/// one worker advancing that core; determinism follows because the check
+/// result depends only on the shard's own history, never on which thread
+/// runs it.
+pub trait ShardedGuard: Sync {
+    /// As [`MemGuard::check`], against the shard of `access.core` only.
+    fn check_sharded(&self, access: &MemAccess, vm: &VirtualMemorySpace) -> GuardCheck;
 
-    /// As [`MemGuard::on_kernel_end`], flushing this core's cached
-    /// metadata for `kernel_id`. The engine calls every shard at the
-    /// quantum drain where the kernel retires.
-    fn on_kernel_end(&mut self, kernel_id: u16);
+    /// As [`MemGuard::on_kernel_end`], flushing every core's cached
+    /// metadata for `kernel_id`. The engine calls it at the quantum drain
+    /// where the kernel retires.
+    fn on_kernel_end_sharded(&self, kernel_id: u16);
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ mod warp;
 pub use config::GpuConfig;
 pub use fault::{FaultKind, FaultPlan, FaultSession, FaultSpec, FaultTargets, InjectionRecord};
 pub use gpu::{Gpu, MultiKernelMode, RunError, RunOpts};
-pub use guard::{CheckPath, CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
+pub use guard::{CheckPath, GuardCheck, GuardVerdict, MemAccess, MemGuard, ShardedGuard};
 pub use launch::{CheckPlan, HeapDesc, KernelLaunch, LaunchConfig, SiteCheck};
 pub use stats::{
     publish_run_report, AbortReason, LaunchReport, ObservedRange, RunReport, SimProfile,

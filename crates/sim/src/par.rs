@@ -34,6 +34,10 @@
 //! worker, so checks and injections happen in one canonical order: core
 //! by core within each quantum, parked atomics at the drain.
 //!
+//! A run allocates nothing but its report: the cores, outboxes, launch
+//! states and per-core totals live in the [`Arena`] the `Gpu` keeps, and
+//! a forkable guard hands out its per-core shards as one shared view.
+//!
 //! Model deltas (all deterministic; DESIGN.md §13): workgroup dispatch
 //! happens at quantum boundaries; an abort strips the launch at the end
 //! of its quantum, so other cores may execute up to one quantum of extra
@@ -48,7 +52,7 @@ use super::{
     LaunchState, MemOp, MultiKernelMode, ResidentWg, RunError, RunOpts,
 };
 use crate::fault::{self, FaultSession};
-use crate::guard::{CoreGuard, GuardCheck, GuardVerdict, MemAccess, MemGuard};
+use crate::guard::{GuardCheck, GuardVerdict, MemAccess, MemGuard, ShardedGuard};
 use crate::launch::{KernelLaunch, SiteCheck};
 use crate::stats::{
     AbortReason, LaunchReport, ObservedRange, RunReport, SimProfile, StallAttribution,
@@ -62,8 +66,9 @@ use gpushield_telemetry::flight::{FlightEvent, FlightRecorder, NO_SITE};
 use gpushield_telemetry::{MetricId, Registry};
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{LockResult, Mutex, RwLock};
+use std::sync::{LockResult, Mutex, MutexGuard, RwLock};
 
 /// Simulated cycles per parallel phase. Large enough to amortize the
 /// barrier + drain, small enough that the boundary-only dispatch and the
@@ -210,8 +215,8 @@ impl Outbox {
     }
 }
 
-/// The engine's per-core state, owned by the [`super::Gpu`] and reset —
-/// not rebuilt — at the start of every run. Built on the first run.
+/// The engine's state, owned by the [`super::Gpu`] and reset — not
+/// rebuilt — at the start of every run. Built on the first run.
 ///
 /// A run touches only the cores it dispatches to: an undispatched core
 /// sleeps (`next_ready_at == u64::MAX`), is never due, and so never
@@ -220,11 +225,11 @@ impl Outbox {
 /// set-up nor its quanta cost grows with the cores it leaves idle.
 #[derive(Default)]
 pub(super) struct Arena {
-    cores: Vec<Core>,
-    outs: Vec<Outbox>,
-    dram_views: Vec<DramView>,
+    /// One slot per core, locked by the worker advancing the core and by
+    /// the driver thread between rounds.
+    slots: Vec<Mutex<CoreSlot>>,
     /// Each core's `next_ready_at`, written only together with it (see
-    /// [`CoreSlot::set_next_ready`]), so the driver lists the due cores
+    /// [`Slot::set_next_ready`]), so the driver lists the due cores
     /// without taking any slot lock. `Relaxed` suffices: the crew
     /// barrier orders every write before the listing that reads it.
     wake: Vec<AtomicU64>,
@@ -236,6 +241,10 @@ pub(super) struct Arena {
     used: Vec<bool>,
     /// The drain's sort buffer.
     keys: Vec<DrainKey>,
+    /// The run's launch states; emptied into its report.
+    launches: Vec<LaunchState>,
+    /// Cycles with an issue per core over the run (`sim.parallel.*`).
+    busy: Vec<u64>,
 }
 
 impl Arena {
@@ -245,56 +254,116 @@ impl Arena {
     /// per-launch accumulators for a run of `n_launches` launches.
     fn reset(&mut self, cfg: &GpuConfig, n_launches: usize) {
         let n = cfg.num_cores;
-        if self.cores.len() != n {
-            self.cores = (0..n).map(|_| Core::new(cfg)).collect();
-            self.outs = (0..n).map(|_| Outbox::default()).collect();
-            self.dram_views = vec![DramView::default(); n];
+        if self.slots.len() != n {
+            self.slots = (0..n)
+                .map(|_| {
+                    Mutex::new(CoreSlot {
+                        core: Core::new(cfg),
+                        out: Outbox::default(),
+                        dram_view: DramView::default(),
+                    })
+                })
+                .collect();
             self.wake = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
             self.due = (0..n).map(|_| AtomicUsize::new(0)).collect();
             self.used = vec![false; n];
         }
         for (i, used) in self.used.iter_mut().enumerate() {
+            let slot = lock_ok(self.slots[i].get_mut());
             if std::mem::take(used) {
-                self.cores[i].reset();
+                slot.core.reset();
                 self.wake[i].store(u64::MAX, Ordering::Relaxed);
-                self.outs[i].reset(n_launches);
+                slot.out.reset(n_launches);
             } else {
-                self.outs[i]
-                    .accs
-                    .resize_with(n_launches, LaunchAcc::default);
+                slot.out.accs.resize_with(n_launches, LaunchAcc::default);
             }
         }
         self.keys.clear();
+        self.busy.clear();
+        self.busy.resize(n, 0);
     }
 }
 
 #[cfg(test)]
 impl Arena {
     /// The engine's cores, for state checks.
-    pub(super) fn cores_mut(&mut self) -> &mut [Core] {
-        &mut self.cores
+    pub(super) fn cores_mut(&mut self) -> Vec<&mut Core> {
+        self.slots
+            .iter_mut()
+            .map(|s| &mut lock_ok(s.get_mut()).core)
+            .collect()
     }
 }
 
-/// One core's share of the machine for one run: the simulated core, its
-/// outbox and its private DRAM timing view (refreshed from the real DRAM
-/// when the core starts a phase), all borrowed from the [`Arena`], plus
-/// its forked guard shard (when the guard supports forking).
-struct CoreSlot<'a, 'g> {
-    core: &'a mut Core,
-    out: &'a mut Outbox,
-    shard: Option<Box<dyn CoreGuard + Send + 'g>>,
-    dram_view: &'a mut DramView,
+/// One core's share of the machine, kept in the [`Arena`]: the simulated
+/// core, its outbox and its private DRAM timing view (refreshed from the
+/// real DRAM when the core starts a phase).
+pub(super) struct CoreSlot {
+    core: Core,
+    out: Outbox,
+    dram_view: DramView,
+}
+
+/// A run's handle on the arena's cores: each core's slot behind its lock,
+/// and the wake cells the driver reads without taking any lock.
+#[derive(Clone, Copy)]
+struct Cores<'a> {
+    slots: &'a [Mutex<CoreSlot>],
+    wake: &'a [AtomicU64],
+}
+
+impl<'a> Cores<'a> {
+    fn len(self) -> usize {
+        self.slots.len()
+    }
+
+    /// Locks core `i`'s slot.
+    fn lock(self, i: usize) -> Slot<'a> {
+        Slot {
+            slot: lock_ok(self.slots[i].lock()),
+            wake: &self.wake[i],
+        }
+    }
+
+    /// Locks, one at a time in core order, the slots of the cores
+    /// dispatched to in this run: every other core holds no warp.
+    fn used<'u>(self, used: &'u [bool]) -> impl Iterator<Item = Slot<'a>> + 'u
+    where
+        'a: 'u,
+    {
+        (0..self.len())
+            .filter(move |&i| used[i])
+            .map(move |i| self.lock(i))
+    }
+}
+
+/// A locked core slot with its wake cell.
+struct Slot<'a> {
+    slot: MutexGuard<'a, CoreSlot>,
     wake: &'a AtomicU64,
 }
 
-impl CoreSlot<'_, '_> {
+impl Slot<'_> {
     /// Sets the core's next-ready cycle and its wake cell together — the
     /// one way the engine writes either, since a stale cell would
     /// silently leave a core out of the due list.
     fn set_next_ready(&mut self, at: u64) {
-        self.core.next_ready_at = at;
+        self.slot.core.next_ready_at = at;
         self.wake.store(at, Ordering::Relaxed);
+    }
+}
+
+impl Deref for Slot<'_> {
+    type Target = CoreSlot;
+
+    fn deref(&self) -> &CoreSlot {
+        &self.slot
+    }
+}
+
+impl DerefMut for Slot<'_> {
+    fn deref_mut(&mut self) -> &mut CoreSlot {
+        &mut self.slot
     }
 }
 
@@ -302,17 +371,12 @@ impl CoreSlot<'_, '_> {
 /// whole behind a mutex by a run on one worker.
 type WholeGuard<'w, 'g> = Mutex<&'w mut (dyn MemGuard + 'g)>;
 
-/// Consults the bounds-check guard for one access: the core's forked
-/// shard, else the whole guard.
-fn guard_check(
-    shard: Option<&mut (dyn CoreGuard + Send + '_)>,
-    whole: Option<&WholeGuard<'_, '_>>,
-    access: &MemAccess,
-    vm: &VirtualMemorySpace,
-) -> GuardCheck {
-    match (shard, whole) {
-        (Some(s), _) => s.check(access, vm),
-        (None, Some(m)) => lock_ok(m.lock()).check(access, vm),
+/// Consults the bounds-check guard for one access: the core's shard of a
+/// forked guard, else the whole guard.
+fn guard_check(m: Machine<'_, '_, '_, '_>, access: &MemAccess) -> GuardCheck {
+    match (m.forked, m.whole) {
+        (Some(g), _) => g.check_sharded(access, m.vm),
+        (None, Some(w)) => lock_ok(w.lock()).check(access, m.vm),
         (None, None) => GuardCheck::allow_free(),
     }
 }
@@ -423,9 +487,15 @@ struct PhaseCtx<'a, 'w, 'g, 'f> {
 struct Machine<'a, 'w, 'g, 'f> {
     cfg: &'a GpuConfig,
     vm: &'a VirtualMemorySpace,
-    /// The guard when it is not forked into the slots' shards.
+    /// The run's launches; launch `li`'s state is `LaunchState` `li`.
+    kls: &'a [KernelLaunch],
+    /// The guard split per core, when it forks.
+    forked: Option<&'a (dyn ShardedGuard + 'a)>,
+    /// The guard when it does not fork.
     whole: Option<&'a WholeGuard<'w, 'g>>,
     fault: Option<&'a Mutex<&'f mut FaultSession>>,
+    /// Whether the run records observed address ranges.
+    observe: bool,
 }
 
 fn push_ev(out: &mut Outbox, t: u64, ev: Ev) {
@@ -479,7 +549,7 @@ fn predict_data(shared: &SharedMemorySystem, dv: &mut DramView, pa: u64, now: u6
 
 /// Advances one core from `t0` to `t1`: the per-cycle issue loop,
 /// restricted to core-local state + the snapshot.
-fn advance_core(ctx: &PhaseCtx<'_, '_, '_, '_>, t0: u64, t1: u64, slot: &mut CoreSlot<'_, '_>) {
+fn advance_core(ctx: &PhaseCtx<'_, '_, '_, '_>, t0: u64, t1: u64, slot: &mut Slot<'_>) {
     let mut t = t0;
     while t < t1 {
         if slot.core.next_ready_at > t {
@@ -500,7 +570,8 @@ fn advance_core(ctx: &PhaseCtx<'_, '_, '_, '_>, t0: u64, t1: u64, slot: &mut Cor
                 }
                 None => {
                     slot.out.no_issue += 1;
-                    slot.set_next_ready(recompute_next_ready(slot.core));
+                    let next = recompute_next_ready(&slot.core);
+                    slot.set_next_ready(next);
                     break;
                 }
             }
@@ -512,12 +583,12 @@ fn advance_core(ctx: &PhaseCtx<'_, '_, '_, '_>, t0: u64, t1: u64, slot: &mut Cor
     }
 }
 
-fn exec_ctx(ls: &LaunchState) -> ExecCtx<'_> {
+fn exec_ctx(kl: &KernelLaunch) -> ExecCtx<'_> {
     ExecCtx {
-        args: &ls.launch.args,
-        local_bases: &ls.launch.local_bases,
-        block_dim: u64::from(ls.launch.launch.block),
-        grid_dim: u64::from(ls.launch.launch.grid),
+        args: &kl.args,
+        local_bases: &kl.local_bases,
+        block_dim: u64::from(kl.launch.block),
+        grid_dim: u64::from(kl.launch.grid),
     }
 }
 
@@ -565,11 +636,12 @@ fn freeze_abort(
     );
 }
 
-fn exec_warp_phase(ctx: &PhaseCtx<'_, '_, '_, '_>, t: u64, slot: &mut CoreSlot<'_, '_>, wi: usize) {
-    let (core, out) = (&mut *slot.core, &mut *slot.out);
+fn exec_warp_phase(ctx: &PhaseCtx<'_, '_, '_, '_>, t: u64, slot: &mut Slot<'_>, wi: usize) {
+    let CoreSlot { core, out, .. } = &mut **slot;
     let li = core.warps[wi].launch_idx;
-    let ls = &ctx.launches[li];
-    match core.warps[wi].exec_simple(&ls.launch.kernel, &ls.recon, &exec_ctx(ls)) {
+    let kl = &ctx.m.kls[li];
+    let rows = &mut core.scratch.rows;
+    match core.warps[wi].exec_simple(&kl.kernel, &exec_ctx(kl), rows) {
         SimpleOutcome::Done => {
             out.profile.alu_issues += 1;
             out.accs[li].instructions += 1;
@@ -620,7 +692,7 @@ fn retire_warp_phase(
         .all(|w| w.done);
     if wg_done {
         let freed_regs = ctx.launches[li].warps_per_wg
-            * usize::from(ctx.launches[li].launch.kernel.num_regs())
+            * usize::from(ctx.m.kls[li].kernel.num_regs())
             * ctx.m.cfg.warp_width;
         let freed_shared: u64 = core
             .wgs
@@ -628,8 +700,7 @@ fn retire_warp_phase(
             .filter(|g| g.launch_idx == li && g.wg == wg)
             .map(|g| g.shared.len() as u64)
             .sum();
-        core.warps.retain(|w| !(w.launch_idx == li && w.wg == wg));
-        core.wgs.retain(|g| !(g.launch_idx == li && g.wg == wg));
+        core.release(|l, g| l == li && g == wg);
         core.last_issued = None;
         core.regs_used = core.regs_used.saturating_sub(freed_regs);
         core.shared_used = core.shared_used.saturating_sub(freed_shared);
@@ -695,7 +766,7 @@ fn release_barrier_at(core: &mut Core, li: usize, wg: u64, t: u64) {
 fn exec_mem_phase(
     ctx: &PhaseCtx<'_, '_, '_, '_>,
     t: u64,
-    slot: &mut CoreSlot<'_, '_>,
+    slot: &mut Slot<'_>,
     wi: usize,
     site: Site,
     instr: Instr,
@@ -703,10 +774,8 @@ fn exec_mem_phase(
     let CoreSlot {
         core,
         out,
-        shard,
         dram_view,
-        ..
-    } = slot;
+    } = &mut **slot;
     let op = MemOp::decode(instr, site);
     if op.space == MemSpace::Shared {
         exec_shared_phase(ctx, t, core, out, wi, op);
@@ -726,8 +795,7 @@ fn exec_mem_phase(
         li,
         site,
     };
-    let (ls, shard) = (&ctx.launches[li], shard.as_deref_mut());
-    if let Err(reason) = lsu_global(&mut sink, ctx.m, ctx.core_idx, ls, core, shard, t, wi, op) {
+    if let Err(reason) = lsu_global(&mut sink, ctx.m, ctx.core_idx, core, t, wi, op) {
         freeze_abort(out, t, core, wi, li, reason);
     }
 }
@@ -845,22 +913,19 @@ impl LsuSink for DrainSink<'_, '_> {
     }
 }
 
-/// The LSU front end for one global-memory warp instruction of launch
-/// `ls`, shared by plain loads/stores in the advance phase and parked
+/// The LSU front end for one global-memory warp instruction, shared by
+/// plain loads/stores in the advance phase and parked
 /// atomics at the drain: the AGU's [`WarpLanes`](gpushield_mem::WarpLanes), the
 /// translation pre-check, coalescing and per-transaction timing, fault
 /// injection and the bounds check, the data path, then the timing
 /// commit. Returns the cycle the warp is ready again, or the reason its
 /// launch aborts; an aborting warp is left as it was, neither advanced
 /// nor counted as issued.
-#[allow(clippy::too_many_arguments)]
 fn lsu_global(
     sink: &mut impl LsuSink,
     m: Machine<'_, '_, '_, '_>,
     core_idx: usize,
-    ls: &LaunchState,
     core: &mut Core,
-    shard: Option<&mut (dyn CoreGuard + Send + '_)>,
     t: u64,
     wi: usize,
     op: MemOp,
@@ -875,15 +940,16 @@ fn lsu_global(
         scratch,
         ..
     } = core;
+    let kl = &m.kls[warps[wi].launch_idx];
+    let [vals, off, data, _] = &mut scratch.rows.0;
 
     // ---- AGU: store values, per-lane addresses and their span -----------
-    let mut vals: Row = [0; MAX_LANES];
-    let ectx = exec_ctx(ls);
-    let ptr = gather_lane_vas(&warps[wi], &op, &ectx, &mut vals, &mut scratch.lanes);
+    let ectx = exec_ctx(kl);
+    let ptr = gather_lane_vas(&warps[wi], &op, &ectx, vals, off, &mut scratch.lanes);
     let (lanes, span) = (&scratch.lanes, *scratch.lanes.span());
 
     // ---- Observed-range recording (before any verdict) ------------------
-    if ls.observed.is_some() {
+    if m.observe {
         if let Some(range) = span.range() {
             sink.observe(range);
         }
@@ -915,7 +981,7 @@ fn lsu_global(
     }
 
     // ---- Fault injection, then the bounds check -------------------------
-    let (mut ptr, mut decision) = (ptr, ls.launch.plan.get(site));
+    let (mut ptr, mut decision) = (ptr, kl.plan.get(site));
     if let Some(fs) = m.fault {
         (ptr, decision) = inject_due_faults(fs, whole, vm, core_idx, t, (ptr, decision), |fe| {
             sink.flight(t, fe)
@@ -924,17 +990,17 @@ fn lsu_global(
     let n_txs = scratch.txs.len();
     let mut stall = 0u64;
     let mut verdict = GuardVerdict::Allow;
-    if shard.is_some() || whole.is_some() {
+    if m.forked.is_some() || whole.is_some() {
         if decision == SiteCheck::Static {
             let acc = sink.counters().0;
             acc.checks_skipped += 1;
-            if ls.launch.plan.certified(site) {
+            if kl.plan.certified(site) {
                 acc.checks_certified += 1;
             }
         } else if let Some(range) = span.range() {
             let access = MemAccess {
                 core: core_idx,
-                kernel_id: ls.launch.kernel_id,
+                kernel_id: kl.kernel_id,
                 is_store: op.is_store,
                 space: op.space,
                 pointer: ptr,
@@ -945,7 +1011,7 @@ fn lsu_global(
                 active_lanes: span.active(),
                 l1d_all_hit: all_l1_hit,
             };
-            let chk = guard_check(shard, whole, &access, vm);
+            let chk = guard_check(m, &access);
             stall = chk.stall_cycles;
             verdict = chk.verdict;
             let (acc, profile) = sink.counters();
@@ -956,7 +1022,7 @@ fn lsu_global(
             sink.flight(
                 t,
                 FlightEvent::CheckVerdict {
-                    kernel_id: ls.launch.kernel_id,
+                    kernel_id: kl.kernel_id,
                     wg: w.wg as u32,
                     warp: w.warp_in_wg as u16,
                     block: site.0 .0,
@@ -984,7 +1050,7 @@ fn lsu_global(
         GuardVerdict::Allow => {
             let done = match translation_fault {
                 Some(f) => Err(f),
-                None => lane_data_path(vm, warp, lanes, op.dst, &vals, op.atomic),
+                None => lane_data_path(vm, warp, lanes, (op.dst, op.atomic), vals, data),
             };
             done.map_err(AbortReason::MemFault)?;
         }
@@ -1036,9 +1102,9 @@ fn exec_shared_phase(
     out.profile.shared_issues += 1;
     let li = core.warps[wi].launch_idx;
     let (wg, width_b, dst, is_atomic) = (core.warps[wi].wg, op.width, op.dst, op.atomic);
-    let (mut vals, mut addrs): (Row, Row) = ([0; MAX_LANES], [0; MAX_LANES]);
-    let ectx = exec_ctx(&ctx.launches[li]);
-    agu(&core.warps[wi], &op, &ectx, &mut vals, &mut addrs);
+    let [vals, addrs, off, _] = &mut core.scratch.rows.0;
+    let ectx = exec_ctx(&ctx.m.kls[li]);
+    agu(&core.warps[wi], &op, &ectx, vals, addrs, off);
     let store_vals = op.src.map(|_| &vals[..]);
     let start = t.max(core.lsu_busy_until);
     let done_at = start + ctx.m.cfg.timings.l1_hit;
@@ -1142,9 +1208,9 @@ pub(super) fn run_engine(
         fault,
         observed_ranges,
     } = opts;
-    let mut ls = build_launch_states(cfg, launches)?;
+    build_launch_states(cfg, launches, &mut arena.launches)?;
     if observed_ranges {
-        for l in &mut ls {
+        for l in &mut arena.launches {
             l.observed = Some(HashMap::new());
         }
     }
@@ -1180,33 +1246,17 @@ pub(super) fn run_engine(
 
     arena.reset(cfg, launches.len());
     let Arena {
-        cores,
-        outs,
-        dram_views,
+        slots,
         wake,
         due,
         used,
         keys,
+        launches: ls,
+        busy,
     } = arena;
-    let (wake, due): (&[AtomicU64], &[AtomicUsize]) = (wake, due);
-    let mut forked = forked.map(Vec::into_iter);
-    let slots: Vec<Mutex<CoreSlot<'_, '_>>> = cores
-        .iter_mut()
-        .zip(outs.iter_mut())
-        .zip(dram_views.iter_mut())
-        .zip(wake)
-        .map(|(((core, out), dram_view), wake)| {
-            Mutex::new(CoreSlot {
-                core,
-                out,
-                shard: forked.as_mut().and_then(Iterator::next),
-                dram_view,
-                wake,
-            })
-        })
-        .collect();
-    drop(forked); // exhausted now; ends its borrow of the guard
-    let launches_lk = RwLock::new(ls);
+    let cores = Cores { slots, wake };
+    let due: &[AtomicUsize] = due;
+    let launches_lk = RwLock::new(std::mem::take(ls));
     let shared_lk = RwLock::new(&mut *shared);
     let t0a = AtomicU64::new(0);
     let t1a = AtomicU64::new(0);
@@ -1215,8 +1265,11 @@ pub(super) fn run_engine(
     let m = Machine {
         cfg,
         vm,
+        kls: launches,
+        forked,
         whole: whole.as_ref(),
         fault: fault.as_ref(),
+        observe: observed_ranges,
     };
     let want_flight = flight.is_some();
     let want_timeline = flight.as_ref().is_some_and(|f| f.records_timeline());
@@ -1231,12 +1284,12 @@ pub(super) fn run_engine(
                 break;
             }
             let i = due[k].load(Ordering::Relaxed);
-            let mut slot = lock_ok(slots[i].lock());
+            let mut slot = cores.lock(i);
             let lr = lock_ok(launches_lk.read());
             let sr = lock_ok(shared_lk.read());
             // DRAM only changes at the drain, so the view taken here is
             // the quantum-start state for the whole phase.
-            sr.dram().refresh_view(slot.dram_view);
+            sr.dram().refresh_view(&mut slot.dram_view);
             let ctx = PhaseCtx {
                 m,
                 launches: &lr,
@@ -1256,7 +1309,6 @@ pub(super) fn run_engine(
         let mut profile = SimProfile::default();
         let mut heaps: HashMap<u64, HeapRun> = HashMap::new();
         let mut quanta: u64 = 0;
-        let mut busy_totals = vec![0u64; n];
         let mut max_skew: u64 = 0;
         let mut feeds = Feeds {
             tele: registry
@@ -1283,8 +1335,8 @@ pub(super) fn run_engine(
             {
                 let mut lw = lock_ok(launches_lk.write());
                 try_dispatch(
-                    cfg,
-                    &slots,
+                    m,
+                    cores,
                     &mut lw,
                     mode,
                     cycle,
@@ -1297,9 +1349,9 @@ pub(super) fn run_engine(
                     break;
                 }
             }
-            sample_occupancy(&mut feeds.tele, cycle, &slots, used);
+            sample_occupancy(&mut feeds.tele, cycle, cores, used);
             let t1 = cycle.saturating_add(QUANTUM).min(cfg.max_cycles);
-            let len = list_due(wake, due, t1);
+            let len = list_due(cores.wake, due, t1);
             t0a.store(cycle, Ordering::Relaxed);
             t1a.store(t1, Ordering::Relaxed);
             due_len.store(len, Ordering::Relaxed);
@@ -1308,7 +1360,7 @@ pub(super) fn run_engine(
             quanta += 1;
             let issued = drain(
                 m,
-                &slots,
+                cores,
                 &due[..len],
                 used,
                 &launches_lk,
@@ -1317,7 +1369,7 @@ pub(super) fn run_engine(
                 &mut profile,
                 &mut feeds,
                 keys,
-                &mut busy_totals,
+                busy,
                 &mut max_skew,
             )?;
             if lock_ok(launches_lk.read()).iter().all(|l| l.finished()) {
@@ -1334,8 +1386,7 @@ pub(super) fn run_engine(
                 let mut alloc_blocked = false;
                 {
                     let lr = lock_ok(launches_lk.read());
-                    for slot in used_slots(&slots, used) {
-                        let s = lock_ok(slot.lock());
+                    for s in cores.used(used) {
                         for w in &s.core.warps {
                             if w.done || lr[w.launch_idx].aborted {
                                 continue;
@@ -1378,7 +1429,7 @@ pub(super) fn run_engine(
         if let Some(t) = feeds.tele.as_mut() {
             t.reg.add(t.quantum_count, quanta);
             t.reg.set(t.max_skew, max_skew);
-            for (id, busy) in t.busy.iter().zip(&busy_totals) {
+            for (id, busy) in t.busy.iter().zip(busy.iter()) {
                 t.reg.set(*id, *busy);
             }
         }
@@ -1390,8 +1441,8 @@ pub(super) fn run_engine(
     let _ = whole; // end the serialized-guard borrow before merging forks
     let mut l1d = gpushield_mem::CacheStats::default();
     let mut l1tlb = gpushield_mem::CacheStats::default();
-    for slot in slots {
-        let s = lock_ok(slot.into_inner());
+    // An undispatched core is as reset, with zero statistics.
+    for s in cores.used(used) {
         let cs = s.core.l1d.stats();
         l1d.hits += cs.hits;
         l1d.misses += cs.misses;
@@ -1404,14 +1455,15 @@ pub(super) fn run_engine(
     if let Some(g) = guard {
         g.merge_forked();
     }
+    // The launch states go back to the arena, their reports out of it.
+    *ls = lock_ok(launches_lk.into_inner());
     let (final_cycles, mut profile) = crew_result?;
-    let ls = lock_ok(launches_lk.into_inner());
     let _ = shared_lk; // end the shared-system borrow before reading stats
     let dram = shared.dram_stats();
     profile.dram_accesses = dram.requests;
     Ok(RunReport {
         cycles: final_cycles,
-        launches: ls.into_iter().map(LaunchState::into_report).collect(),
+        launches: ls.drain(..).map(LaunchState::into_report).collect(),
         l1d,
         l1_tlb: l1tlb,
         l2: shared.l2_stats(),
@@ -1450,15 +1502,6 @@ fn list_due(wake: &[AtomicU64], due: &[AtomicUsize], t1: u64) -> usize {
     len
 }
 
-/// The slots of the cores dispatched to in this run: every other core
-/// holds no warp.
-fn used_slots<'s, 'a, 'g>(
-    slots: &'s [Mutex<CoreSlot<'a, 'g>>],
-    used: &'s [bool],
-) -> impl Iterator<Item = &'s Mutex<CoreSlot<'a, 'g>>> {
-    slots.iter().zip(used).filter(|(_, &u)| u).map(|(s, _)| s)
-}
-
 fn launch_allowed_on_core(
     cfg: &GpuConfig,
     mode: MultiKernelMode,
@@ -1481,8 +1524,8 @@ fn launch_allowed_on_core(
 /// instead of packing one SM full first.
 #[allow(clippy::too_many_arguments)]
 fn try_dispatch(
-    cfg: &GpuConfig,
-    slots: &[Mutex<CoreSlot<'_, '_>>],
+    m: Machine<'_, '_, '_, '_>,
+    cores: Cores<'_>,
     lw: &mut [LaunchState],
     mode: MultiKernelMode,
     cycle: u64,
@@ -1492,10 +1535,7 @@ fn try_dispatch(
     mut timeline: Option<&mut FlightRecorder>,
 ) {
     // Fast path: nothing left to place.
-    if lw
-        .iter()
-        .all(|l| l.aborted || l.next_wg >= u64::from(l.launch.launch.grid))
-    {
+    if lw.iter().all(|l| l.aborted || l.next_wg >= l.grid) {
         return;
     }
     loop {
@@ -1505,13 +1545,13 @@ fn try_dispatch(
             for k in 0..nl {
                 let li = (*rr_cursor + k) % nl;
                 if lw[li].aborted
-                    || lw[li].next_wg >= u64::from(lw[li].launch.launch.grid)
-                    || !launch_allowed_on_core(cfg, mode, nl, li, core_idx)
+                    || lw[li].next_wg >= lw[li].grid
+                    || !launch_allowed_on_core(m.cfg, mode, nl, li, core_idx)
                 {
                     continue;
                 }
                 let tl = timeline.as_deref_mut();
-                if dispatch_wg(cfg, slots, lw, cycle, age_seq, tl, core_idx, li) {
+                if dispatch_wg(m, cores, lw, cycle, age_seq, tl, core_idx, li) {
                     *used = true;
                     *rr_cursor = (li + 1) % nl;
                     any = true;
@@ -1527,8 +1567,8 @@ fn try_dispatch(
 
 #[allow(clippy::too_many_arguments)]
 fn dispatch_wg(
-    cfg: &GpuConfig,
-    slots: &[Mutex<CoreSlot<'_, '_>>],
+    m: Machine<'_, '_, '_, '_>,
+    cores: Cores<'_>,
     lw: &mut [LaunchState],
     cycle: u64,
     age_seq: &mut u64,
@@ -1536,15 +1576,16 @@ fn dispatch_wg(
     core_idx: usize,
     li: usize,
 ) -> bool {
+    let cfg = m.cfg;
     let needed_warps = lw[li].warps_per_wg;
     let (num_regs, shared_bytes) = {
-        let k = &lw[li].launch.kernel;
+        let k = &m.kls[li].kernel;
         (k.num_regs(), k.shared_bytes())
     };
     let regs_needed = needed_warps * usize::from(num_regs) * cfg.warp_width;
-    let mut slot = lock_ok(slots[core_idx].lock());
+    let mut slot = cores.lock(core_idx);
     let core = &mut slot.core;
-    debug_assert_eq!(core.regs_used, core.regs_in_use(lw));
+    debug_assert_eq!(core.regs_used, core.regs_in_use(m.kls));
     debug_assert_eq!(core.shared_used, core.shared_in_use());
     if core.resident_warps() + needed_warps > cfg.max_warps_per_core()
         || core.regs_used + regs_needed > cfg.regs_per_core
@@ -1567,7 +1608,7 @@ fn dispatch_wg(
     if lstate.report.start_cycle == 0 && lstate.report.instructions == 0 {
         lstate.report.start_cycle = cycle;
     }
-    let block = lstate.launch.launch.block as usize;
+    let block = m.kls[li].launch.block as usize;
     core.wgs.push(ResidentWg {
         launch_idx: li,
         wg,
@@ -1577,7 +1618,8 @@ fn dispatch_wg(
     core.shared_used += shared_bytes;
     for w in 0..needed_warps {
         let lanes = (block - w * cfg.warp_width).min(cfg.warp_width);
-        let mut warp = Warp::new(li, wg, w, cfg.warp_width, lanes, num_regs, *age_seq);
+        let bufs = core.spare.0.pop().unwrap_or_default();
+        let mut warp = Warp::new(li, wg, w, cfg.warp_width, lanes, num_regs, *age_seq, bufs);
         warp.ready_at = cycle;
         *age_seq += 1;
         core.warps.push(warp);
@@ -1593,12 +1635,7 @@ fn dispatch_wg(
 /// sampling keys on "has the cycle reached the next stride boundary"
 /// rather than exact cycle equality — one point per crossed bucket,
 /// deterministic in simulated time.
-fn sample_occupancy(
-    tele: &mut Option<Tele<'_>>,
-    cycle: u64,
-    slots: &[Mutex<CoreSlot<'_, '_>>],
-    used: &[bool],
-) {
+fn sample_occupancy(tele: &mut Option<Tele<'_>>, cycle: u64, cores: Cores<'_>, used: &[bool]) {
     let Some(t) = tele.as_mut() else {
         return;
     };
@@ -1609,8 +1646,7 @@ fn sample_occupancy(
     t.next_sample = (cycle / stride + 1) * stride;
     let mut resident = 0u64;
     let mut ready = 0u64;
-    for slot in used_slots(slots, used) {
-        let s = lock_ok(slot.lock());
+    for s in cores.used(used) {
         for w in &s.core.warps {
             if w.done {
                 continue;
@@ -1634,7 +1670,7 @@ fn sample_occupancy(
 #[allow(clippy::too_many_arguments)]
 fn drain(
     m: Machine<'_, '_, '_, '_>,
-    slots: &[Mutex<CoreSlot<'_, '_>>],
+    cores: Cores<'_>,
     due: &[AtomicUsize],
     used: &[bool],
     launches_lk: &RwLock<Vec<LaunchState>>,
@@ -1649,15 +1685,15 @@ fn drain(
     keys.clear();
     let mut issued_total = 0u64;
     let (mut busy_min, mut busy_max) = (u64::MAX, 0u64);
-    if due.len() < slots.len() {
+    if due.len() < cores.len() {
         // A core that did not advance was busy for zero cycles.
         busy_min = 0;
     }
     {
         let mut lw = lock_ok(launches_lk.write());
         for ci in due.iter().map(|c| c.load(Ordering::Relaxed)) {
-            let mut s = lock_ok(slots[ci].lock());
-            let out = &mut *s.out;
+            let mut s = cores.lock(ci);
+            let out = &mut s.out;
             for q in out.evs.drain(..) {
                 keys.push(DrainKey {
                     t: q.t,
@@ -1721,11 +1757,11 @@ fn drain(
                     lstate.wgs_retired += 1;
                     if lstate.finished() {
                         lstate.report.end_cycle = k.t;
-                        let kid = lstate.launch.kernel_id;
+                        let kid = m.kls[li].kernel_id;
                         if let Some(f) = feeds.flight.as_mut() {
                             f.record(k.t, FlightEvent::KernelComplete { kernel_id: kid });
                         }
-                        guard_kernel_end(slots, m.whole, kid);
+                        guard_kernel_end(m, kid);
                     }
                 }
                 Ev::Abort {
@@ -1737,11 +1773,11 @@ fn drain(
                     let li = li as usize;
                     if !lw[li].aborted {
                         apply_abort(
-                            slots,
+                            m,
+                            cores,
                             used,
                             &mut lw,
                             feeds,
-                            m.whole,
                             li,
                             wg,
                             win as usize,
@@ -1753,7 +1789,7 @@ fn drain(
                 Ev::Parked { li, wg, win } => {
                     let pending = drain_parked(
                         m,
-                        slots,
+                        cores,
                         &mut lw,
                         shared,
                         heaps,
@@ -1768,7 +1804,7 @@ fn drain(
                     if let Some(req) = pending {
                         if !lw[req.li].aborted {
                             apply_abort(
-                                slots, used, &mut lw, feeds, m.whole, req.li, req.wg, req.win,
+                                m, cores, used, &mut lw, feeds, req.li, req.wg, req.win,
                                 req.reason, k.t,
                             );
                         }
@@ -1799,7 +1835,7 @@ struct AbortReq {
 #[allow(clippy::too_many_arguments)]
 fn drain_parked(
     m: Machine<'_, '_, '_, '_>,
-    slots: &[Mutex<CoreSlot<'_, '_>>],
+    cores: Cores<'_>,
     lw: &mut [LaunchState],
     shared: &mut SharedMemorySystem,
     heaps: &mut HashMap<u64, HeapRun>,
@@ -1811,8 +1847,7 @@ fn drain_parked(
     wg: u64,
     win: usize,
 ) -> Result<Option<AbortReq>, RunError> {
-    let mut slot = lock_ok(slots[ci].lock());
-    let sl = &mut *slot;
+    let mut sl = cores.lock(ci);
     let Some(wi) = sl
         .core
         .warps
@@ -1824,16 +1859,16 @@ fn drain_parked(
     let Some(pc) = sl.core.warps[wi].pc() else {
         return Ok(None);
     };
-    let instr = lw[li].launch.kernel.block(pc.0).instrs()[pc.1];
+    let instr = m.kls[li].kernel.block(pc.0).instrs()[pc.1];
     match instr {
         Instr::Malloc { dst, size } => {
-            drain_malloc(m.cfg, sl, lw, heaps, profile, t, wi, li, Some(dst), size)?;
+            drain_malloc(m, &mut sl, lw, heaps, profile, t, wi, li, Some(dst), size)?;
             Ok(None)
         }
         Instr::Free { .. } => {
             drain_malloc(
-                m.cfg,
-                sl,
+                m,
+                &mut sl,
                 lw,
                 heaps,
                 profile,
@@ -1857,8 +1892,8 @@ fn drain_parked(
                 acc: LaunchAcc::default(),
                 observed: None,
             };
-            let (op, shard) = (MemOp::decode(instr, pc), sl.shard.as_deref_mut());
-            let done = lsu_global(&mut sink, m, ci, &lw[li], sl.core, shard, t, wi, op);
+            let op = MemOp::decode(instr, pc);
+            let done = lsu_global(&mut sink, m, ci, &mut sl.core, t, wi, op);
             sink.acc.drain_into(&mut lw[li].report);
             if let (Some(obs), Some(range)) = (lw[li].observed.as_mut(), sink.observed) {
                 widen(obs, pc, range);
@@ -1886,8 +1921,8 @@ fn drain_parked(
 /// against the (driver-owned) global heap cursor map.
 #[allow(clippy::too_many_arguments)]
 fn drain_malloc(
-    cfg: &GpuConfig,
-    sl: &mut CoreSlot<'_, '_>,
+    m: Machine<'_, '_, '_, '_>,
+    sl: &mut Slot<'_>,
     lw: &mut [LaunchState],
     heaps: &mut HashMap<u64, HeapRun>,
     profile: &mut SimProfile,
@@ -1897,11 +1932,12 @@ fn drain_malloc(
     dst: Option<VReg>,
     size: Operand,
 ) -> Result<(), RunError> {
-    let heap = match lw[li].launch.heap {
+    let (cfg, kl) = (m.cfg, &m.kls[li]);
+    let heap = match kl.heap {
         Some(h) => h,
         None => {
             return Err(RunError::NoHeap {
-                kernel: lw[li].launch.kernel.name().to_string(),
+                kernel: kl.kernel.name().to_string(),
             })
         }
     };
@@ -1909,7 +1945,7 @@ fn drain_malloc(
     let warp = &mut core.warps[wi];
     let mask = warp.active_mask();
     let (mut sizes, mut results): (Row, Row) = ([0; MAX_LANES], [0; MAX_LANES]);
-    warp.load_row(size, &exec_ctx(&lw[li]), &mut sizes);
+    warp.load_row(size, &exec_ctx(kl), &mut sizes);
     let entry = heaps.entry(heap.tagged_base.va()).or_default();
     let mut done_at = t;
     for (lane, &sz) in sizes[..warp.width].iter().enumerate() {
@@ -1953,11 +1989,11 @@ fn drain_malloc(
 /// gets here.
 #[allow(clippy::too_many_arguments)]
 fn apply_abort(
-    slots: &[Mutex<CoreSlot<'_, '_>>],
+    m: Machine<'_, '_, '_, '_>,
+    cores: Cores<'_>,
     used: &[bool],
     lw: &mut [LaunchState],
     feeds: &mut Feeds<'_>,
-    whole: Option<&WholeGuard<'_, '_>>,
     li: usize,
     wg: u64,
     win: usize,
@@ -1969,7 +2005,7 @@ fn apply_abort(
         lstate.aborted = true;
         lstate.report.abort = Some(reason);
         lstate.report.end_cycle = t;
-        lstate.launch.kernel_id
+        m.kls[li].kernel_id
     };
     if let Some(f) = feeds.flight.as_mut() {
         f.record(
@@ -1982,35 +2018,26 @@ fn apply_abort(
             },
         );
     }
-    for slot in used_slots(slots, used) {
-        let mut s = lock_ok(slot.lock());
+    for mut s in cores.used(used) {
         let core = &mut s.core;
-        core.warps.retain(|w| w.launch_idx != li);
-        core.wgs.retain(|g| g.launch_idx != li);
+        core.release(|l, _| l == li);
         core.last_issued = None;
-        core.regs_used = core.regs_in_use(lw);
+        core.regs_used = core.regs_in_use(m.kls);
         core.shared_used = core.shared_in_use();
         let next_ready = recompute_next_ready(core);
         s.set_next_ready(next_ready);
     }
-    guard_kernel_end(slots, whole, kernel_id);
+    guard_kernel_end(m, kernel_id);
 }
 
-/// RCache flush on kernel end: every shard (core order) plus the whole
-/// guard when running unsharded.
-fn guard_kernel_end(
-    slots: &[Mutex<CoreSlot<'_, '_>>],
-    whole: Option<&WholeGuard<'_, '_>>,
-    kernel_id: u16,
-) {
-    for slot in slots {
-        let mut s = lock_ok(slot.lock());
-        if let Some(sh) = s.shard.as_deref_mut() {
-            sh.on_kernel_end(kernel_id);
-        }
+/// RCache flush on kernel end: every core's shard, or the whole guard
+/// when running unsharded.
+fn guard_kernel_end(m: Machine<'_, '_, '_, '_>, kernel_id: u16) {
+    if let Some(g) = m.forked {
+        g.on_kernel_end_sharded(kernel_id);
     }
-    if let Some(m) = whole {
-        lock_ok(m.lock()).on_kernel_end(kernel_id);
+    if let Some(w) = m.whole {
+        lock_ok(w.lock()).on_kernel_end(kernel_id);
     }
 }
 

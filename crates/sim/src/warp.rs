@@ -7,18 +7,46 @@
 //! pops one side and resumes the other, and the merged continuation runs
 //! once both sides arrive.
 
-use gpushield_isa::{
-    BinOp, BlockId, CmpOp, Instr, Kernel, Operand, ReconvergenceTable, Special, UnOp, VReg,
-};
+use gpushield_isa::{BinOp, BlockId, CmpOp, Instr, Kernel, Operand, Special, UnOp, VReg};
 use gpushield_mem::lane_mask;
+use std::fmt;
 
 /// Lane capacity of a warp: the active mask is a `u64` with lane `l` at
-/// bit `l`, and an operand row is a `[u64; MAX_LANES]` stack array.
+/// bit `l`, and an operand row is a `[u64; MAX_LANES]` array.
 pub(crate) use gpushield_mem::MAX_LANES;
 
 /// One operand's value in every lane of a warp (`row[..width]` is live),
 /// the same row the memory system reads lane addresses and values from.
 pub(crate) type Row = gpushield_mem::LaneRow;
+
+/// A core's operand rows, reused by every instruction it executes instead
+/// of zeroing fresh ones on the stack. Each use writes the lanes it then
+/// reads (`row[..width]`, or the active lanes), so what a row holds
+/// between uses is dead: rows are never re-zeroed, and `Debug` prints no
+/// contents, so a reset core prints like a fresh one.
+#[derive(Clone)]
+pub(crate) struct Rows(pub [Row; 4]);
+
+impl Default for Rows {
+    fn default() -> Self {
+        Rows([[0; MAX_LANES]; 4])
+    }
+}
+
+impl fmt::Debug for Rows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Rows")
+    }
+}
+
+/// A warp's register file and SIMT stack storage, handed from a retired
+/// warp to the next one its core dispatches so a steady-state dispatch
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct WarpBufs {
+    regs: Vec<u64>,
+    stack: Vec<StackEntry>,
+}
 
 /// Per-launch uniform values needed to evaluate operands.
 #[derive(Debug, Clone, Copy)]
@@ -75,6 +103,9 @@ pub(crate) struct Warp {
 }
 
 impl Warp {
+    /// A warp at the kernel's entry with its first `lanes` lanes active,
+    /// built in `bufs`: its registers zeroed, as `vec![0; n]` would.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         launch_idx: usize,
         wg: u64,
@@ -83,24 +114,44 @@ impl Warp {
         lanes: usize,
         num_regs: u16,
         age: u64,
+        bufs: WarpBufs,
     ) -> Self {
-        let exist_mask = lane_mask(lanes);
+        let WarpBufs {
+            mut regs,
+            mut stack,
+        } = bufs;
+        // Exact, not amortised growth: a recycled file that doubled on
+        // each larger kernel would hold more than any warp needs.
+        let n = usize::from(num_regs) * width;
+        regs.clear();
+        regs.reserve_exact(n);
+        regs.resize(n, 0);
+        stack.clear();
+        stack.push(StackEntry {
+            pc: Some((BlockId(0), 0)),
+            mask: lane_mask(lanes),
+            rpc: None,
+        });
         Warp {
             launch_idx,
             wg,
             warp_in_wg,
             width,
-            regs: vec![0; usize::from(num_regs) * width],
-            stack: vec![StackEntry {
-                pc: Some((BlockId(0), 0)),
-                mask: exist_mask,
-                rpc: None,
-            }],
+            regs,
+            stack,
             ready_at: 0,
             at_barrier: false,
             blocked: false,
             done: false,
             age,
+        }
+    }
+
+    /// Takes the warp's storage for reuse; the warp is left empty.
+    pub fn take_bufs(&mut self) -> WarpBufs {
+        WarpBufs {
+            regs: std::mem::take(&mut self.regs),
+            stack: std::mem::take(&mut self.stack),
         }
     }
 
@@ -151,6 +202,21 @@ impl Warp {
             Operand::Special(Special::LaneId) => iota(row, 0),
             // Every remaining operand is uniform across the warp.
             _ => row.fill(self.eval(op, 0, ctx)),
+        }
+    }
+
+    /// `op`'s value in every lane: a register's own slice of the register
+    /// file, else `scratch` loaded with the value.
+    pub fn src<'r>(&'r self, op: Operand, ctx: &ExecCtx<'_>, scratch: &'r mut Row) -> &'r [u64] {
+        match op {
+            Operand::Reg(r) => {
+                let base = usize::from(r.0) * self.width;
+                &self.regs[base..base + self.width]
+            }
+            _ => {
+                self.load_row(op, ctx, scratch);
+                &scratch[..self.width]
+            }
         }
     }
 
@@ -217,44 +283,36 @@ impl Warp {
         }
     }
 
-    /// Computes ALU instruction `instr`'s result row into `x` and returns
-    /// its destination. Source rows are copied out before the caller's
-    /// `store_row`, so a destination aliasing a source reads the
-    /// pre-instruction values.
-    fn alu_row(&self, instr: Instr, ctx: &ExecCtx<'_>, x: &mut Row) -> VReg {
+    /// Computes ALU instruction `instr`'s result row into `out` and
+    /// returns its destination. Sources are read in place (registers) or
+    /// from `scratch`, and the caller stores `out` afterwards, so a
+    /// destination aliasing a source reads the pre-instruction values.
+    fn alu_row(&self, instr: Instr, ctx: &ExecCtx<'_>, rows: &mut Rows) -> VReg {
         let w = self.width;
-        let mut y: Row = [0; MAX_LANES];
+        let [out, ra, rb, rc] = &mut rows.0;
+        let out = &mut out[..w];
         match instr {
             Instr::Mov { dst, src } => {
-                self.load_row(src, ctx, x);
+                out.copy_from_slice(self.src(src, ctx, ra));
                 dst
             }
             Instr::Un { op, dst, a } => {
-                self.load_row(a, ctx, x);
-                un_row(op, &mut x[..w]);
+                un_row(op, out, self.src(a, ctx, ra));
                 dst
             }
             Instr::Bin { op, dst, a, b } => {
-                self.load_row(a, ctx, x);
-                self.load_row(b, ctx, &mut y);
-                bin_row(op, &mut x[..w], &y[..w]);
+                bin_row(op, out, self.src(a, ctx, ra), self.src(b, ctx, rb));
                 dst
             }
             Instr::Cmp { op, dst, a, b } => {
-                self.load_row(a, ctx, x);
-                self.load_row(b, ctx, &mut y);
-                cmp_row(op, &mut x[..w], &y[..w]);
+                cmp_row(op, out, self.src(a, ctx, ra), self.src(b, ctx, rb));
                 dst
             }
             Instr::Sel { dst, cond, a, b } => {
-                let mut c: Row = [0; MAX_LANES];
-                self.load_row(cond, ctx, &mut c);
-                self.load_row(a, ctx, x);
-                self.load_row(b, ctx, &mut y);
-                for ((x, y), c) in x[..w].iter_mut().zip(&y[..w]).zip(&c[..w]) {
-                    if *c == 0 {
-                        *x = *y;
-                    }
+                let c = self.src(cond, ctx, rc);
+                let (a, b) = (self.src(a, ctx, ra), self.src(b, ctx, rb));
+                for (((o, c), a), b) in out.iter_mut().zip(c).zip(a).zip(b) {
+                    *o = if *c != 0 { *a } else { *b };
                 }
                 dst
             }
@@ -264,12 +322,13 @@ impl Warp {
 
     /// Executes one scalar/control instruction functionally. Returns
     /// [`SimpleOutcome::NeedsCore`] for memory, barrier, and heap
-    /// instructions, which the core handles with timing.
+    /// instructions, which the core handles with timing. `rows` is the
+    /// core's operand scratch.
     pub fn exec_simple(
         &mut self,
         kernel: &Kernel,
-        recon: &ReconvergenceTable,
         ctx: &ExecCtx<'_>,
+        rows: &mut Rows,
     ) -> SimpleOutcome {
         let (block, idx) = match self.pc() {
             Some(pc) => pc,
@@ -286,9 +345,8 @@ impl Warp {
             | Instr::Bin { .. }
             | Instr::Cmp { .. }
             | Instr::Sel { .. } => {
-                let mut x: Row = [0; MAX_LANES];
-                let dst = self.alu_row(instr, ctx, &mut x);
-                self.store_row(dst, mask, &x);
+                let dst = self.alu_row(instr, ctx, rows);
+                self.store_row(dst, mask, &rows.0[0]);
                 self.advance_pc();
                 SimpleOutcome::Done
             }
@@ -305,9 +363,8 @@ impl Warp {
                 taken,
                 not_taken,
             } => {
-                let mut c: Row = [0; MAX_LANES];
-                self.load_row(cond, ctx, &mut c);
-                let t_mask = c[..self.width]
+                let t_mask = self
+                    .src(cond, ctx, &mut rows.0[0])
                     .iter()
                     .enumerate()
                     .fold(0u64, |m, (lane, c)| m | u64::from(*c != 0) << lane)
@@ -324,7 +381,7 @@ impl Warp {
                     // *is* the reconvergence point has already reconverged
                     // and is not pushed (its lanes are covered by the
                     // continuation's mask).
-                    let rpc = recon.reconvergence_point(block);
+                    let rpc = kernel.reconvergence().reconvergence_point(block);
                     {
                         let top = self.stack.last_mut().expect("running warp has stack");
                         top.pc = rpc.map(|b| (b, 0));
@@ -379,58 +436,58 @@ impl Warp {
 // one definition of every op's semantics.
 
 #[inline(always)]
-fn map_row(x: &mut [u64], f: impl Fn(u64) -> u64) {
-    for x in x {
-        *x = f(*x);
+fn map_row(out: &mut [u64], x: &[u64], f: impl Fn(u64) -> u64) {
+    for (o, x) in out.iter_mut().zip(x) {
+        *o = f(*x);
     }
 }
 
 #[inline(always)]
-fn zip_row(x: &mut [u64], y: &[u64], f: impl Fn(u64, u64) -> u64) {
-    for (x, y) in x.iter_mut().zip(y) {
-        *x = f(*x, *y);
+fn zip_row(out: &mut [u64], x: &[u64], y: &[u64], f: impl Fn(u64, u64) -> u64) {
+    for ((o, x), y) in out.iter_mut().zip(x).zip(y) {
+        *o = f(*x, *y);
     }
 }
 
-/// `x[l] = op(x[l])` in every lane.
-fn un_row(op: UnOp, x: &mut [u64]) {
+/// `out[l] = op(x[l])` in every lane.
+fn un_row(op: UnOp, out: &mut [u64], x: &[u64]) {
     use UnOp::*;
     match op {
-        Not => map_row(x, |a| eval_un(Not, a)),
-        Neg => map_row(x, |a| eval_un(Neg, a)),
-        Abs => map_row(x, |a| eval_un(Abs, a)),
+        Not => map_row(out, x, |a| eval_un(Not, a)),
+        Neg => map_row(out, x, |a| eval_un(Neg, a)),
+        Abs => map_row(out, x, |a| eval_un(Abs, a)),
     }
 }
 
-/// `x[l] = x[l] op y[l]` in every lane.
-fn bin_row(op: BinOp, x: &mut [u64], y: &[u64]) {
+/// `out[l] = x[l] op y[l]` in every lane.
+fn bin_row(op: BinOp, out: &mut [u64], x: &[u64], y: &[u64]) {
     use BinOp::*;
     match op {
-        Add => zip_row(x, y, |a, b| eval_bin(Add, a, b)),
-        Sub => zip_row(x, y, |a, b| eval_bin(Sub, a, b)),
-        Mul => zip_row(x, y, |a, b| eval_bin(Mul, a, b)),
-        Div => zip_row(x, y, |a, b| eval_bin(Div, a, b)),
-        Rem => zip_row(x, y, |a, b| eval_bin(Rem, a, b)),
-        And => zip_row(x, y, |a, b| eval_bin(And, a, b)),
-        Or => zip_row(x, y, |a, b| eval_bin(Or, a, b)),
-        Xor => zip_row(x, y, |a, b| eval_bin(Xor, a, b)),
-        Shl => zip_row(x, y, |a, b| eval_bin(Shl, a, b)),
-        Shr => zip_row(x, y, |a, b| eval_bin(Shr, a, b)),
-        Min => zip_row(x, y, |a, b| eval_bin(Min, a, b)),
-        Max => zip_row(x, y, |a, b| eval_bin(Max, a, b)),
+        Add => zip_row(out, x, y, |a, b| eval_bin(Add, a, b)),
+        Sub => zip_row(out, x, y, |a, b| eval_bin(Sub, a, b)),
+        Mul => zip_row(out, x, y, |a, b| eval_bin(Mul, a, b)),
+        Div => zip_row(out, x, y, |a, b| eval_bin(Div, a, b)),
+        Rem => zip_row(out, x, y, |a, b| eval_bin(Rem, a, b)),
+        And => zip_row(out, x, y, |a, b| eval_bin(And, a, b)),
+        Or => zip_row(out, x, y, |a, b| eval_bin(Or, a, b)),
+        Xor => zip_row(out, x, y, |a, b| eval_bin(Xor, a, b)),
+        Shl => zip_row(out, x, y, |a, b| eval_bin(Shl, a, b)),
+        Shr => zip_row(out, x, y, |a, b| eval_bin(Shr, a, b)),
+        Min => zip_row(out, x, y, |a, b| eval_bin(Min, a, b)),
+        Max => zip_row(out, x, y, |a, b| eval_bin(Max, a, b)),
     }
 }
 
-/// `x[l] = (x[l] op y[l]) as 0/1` in every lane.
-fn cmp_row(op: CmpOp, x: &mut [u64], y: &[u64]) {
+/// `out[l] = (x[l] op y[l]) as 0/1` in every lane.
+fn cmp_row(op: CmpOp, out: &mut [u64], x: &[u64], y: &[u64]) {
     use CmpOp::*;
     match op {
-        Eq => zip_row(x, y, |a, b| u64::from(eval_cmp(Eq, a, b))),
-        Ne => zip_row(x, y, |a, b| u64::from(eval_cmp(Ne, a, b))),
-        Lt => zip_row(x, y, |a, b| u64::from(eval_cmp(Lt, a, b))),
-        Le => zip_row(x, y, |a, b| u64::from(eval_cmp(Le, a, b))),
-        Gt => zip_row(x, y, |a, b| u64::from(eval_cmp(Gt, a, b))),
-        Ge => zip_row(x, y, |a, b| u64::from(eval_cmp(Ge, a, b))),
+        Eq => zip_row(out, x, y, |a, b| u64::from(eval_cmp(Eq, a, b))),
+        Ne => zip_row(out, x, y, |a, b| u64::from(eval_cmp(Ne, a, b))),
+        Lt => zip_row(out, x, y, |a, b| u64::from(eval_cmp(Lt, a, b))),
+        Le => zip_row(out, x, y, |a, b| u64::from(eval_cmp(Le, a, b))),
+        Gt => zip_row(out, x, y, |a, b| u64::from(eval_cmp(Gt, a, b))),
+        Ge => zip_row(out, x, y, |a, b| u64::from(eval_cmp(Ge, a, b))),
     }
 }
 
@@ -501,13 +558,17 @@ mod tests {
         }
     }
 
+    fn fresh(width: usize, lanes: usize, num_regs: u16) -> Warp {
+        Warp::new(0, 0, 0, width, lanes, num_regs, 0, WarpBufs::default())
+    }
+
     fn run_warp(kernel: &Kernel, width: usize, args: &[u64]) -> Warp {
-        let recon = ReconvergenceTable::build(kernel);
-        let mut w = Warp::new(0, 0, 0, width, width, kernel.num_regs(), 0);
+        let mut w = fresh(width, width, kernel.num_regs());
         let c = ctx(args);
+        let mut rows = Rows::default();
         let mut fuel = 100_000;
         while !w.done {
-            match w.exec_simple(kernel, &recon, &c) {
+            match w.exec_simple(kernel, &c, &mut rows) {
                 SimpleOutcome::Done => {}
                 SimpleOutcome::Retired => break,
                 SimpleOutcome::NeedsCore { .. } => panic!("test kernels must be ALU-only"),
@@ -591,12 +652,12 @@ mod tests {
         let _ = b.add(t, Operand::Imm(1));
         b.ret();
         let k = b.finish().unwrap();
-        let mut w = Warp::new(0, 0, 0, 4, 2, k.num_regs(), 0);
+        let mut w = fresh(4, 2, k.num_regs());
         assert_eq!(w.active_mask(), 0b0011);
-        let recon = ReconvergenceTable::build(&k);
         let c = ctx(&[]);
+        let mut rows = Rows::default();
         while !w.done {
-            if w.exec_simple(&k, &recon, &c) == SimpleOutcome::Retired {
+            if w.exec_simple(&k, &c, &mut rows) == SimpleOutcome::Retired {
                 break;
             }
         }
@@ -654,7 +715,7 @@ mod tests {
     /// over -1 in lane 6 (the overflowing division) and shift counts at
     /// and past 63.
     fn warp_with(mask: u64) -> Warp {
-        let mut w = Warp::new(0, 3, 2, WIDTH, WIDTH, 4, 0);
+        let mut w = Warp::new(0, 3, 2, WIDTH, WIDTH, 4, 0, WarpBufs::default());
         let r0 = [0, 1, u64::MAX, 63, 0, 64, i64::MIN as u64, 12345];
         let r1 = [5, 0, 3, 2, u64::MAX, 0, u64::MAX, 1 << 40];
         w.regs[..WIDTH].copy_from_slice(&r0);
@@ -675,17 +736,28 @@ mod tests {
         }
     }
 
-    /// Runs the one-instruction kernel on the row path and on the
-    /// per-lane `eval` reference and asserts they leave identical
-    /// registers, with lanes outside the mask untouched.
+    /// Operand scratch left full of junk by earlier instructions, as a
+    /// core's rows are: nothing may read a lane it did not write.
+    fn stale_rows() -> Rows {
+        let mut rows = Rows::default();
+        for (i, v) in rows.0.iter_mut().flatten().enumerate() {
+            *v = 0x5EED_0000_0000 ^ (i as u64).wrapping_mul(0x9E37_79B9);
+        }
+        rows
+    }
+
+    /// Runs the one-instruction kernel on the row path (over stale
+    /// scratch rows) and on the per-lane `eval` reference and asserts
+    /// they leave identical registers, with lanes outside the mask
+    /// untouched.
     fn check_alu(instr: Instr, mask: u64) -> Result<(), ValidateError> {
         let k = kernel_of(vec![vec![instr, Instr::Ret]])?;
-        let recon = ReconvergenceTable::build(&k);
         let ctx = row_ctx();
         let before = warp_with(mask);
 
         let mut rows = before.clone();
-        assert_eq!(rows.exec_simple(&k, &recon, &ctx), SimpleOutcome::Done);
+        let done = rows.exec_simple(&k, &ctx, &mut stale_rows());
+        assert_eq!(done, SimpleOutcome::Done);
 
         let mut lanes = before.clone();
         let dst = match instr {
@@ -766,13 +838,13 @@ mod tests {
                     vec![Instr::Jmp { target: join }],
                     vec![Instr::Ret],
                 ])?;
-                let recon = ReconvergenceTable::build(&k);
                 let ctx = row_ctx();
                 let mut w = warp_with(mask);
                 let t = (0..WIDTH)
                     .filter(|&l| mask >> l & 1 != 0 && w.eval(cond, l, &ctx) != 0)
                     .fold(0u64, |m, l| m | 1 << l);
-                assert_eq!(w.exec_simple(&k, &recon, &ctx), SimpleOutcome::Done);
+                let done = w.exec_simple(&k, &ctx, &mut stale_rows());
+                assert_eq!(done, SimpleOutcome::Done);
                 let nt = mask & !t;
                 let got: Vec<_> = w.stack.iter().map(|e| (e.pc, e.mask)).collect();
                 let want = if nt == 0 {

@@ -17,10 +17,16 @@ reported three ways, 30 rows each:
 Samples outside BINARY are counted by the file they fall in (libc, the
 vdso, ...). Only the inline chain is known, not the call stack, so a
 function's callees that were not inlined do not count towards it.
+
+The profile also holds the process's malloc/calloc/realloc count. When
+perfbench's output lies beside PROFILE (WORKLOAD.stdout for
+WORKLOAD.prof, as profile.sh leaves it), the count is also printed per
+op, over the run's `attempted` ops; it includes the set-up's allocations.
 """
 
 import argparse
 import collections
+import json
 import os
 import re
 import subprocess
@@ -28,10 +34,13 @@ import sys
 
 
 def read_profile(path):
-    maps, pcs, section = [], [], None
+    """(maps, sample pcs, allocation count or None)."""
+    maps, pcs, allocs, section = [], [], None, None
     with open(path) as f:
         for line in f:
-            if line.startswith("# maps"):
+            if line.startswith("# allocs"):
+                allocs = int(line.split()[2])
+            elif line.startswith("# maps"):
                 section = "maps"
             elif line.startswith("# samples"):
                 section = "samples"
@@ -42,7 +51,19 @@ def read_profile(path):
                 maps.append((lo, hi, int(parts[2], 16), name))
             elif section == "samples" and line.strip():
                 pcs.append(int(line, 16))
-    return maps, pcs
+    return maps, pcs, allocs
+
+
+def attempted_ops(profile):
+    """The `attempted` op count from perfbench's output beside `profile`."""
+    path = os.path.splitext(profile)[0] + ".stdout"
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        for line in f:
+            if line.startswith("{") and '"attempted"' in line:
+                return json.loads(line)["attempted"]
+    return None
 
 
 def load_segments(binary):
@@ -116,7 +137,7 @@ def main():
     ap.add_argument("binary")
     args = ap.parse_args()
 
-    maps, pcs = read_profile(args.profile)
+    maps, pcs, allocs = read_profile(args.profile)
     if not pcs:
         sys.exit("no samples in " + args.profile)
     segs = load_segments(args.binary)
@@ -143,6 +164,10 @@ def main():
 
     total = len(pcs)
     print(f"{total} samples, {sum(per_addr.values())} in {os.path.basename(args.binary)}")
+    if allocs is not None:
+        ops = attempted_ops(args.profile)
+        per_op = f", {allocs / ops:.2f} per op over {ops} ops" if ops else ""
+        print(f"{allocs} allocations (malloc/calloc/realloc){per_op}")
     print_table("leaf", leaf, total)
     print_table("function", func, total)
     print_table("inline-inclusive", incl, total)
