@@ -33,8 +33,9 @@ static void *(*real_calloc)(size_t, size_t);
 static void *(*real_realloc)(void *, size_t);
 static void (*real_free)(void *);
 
-/* dlsym may allocate while the real functions are being looked up; those
- * requests are served from this buffer, whose blocks are never freed. */
+/* dlsym may allocate while the real functions are being looked up. Every
+ * request made then is served from this buffer, whose blocks are never
+ * freed, and a free made then is dropped; so resolve() never re-enters. */
 static _Alignas(16) char boot[1 << 14];
 static size_t boot_used;
 static int resolving;
@@ -62,41 +63,42 @@ static void resolve(void) {
 
 void *malloc(size_t n) {
     __atomic_fetch_add(&n_allocs, 1, __ATOMIC_RELAXED);
-    if (!real_malloc) {
-        if (resolving)
-            return boot_alloc(n);
+    if (resolving)
+        return boot_alloc(n);
+    if (!real_malloc)
         resolve();
-    }
     return real_malloc(n);
 }
 
 void *calloc(size_t k, size_t n) {
     __atomic_fetch_add(&n_allocs, 1, __ATOMIC_RELAXED);
-    if (!real_calloc) {
-        if (resolving)
-            return n && k > (size_t)-1 / n ? NULL : boot_alloc(k * n);
+    if (resolving)
+        return n && k > (size_t)-1 / n ? NULL : boot_alloc(k * n);
+    if (!real_calloc)
         resolve();
-    }
     return real_calloc(k, n);
 }
 
 void *realloc(void *p, size_t n) {
     __atomic_fetch_add(&n_allocs, 1, __ATOMIC_RELAXED);
-    if (!real_realloc)
+    if (!resolving && !real_realloc)
         resolve();
-    if (in_boot(p)) {
-        /* A boot block's size is unknown; copy what fits in the buffer. */
-        void *q = real_malloc(n);
-        size_t left = (size_t)(boot + sizeof boot - (char *)p);
-        if (q)
-            memcpy(q, p, n < left ? n : left);
+    /* While resolving, p is NULL or a boot block: nothing else exists yet. */
+    if (resolving || in_boot(p)) {
+        /* A boot block's size is unknown; copy what fits in the buffer. The
+         * new block may follow p inside the buffer, hence memmove. */
+        void *q = resolving ? boot_alloc(n) : real_malloc(n);
+        if (q && p) {
+            size_t left = (size_t)(boot + sizeof boot - (char *)p);
+            memmove(q, p, n < left ? n : left);
+        }
         return q;
     }
     return real_realloc(p, n);
 }
 
 void free(void *p) {
-    if (in_boot(p))
+    if (resolving || in_boot(p))
         return;
     if (!real_free)
         resolve();

@@ -14,15 +14,17 @@
 //! launch is the driver's preparation and the run report; these tests pin
 //! both.
 //!
-//! The counter is process-wide, so the tests take [`MEASURE`] for their
-//! whole body: with the default parallel test threads, one test would
-//! otherwise count another's allocations. The harness's own thread still
-//! allocates when it starts the next test, which can land inside a
-//! measurement; the tests that pin an exact count therefore take the
-//! fewest allocations over a few repeats ([`fewest_allocs`]).
+//! Two counters run side by side. The process-wide one sees the engine's
+//! worker threads, so the per-kilocycle bounds read it; the tests take
+//! [`MEASURE`] for their whole body, since with the default parallel test
+//! threads one test would otherwise count another's allocations. The
+//! per-thread one sees only the calling thread, so the harness thread
+//! allocating as it starts the next test never lands in a measurement;
+//! the tests that pin an exact count read it, and their work runs on the
+//! test thread (`sim_threads` 1 runs the engine inline).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::convert::Infallible;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -30,9 +32,20 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // `const`-initialised and without a destructor, so reading it never
+    // allocates and it stays usable while a thread is torn down.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -41,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -53,17 +66,9 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// The fewest allocations `f` makes over a few calls. What else runs in
-/// the process can only add to a call's count, so the minimum is what
-/// `f` itself allocates.
-fn fewest_allocs<E>(mut f: impl FnMut() -> Result<(), E>) -> Result<u64, E> {
-    let mut fewest = u64::MAX;
-    for _ in 0..5 {
-        let before = allocs();
-        f()?;
-        fewest = fewest.min(allocs() - before);
-    }
-    Ok(fewest)
+/// Allocations made so far by the calling thread alone.
+fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Held by every test in this file, so only one counts at a time.
@@ -173,12 +178,11 @@ fn disabled_registry_publish_builds_no_label_strings() {
     driver.publish_telemetry(&mut reg);
     table.publish_telemetry(&mut reg);
 
-    let Ok(during) = fewest_allocs(|| {
-        driver.publish_telemetry(&mut reg);
-        table.publish_telemetry(&mut reg);
-        table.audit().publish(&mut reg);
-        Ok::<_, Infallible>(())
-    });
+    let before = thread_allocs();
+    driver.publish_telemetry(&mut reg);
+    table.publish_telemetry(&mut reg);
+    table.audit().publish(&mut reg);
+    let during = thread_allocs() - before;
 
     assert!(reg.is_empty(), "a disabled registry must register nothing");
     assert_eq!(
@@ -236,11 +240,10 @@ fn a_steady_state_serving_launch_allocates_almost_nothing() -> Result<(), Box<dy
     for _ in 0..200 {
         launch(&mut sys)?;
     }
-    let during = fewest_allocs(|| {
-        let (report, violations) = launch(&mut sys)?;
-        assert!(report.completed() && violations.is_empty());
-        Ok::<_, gpushield::SystemError>(())
-    })?;
+    let before = thread_allocs();
+    let (report, violations) = launch(&mut sys)?;
+    let during = thread_allocs() - before;
+    assert!(report.completed() && violations.is_empty());
     assert_eq!(
         during, SERVING_LAUNCH_ALLOCS,
         "a steady-state serving launch made {during} allocations"
@@ -260,7 +263,10 @@ fn a_steady_state_run_allocates_only_its_report() -> Result<(), Box<dyn std::err
     use gpushield_sim::{Gpu, KernelLaunch, LaunchConfig, MemGuard, RunOpts};
     let _alone = measure_alone();
 
-    let cfg = GpuConfig::nvidia();
+    let cfg = GpuConfig {
+        sim_threads: 1,
+        ..GpuConfig::nvidia()
+    };
     let mut bcu = Bcu::new(BcuConfig::default(), cfg.num_cores);
     let mut gpu = Gpu::new(cfg);
     let mut vm = VirtualMemorySpace::new();
@@ -274,10 +280,10 @@ fn a_steady_state_run_allocates_only_its_report() -> Result<(), Box<dyn std::err
     for _ in 0..50 {
         run(&mut vm, &mut bcu)?;
     }
-    let during = fewest_allocs(|| {
-        assert!(run(&mut vm, &mut bcu)?.completed());
-        Ok::<_, gpushield_sim::RunError>(())
-    })?;
+    let before = thread_allocs();
+    let report = run(&mut vm, &mut bcu)?;
+    let during = thread_allocs() - before;
+    assert!(report.completed());
     assert_eq!(during, 2, "a steady-state run made {during} allocations");
     Ok(())
 }
